@@ -1,89 +1,18 @@
-"""Hot numeric kernels, numba-compiled with a pure-numpy fallback.
-
-Set PROPLAB_NO_NUMBA=1 to force the numpy path (useful for debugging and as
-the reference implementation in the benchmark).  Both paths compute the same
-sums; the njit versions just fuse and parallelize the loops.
-"""
-
-import os
+"""Hot numeric kernels: dense chirp assembly and Fourier mode sums."""
 
 import numpy as np
 
-NUMBA_ENABLED = os.environ.get("PROPLAB_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit, prange
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-
 TWO_PI = 2.0 * np.pi
-
-
-def _chirp_kernel_numpy(xpts, ypts, m_xx, m_xy, m_yy):
-    qx = 0.5 * np.einsum("ia,ab,ib->i", xpts, m_xx, xpts)
-    qy = 0.5 * np.einsum("ja,ab,jb->j", ypts, m_yy, ypts)
-    cross = np.einsum("ja,ab,ib->ij", ypts, m_xy, xpts)
-    return np.exp(1j * TWO_PI * (qx[:, None] - cross + qy[None, :]))
-
-
-def _eval_modes_numpy(coeffs, freqs, pts):
-    phases = pts @ freqs.T  # (M, K)
-    return np.exp(1j * TWO_PI * phases) @ coeffs
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _chirp_kernel_njit(xpts, ypts, m_xx, m_xy, m_yy):  # pragma: no cover - jitted
-        m = xpts.shape[0]
-        n = ypts.shape[0]
-        d = xpts.shape[1]
-        out = np.empty((m, n), dtype=np.complex128)
-        for i in prange(m):
-            qx = 0.0
-            for a in range(d):
-                for b in range(d):
-                    qx += 0.5 * xpts[i, a] * m_xx[a, b] * xpts[i, b]
-            for j in range(n):
-                qy = 0.0
-                cr = 0.0
-                for a in range(d):
-                    for b in range(d):
-                        qy += 0.5 * ypts[j, a] * m_yy[a, b] * ypts[j, b]
-                        cr += ypts[j, a] * m_xy[a, b] * xpts[i, b]
-                ph = TWO_PI * (qx - cr + qy)
-                out[i, j] = complex(np.cos(ph), np.sin(ph))
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _eval_modes_njit(coeffs, freqs, pts):  # pragma: no cover - jitted
-        m = pts.shape[0]
-        k = freqs.shape[0]
-        d = pts.shape[1]
-        out = np.empty(m, dtype=np.complex128)
-        for i in prange(m):
-            acc = 0.0 + 0.0j
-            for q in range(k):
-                ph = 0.0
-                for a in range(d):
-                    ph += freqs[q, a] * pts[i, a]
-                ph *= TWO_PI
-                acc += coeffs[q] * complex(np.cos(ph), np.sin(ph))
-            out[i] = acc
-        return out
 
 
 def chirp_kernel(xpts, ypts, m_xx, m_xy, m_yy):
     """exp(2*pi*i*Phi(x_i, y_j)) for Phi = (1/2)x.Mxx x - y.Mxy x + (1/2)y.Myy y."""
     xpts = np.ascontiguousarray(xpts, dtype=float)
     ypts = np.ascontiguousarray(ypts, dtype=float)
-    if NUMBA_ENABLED:
-        return _chirp_kernel_njit(xpts, ypts,
-                                  np.ascontiguousarray(m_xx, dtype=float),
-                                  np.ascontiguousarray(m_xy, dtype=float),
-                                  np.ascontiguousarray(m_yy, dtype=float))
-    return _chirp_kernel_numpy(xpts, ypts, m_xx, m_xy, m_yy)
+    qx = 0.5 * np.einsum("ia,ab,ib->i", xpts, m_xx, xpts)
+    qy = 0.5 * np.einsum("ja,ab,jb->j", ypts, m_yy, ypts)
+    cross = np.einsum("ja,ab,ib->ij", ypts, m_xy, xpts)
+    return np.exp(1j * TWO_PI * (qx[:, None] - cross + qy[None, :]))
 
 
 def eval_fourier_modes(coeffs, freqs, pts):
@@ -91,6 +20,4 @@ def eval_fourier_modes(coeffs, freqs, pts):
     pts = np.ascontiguousarray(pts, dtype=float)
     freqs = np.ascontiguousarray(freqs, dtype=float)
     coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-    if NUMBA_ENABLED:
-        return _eval_modes_njit(coeffs, freqs, pts)
-    return _eval_modes_numpy(coeffs, freqs, pts)
+    return np.exp(1j * TWO_PI * (pts @ freqs.T)) @ coeffs

@@ -27,7 +27,7 @@ class GridSpec:
         n = self.points_per_axis
         if self.dim not in (1, 2):
             raise ValueError("only d = 1 and d = 2 are supported")
-        if self.half_width <= 0:
+        if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError("points_per_axis must be a power of two >= 8")
@@ -186,6 +186,40 @@ def _checker(n: int) -> np.ndarray:
     return (-1.0) ** np.arange(n)
 
 
+def _centered_fft(vals: np.ndarray, n: int, sign: int, axis: int = 0) -> np.ndarray:
+    """Unscaled centered DFT along one axis of an n-point grid,
+    sum_j v_j e^{sign 2 pi i (j - n/2)(k - n/2)/n}.
+
+    An axis of even length m < n holds the input folded to period m, and the
+    result holds the bins k = 0, s, 2s, ... with s = n/m: those bins see the
+    input only modulo m (Poisson summation), so the folded m-point transform
+    gives them exactly.
+    """
+    m = vals.shape[axis]
+    shape = [1] * vals.ndim
+    shape[axis] = m
+    pre = _checker(m).reshape(shape)
+    post = (_checker(n)[:: n // m] * (-1.0) ** (n // 2)).reshape(shape)
+    if sign == -1:
+        out = np.fft.fft(vals * pre, axis=axis)
+    elif sign == +1:
+        out = np.fft.ifft(vals * pre, axis=axis) * m
+    else:
+        raise ValueError("sign must be +1 or -1")
+    return out * post
+
+
+def _refine_axis(vals: np.ndarray, axis: int) -> np.ndarray:
+    """2x trigonometric refinement along one axis by spectral zero padding."""
+    n = vals.shape[axis]
+    vals = np.moveaxis(vals, axis, 0)
+    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals, axes=0), axis=0), axes=0)
+    padded = np.zeros((2 * n,) + vals.shape[1:], dtype=complex)
+    padded[n // 2: n // 2 + n] = spec
+    out = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0), axes=0) * 2.0
+    return np.moveaxis(out, 0, axis)
+
+
 def dft(f: SampledField, sign: int = -1) -> SampledField:
     """Continuum-normalized DFT on the centered grid.
 
@@ -194,27 +228,10 @@ def dft(f: SampledField, sign: int = -1) -> SampledField:
     dft(dft(f, -1), +1) recovers f exactly (up to rounding).
     """
     g = f.grid
-    n = g.points_per_axis
-    ck = _checker(n)
-    pre = ck
-    post = ck * (-1.0) ** (n // 2)
     vals = f.values
     for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = n
-        vals = vals * pre.reshape(shape)
-    if sign == -1:
-        vals = np.fft.fftn(vals)
-        scale = g.cell
-    elif sign == +1:
-        vals = np.fft.ifftn(vals) * g.size
-        scale = (1.0 / (2.0 * g.half_width)) ** g.dim
-    else:
-        raise ValueError("sign must be +1 or -1")
-    for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = n
-        vals = vals * post.reshape(shape)
+        vals = _centered_fft(vals, g.points_per_axis, sign, ax)
+    scale = g.cell if sign == -1 else g.freq_cell
     return SampledField(g, vals * scale)
 
 

@@ -10,13 +10,17 @@ grid; all continuum norms are lattice sums with cell weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .errors import EpsilonTooSmall
-from .grid import (GridSpec, PhaseGrid, SampledField, SymbolField, dft,
-                   field_from_function)
+from .errors import DimensionUnsupported, EpsilonTooSmall
+from .grid import (GridSpec, PhaseGrid, SampledField, SymbolField,
+                   _centered_fft, _refine_axis, dft, field_from_function)
+
+
+INF_S = "inf-s"
+INF_1 = "inf-1"
+FL_1 = "fl-1"
 
 
 def default_window(grid: GridSpec) -> SampledField:
@@ -28,7 +32,7 @@ def default_window(grid: GridSpec) -> SampledField:
 
 @dataclass
 class StftSpec:
-    """Window and lattice for the discrete STFT.
+    """Window and lattice for the discrete STFT on a 1d grid.
 
     lattice_step_x / lattice_step_xi are integer strides in grid samples and
     frequency bins (1 = dense lattice).  weight_s is the exponent of the
@@ -41,9 +45,13 @@ class StftSpec:
     weight_s: float = 0.0
 
     def __post_init__(self):
-        n = self.window.grid.points_per_axis
+        if self.grid.dim != 1:
+            raise DimensionUnsupported("the STFT window must live on a 1d grid")
+        n = self.grid.points_per_axis
         if n % self.lattice_step_x or n % self.lattice_step_xi:
             raise ValueError("lattice steps must divide the grid extent")
+        if self.lattice_step_xi == n:
+            raise ValueError("the frequency lattice needs at least two points")
         if abs(self.window.norm2() - 1.0) > 1e-10:
             raise ValueError("window must be unit L2-normalized")
 
@@ -53,89 +61,84 @@ class StftSpec:
 
     @property
     def x_cell(self) -> float:
-        return (self.lattice_step_x * self.grid.spacing) ** self.grid.dim
+        return self.lattice_step_x * self.grid.spacing
 
     @property
     def xi_cell(self) -> float:
-        return (self.lattice_step_xi * self.grid.freq_spacing) ** self.grid.dim
+        return self.lattice_step_xi * self.grid.freq_spacing
 
-    def x_indices(self):
-        n = self.grid.points_per_axis
-        one = range(0, n, self.lattice_step_x)
-        return list(product(one, repeat=self.grid.dim))
-
-    def xi_slices(self) -> tuple:
-        return (slice(None, None, self.lattice_step_xi),) * self.grid.dim
-
-    def xi_points(self) -> np.ndarray:
-        ax = self.grid.freq_axis()[:: self.lattice_step_xi]
-        mesh = np.meshgrid(*([ax] * self.grid.dim), indexing="ij")
-        return np.stack([a.ravel() for a in mesh], axis=-1)
+    def xi_axis(self) -> np.ndarray:
+        return self.grid.freq_axis()[:: self.lattice_step_xi]
 
 
 @dataclass
 class StftMatrix:
-    """V_g f sampled on the lattice; axes are (x positions..., frequencies...)."""
+    """V_g f sampled on the lattice; axes are (x positions, frequencies)."""
 
     values: np.ndarray
     spec: StftSpec
 
 
-def _window_at(spec: StftSpec, idx: tuple) -> np.ndarray:
-    """Window centered at the lattice point x_idx, translated periodically.
+def _lattice_windows(spec: StftSpec) -> np.ndarray:
+    """The window centered at every lattice position, shape (positions, N).
 
     Periodic wrap keeps every lattice window an exact copy of the base one
     (no boundary truncation); for the Gaussian window the wrap-around tail is
     below 1e-80 on the default grids.
     """
-    g = spec.grid
-    shift = tuple(i - g.points_per_axis // 2 for i in idx)
-    return np.roll(spec.window.values, shift, axis=tuple(range(g.dim)))
+    n = spec.grid.points_per_axis
+    pos = np.arange(0, n, spec.lattice_step_x)
+    return spec.window.values[(np.arange(n)[None, :] - pos[:, None] + n // 2) % n]
 
 
-def iter_stft(f: SampledField, spec: StftSpec):
-    """Yield (x lattice index tuple, V_g f(x, .) on the lattice frequencies)."""
-    g = f.grid
-    if g != spec.grid:
-        raise ValueError("field and window grids do not match")
-    sl = spec.xi_slices()
-    for idx in spec.x_indices():
-        win = _window_at(spec, idx)
-        spectrum = dft(SampledField(g, f.values * np.conj(win)), -1)
-        yield idx, spectrum.values[sl]
+def _stft_core(vals: np.ndarray, spec: StftSpec) -> np.ndarray:
+    """V_g along axis 0 of vals: (N, ...) -> (positions, frequencies, ...).
+
+    Every windowed product is folded to period N / lattice_step_xi before the
+    one batched DFT, which then yields exactly the lattice frequencies.
+    """
+    n = spec.grid.points_per_axis
+    m = n // spec.lattice_step_xi
+    win = np.conj(_lattice_windows(spec))
+    folded = np.einsum("ptr,tr...->pr...", win.reshape(len(win), -1, m),
+                       vals.reshape((-1, m) + vals.shape[1:]), optimize=True)
+    return _centered_fft(folded, n, -1, axis=1) * spec.grid.spacing
+
+
+def _lattice_norm(v: np.ndarray, spec: StftSpec, kind: str,
+                  exponent: float | None) -> float:
+    """inf-s or inf-1 estimate from lattice STFT values whose first half of
+    axes are positions and second half frequencies (d = v.ndim / 2)."""
+    d = v.ndim // 2
+    mag = np.abs(v)
+    if kind == INF_S:
+        s = spec.weight_s if exponent is None else exponent
+        radii = np.sqrt(sum(np.ix_(*(spec.xi_axis() ** 2,) * d)))
+        return float(np.max(mag * (1.0 + radii) ** s))
+    if kind == INF_1:
+        profile = np.max(mag, axis=tuple(range(d)))
+        return float(np.sum(profile) * spec.xi_cell ** d)
+    raise ValueError(f"unknown modulation norm kind: {kind}")
 
 
 def stft(f: SampledField, spec: StftSpec) -> StftMatrix:
-    g = spec.grid
-    npos = g.points_per_axis // spec.lattice_step_x
-    nfreq = g.points_per_axis // spec.lattice_step_xi
-    out = np.empty((npos,) * g.dim + (nfreq,) * g.dim, dtype=complex)
-    for idx, row in iter_stft(f, spec):
-        pos = tuple(i // spec.lattice_step_x for i in idx)
-        out[pos] = row
-    return StftMatrix(out, spec)
+    if f.grid != spec.grid:
+        raise ValueError("field and window grids do not match")
+    return StftMatrix(_stft_core(f.values, spec), spec)
 
 
 def stft_adjoint(mat: StftMatrix, spec: StftSpec) -> SampledField:
     """V_g^* F = sum over the lattice of F(x,xi) pi(x,xi) g, with cell weights.
 
-    The inner frequency sum sum_xi F(x,xi) e^{2 pi i xi.y} is an inverse DFT
-    of the lattice row embedded into the full frequency grid.
+    The inner frequency sums sum_xi F(x,xi) e^{2 pi i xi y} are one batched
+    inverse DFT of the lattice rows embedded into the full frequency grid.
     """
-    g = spec.grid
-    acc = np.zeros(g.shape, dtype=complex)
-    for idx in spec.x_indices():
-        pos = tuple(i // spec.lattice_step_x for i in idx)
-        full = np.zeros(g.shape, dtype=complex)
-        full[spec.xi_slices()] = mat.values[pos]
-        inner = dft(SampledField(g, full), +1).values * (2.0 * g.half_width) ** g.dim
-        acc += inner * _window_at(spec, idx)
-    return SampledField(g, acc * spec.x_cell * spec.xi_cell)
-
-
-INF_S = "inf-s"
-INF_1 = "inf-1"
-FL_1 = "fl-1"
+    n = spec.grid.points_per_axis
+    full = np.zeros((mat.values.shape[0], n), dtype=complex)
+    full[:, :: spec.lattice_step_xi] = mat.values
+    inner = _centered_fft(full, n, +1, axis=1)
+    acc = np.sum(inner * _lattice_windows(spec), axis=0)
+    return SampledField(spec.grid, acc * spec.x_cell * spec.xi_cell)
 
 
 def mod_norm(f: SampledField, spec: StftSpec, kind: str, exponent: float | None = None) -> float:
@@ -144,44 +147,27 @@ def mod_norm(f: SampledField, spec: StftSpec, kind: str, exponent: float | None 
     inf-s: sup |V_g f| (1+|xi|)^s;  inf-1: sum_xi sup_x |V_g f| * cell;
     fl-1 bypasses the STFT and weights |Ff| directly.
     """
-    g = f.grid
     if kind == FL_1:
+        g = f.grid
         r = 0.0 if exponent is None else exponent
         spec_f = dft(f, -1)
         w = (1.0 + np.linalg.norm(g.freq_points(), axis=1)) ** r
         return float(np.sum(np.abs(spec_f.values.ravel()) * w) * g.freq_cell)
-    if kind == INF_S:
-        s = spec.weight_s if exponent is None else exponent
-        xi = spec.xi_points()
-        w = (1.0 + np.linalg.norm(xi, axis=1)) ** s
-        best = 0.0
-        for _, row in iter_stft(f, spec):
-            best = max(best, float(np.max(np.abs(row.ravel()) * w)))
-        return best
-    if kind == INF_1:
-        profile = None
-        for _, row in iter_stft(f, spec):
-            mag = np.abs(row)
-            profile = mag if profile is None else np.maximum(profile, mag)
-        return float(np.sum(profile) * spec.xi_cell)
-    raise ValueError(f"unknown modulation norm kind: {kind}")
+    return _lattice_norm(stft(f, spec).values, spec, kind, exponent)
 
 
 def frequency_profile(f: SampledField, spec: StftSpec) -> np.ndarray:
     """S(xi) = sup over lattice positions of |V_g f(x, xi)|."""
-    profile = None
-    for _, row in iter_stft(f, spec):
-        mag = np.abs(row)
-        profile = mag if profile is None else np.maximum(profile, mag)
-    return profile
+    return np.max(np.abs(stft(f, spec).values), axis=0)
 
 
 def wigner(f: SampledField, g2: SampledField) -> SymbolField:
     """Cross-Wigner transform W(f,g)(x,xi) on the phase grid (d = 1).
 
     Half-index samples f(x + y/2) g(x - y/2)* come from 2x zero-padded
-    (trigonometric) refinement; the y-transform reuses the centered DFT on a
-    doubled grid and is subsampled back onto the base frequency axis.
+    (trigonometric) refinement; the y-transform is the centered DFT on a
+    doubled grid, of which only every second bin (the base frequency axis)
+    is kept, so the lag samples are folded to period N before the transform.
     """
     g = f.grid
     if g.dim != 1:
@@ -189,41 +175,22 @@ def wigner(f: SampledField, g2: SampledField) -> SymbolField:
     if g2.grid != g:
         raise ValueError("fields must share a grid")
     n = g.points_per_axis
-    fr = _refine2(f.values)
-    gr = _refine2(g2.values)
+    fr = _refine_axis(f.values, 0)
+    gr = _refine_axis(g2.values, 0)
     # A[i, m] = f(x_i + y_m / 2) conj(g(x_i - y_m / 2)), y_m = -2L + m h
-    a = np.zeros((n, 2 * n), dtype=complex)
-    i = np.arange(n)
-    for m in range(2 * n):
-        off = m - n
-        plus = 2 * i + off
-        minus = 2 * i - off
-        ok = (plus >= 0) & (plus < 2 * n) & (minus >= 0) & (minus < 2 * n)
-        a[ok, m] = fr[plus[ok]] * np.conj(gr[minus[ok]])
-    big = GridSpec(1, 2.0 * g.half_width, 2 * n)
-    rows = np.empty((n, 2 * n), dtype=complex)
-    for i in range(n):
-        rows[i] = dft(SampledField(big, a[i]), -1).values
-    vals = rows[:, ::2]  # big freq axis subsampled onto the base axis
+    off = np.arange(2 * n)[None, :] - n
+    plus = 2 * np.arange(n)[:, None] + off
+    minus = plus - 2 * off
+    ok = (plus >= 0) & (plus < 2 * n) & (minus >= 0) & (minus < 2 * n)
+    a = np.where(ok, fr[plus % (2 * n)] * np.conj(gr[minus % (2 * n)]), 0.0)
+    vals = _centered_fft(a[:, :n] + a[:, n:], 2 * n, -1, axis=1) * g.spacing
     return SymbolField(PhaseGrid(g), vals)
-
-
-def _refine2(values: np.ndarray) -> np.ndarray:
-    """2x trigonometric refinement of a 1d field by spectral zero padding."""
-    n = values.shape[0]
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
-    padded = np.zeros(2 * n, dtype=complex)
-    padded[n // 2: n // 2 + n] = spec
-    return np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(padded))) * 2.0
 
 
 def cross_ambiguity_l1(spec: StftSpec) -> float:
     """Phase-space L1 norm of V_g g, the adjoint-bound constant."""
-    g = spec.window
-    total = 0.0
-    for _, row in iter_stft(g, spec):
-        total += float(np.sum(np.abs(row))) * spec.xi_cell * spec.x_cell
-    return total
+    v = _stft_core(spec.window.values, spec)
+    return float(np.sum(np.abs(v))) * spec.xi_cell * spec.x_cell
 
 
 def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
@@ -239,11 +206,8 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
         zero = SampledField(f.grid, np.zeros(f.grid.shape))
         return zero, zero.copy(), 0.0
     mat = stft(f, spec)
-    d = f.grid.dim
-    pos_axes = tuple(range(d))
-    profile = np.max(np.abs(mat.values), axis=pos_axes)
-    xi = spec.xi_points()
-    radii = np.linalg.norm(xi, axis=1).reshape(profile.shape)
+    profile = np.max(np.abs(mat.values), axis=0)
+    radii = np.abs(spec.xi_axis())
     budget = eps / cross_ambiguity_l1(spec)
     if budget <= 0.0:
         raise EpsilonTooSmall(f"budget {budget:.3e} is not positive")

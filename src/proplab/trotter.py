@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionUnsupported, NotFree
-from .grid import (GridSpec, KernelMatrix, SampledField, compact_mask,
+from .grid import (GridSpec, KernelMatrix, SampledField, compact_mask, dft,
                    sup_norm_on_compact)
 from .metaplectic import propagator_for
 from .symplectic import QuadraticHamiltonian, flow, is_free, phase_form
-from .tfa import INF_1, INF_S, StftSpec, default_window
+from .tfa import (INF_1, INF_S, StftSpec, _lattice_norm, _stft_core,
+                  default_window, mod_norm, sjostrand_decompose)
 
 
 @dataclass(frozen=True)
@@ -198,19 +199,17 @@ def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1, lattice_step: int = 16,
                     exponent: float | None = None) -> float:
     """Modulation-type norm of a kernel viewed as a function on the 2d grid.
 
-    The kernel matrix over a 1d grid is re-read as a sampled field on the
-    corresponding two-dimensional grid; the STFT lattice is coarse (stride
-    lattice_step in both position and frequency) to keep the cost at desk
-    scale, which changes the estimator by a bounded factor only.
+    The 2d Gaussian window is the outer product of two 1d windows, so the 2d
+    STFT is the 1d STFT applied along x and then along y; the lattice is
+    coarse (stride lattice_step in both position and frequency) to keep the
+    cost at desk scale, which changes the estimator by a bounded factor only.
     """
     if k.grid.dim != 1:
         raise DimensionUnsupported("kernel mod-norms are implemented for d = 1")
-    from .tfa import mod_norm  # local import keeps module load order simple
-
-    g2 = GridSpec(2, k.grid.half_width, k.grid.points_per_axis)
-    f2 = SampledField(g2, k.entries)
-    spec = StftSpec(default_window(g2), lattice_step, lattice_step)
-    return mod_norm(f2, spec, kind, exponent)
+    spec = StftSpec(default_window(k.grid), lattice_step, lattice_step)
+    along_x = _stft_core(k.entries, spec)  # (x positions, x freqs, y)
+    v = _stft_core(np.moveaxis(along_x, 2, 0), spec)  # (y pos, y freqs, x pos, x freqs)
+    return _lattice_norm(v.transpose(2, 0, 3, 1), spec, kind, exponent)
 
 
 @dataclass
@@ -234,8 +233,6 @@ class ConvergenceReport:
 def _windowed_fl1(diff: np.ndarray, grid: GridSpec, center) -> float:
     """l1 norm of the 2d spectrum of the kernel difference times a Gaussian
     bump centered at (x, y) = center."""
-    from .grid import dft
-
     g2 = GridSpec(2, grid.half_width, grid.points_per_axis)
     pts = g2.points()
     z = np.asarray(center, dtype=float)
@@ -301,8 +298,6 @@ def perturbation_split_report(sc: TrotterScenario, eps: float,
     kernel and compared with the shape bound eps * |t| * C * e^{2|t|C},
     C being the modulation norm of the full potential.
     """
-    from .tfa import mod_norm, sjostrand_decompose
-
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     if n is None:

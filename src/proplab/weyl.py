@@ -21,24 +21,14 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionUnsupported, NotFree
-from .grid import GridSpec, KernelMatrix, PhaseGrid, SampledField, SymbolField
+from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField, SymbolField,
+                   _refine_axis)
 from .symplectic import PhaseQuadratic, SymplecticBlocks
 
 
 def _require_1d(grid: GridSpec):
     if grid.dim != 1:
         raise DimensionUnsupported("Weyl calculus is implemented for d = 1")
-
-
-def _refine_axis(vals: np.ndarray, axis: int) -> np.ndarray:
-    """2x trigonometric refinement along one axis by spectral zero padding."""
-    n = vals.shape[axis]
-    vals = np.moveaxis(vals, axis, 0)
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals, axes=0), axis=0), axes=0)
-    padded = np.zeros((2 * n,) + vals.shape[1:], dtype=complex)
-    padded[n // 2: n // 2 + n] = spec
-    out = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0), axes=0) * 2.0
-    return np.moveaxis(out, 0, axis)
 
 
 def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:

@@ -46,10 +46,11 @@ def test_config_parsing_and_seed_override():
     assert cfg2.seed == 9
 
 
-def test_malformed_config_exits_2_without_files(tmp_path):
+@pytest.mark.parametrize("half_width", ["oops", "nan"])
+def test_malformed_config_exits_2_without_files(tmp_path, half_width):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nkind = converge\n[grid]\n"
-                   "half_width = oops\npoints = 64\n")
+                   f"half_width = {half_width}\npoints = 64\n")
     out = tmp_path / "out"
     out.mkdir()
     rc = main(["converge", "--config", str(bad), "--out", str(out), "--quiet"])
@@ -72,6 +73,19 @@ def test_flow_preset_runs_and_is_deterministic(tmp_path):
                  "--out", str(out2), "--quiet"]) == 0
     assert (out1 / "flow.csv").read_bytes() == (out2 / "flow.csv").read_bytes()
     assert (out1 / "flow.svg").exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("converge", "harmonic-cos-t1.ini"),
+    ("perturb", "decomposition-pinned.ini"),
+])
+def test_stft_preset_csv_is_deterministic(tmp_path, command, config):
+    runs = []
+    for name in ("a", "b"):
+        assert main([command, "--config", cfg_path(config),
+                     "--out", str(tmp_path / name), "--quiet"]) == 0
+        runs.append((tmp_path / name / f"{command}.csv").read_bytes())
+    assert runs[0] == runs[1]
 
 
 def test_exceptional_preset_csv_schema(tmp_path):

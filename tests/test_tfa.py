@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from proplab import (EpsilonTooSmall, INF_1, INF_S, FL_1,
-                     MeasurePotential, SampledField, StftSpec, default_window,
-                     dft, field_from_function, measure_norm_bound,
+from proplab import (DimensionUnsupported, EpsilonTooSmall, INF_1, INF_S,
+                     FL_1, GridSpec, KernelMatrix, MeasurePotential,
+                     SampledField, StftSpec, default_window, dft,
+                     field_from_function, kernel_mod_norm, measure_norm_bound,
                      measure_potential_field, mod_norm, sjostrand_decompose,
                      stft, stft_adjoint, wigner)
 from proplab.tfa import cross_ambiguity_l1, frequency_profile
@@ -76,10 +77,96 @@ def test_fl1_of_pure_cosine(grid, spec):
     assert mod_norm(f, spec, FL_1, exponent=1.0) == pytest.approx(2.0, abs=1e-10)
 
 
+def wide_window(grid):
+    w2 = field_from_function(grid, lambda x: np.exp(-np.pi * (x / 1.4) ** 2))
+    return SampledField(grid, w2.values / w2.norm2())
+
+
+def direct_stft(f, spec):
+    """V_g f(x_p, xi_k) = h sum_j f(x_j) conj(g(x_j - x_p)) e^{-2 pi i x_j xi_k}
+    as a plain sum against the exponential matrix, one lattice position at a
+    time, with the window translated periodically by np.roll."""
+    g = spec.grid
+    n = g.points_per_axis
+    x = g.axis()
+    xi = g.freq_axis()[:: spec.lattice_step_xi]
+    expo = np.exp(-2j * np.pi * np.outer(x, xi))
+    rows = [(f.values * np.conj(np.roll(spec.window.values, p - n // 2))) @ expo
+            for p in range(0, n, spec.lattice_step_x)]
+    return np.array(rows) * g.spacing
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b)))
+                 / np.max(np.abs(np.asarray(b))))
+
+
+@pytest.mark.parametrize("steps,wide", [((1, 1), False), ((2, 1), False),
+                                        ((1, 4), False), ((4, 8), False),
+                                        ((2, 4), True)])
+def test_stft_matches_direct_sum(grid, steps, wide):
+    window = wide_window(grid) if wide else default_window(grid)
+    spec = StftSpec(window, *steps, weight_s=1.5)
+    f = band_limited(grid, 30, 40)
+    ref = direct_stft(f, spec)
+    assert rel_err(stft(f, spec).values, ref) < 1e-12
+    xi = spec.xi_axis()
+    mag = np.abs(ref)
+    profile = np.max(mag, axis=0)
+    assert rel_err(frequency_profile(f, spec), profile) < 1e-12
+    assert mod_norm(f, spec, INF_1) == pytest.approx(
+        np.sum(profile) * spec.xi_cell, rel=1e-12)
+    assert mod_norm(f, spec, INF_S) == pytest.approx(
+        np.max(mag * (1.0 + np.abs(xi)) ** 1.5), rel=1e-12)
+    assert cross_ambiguity_l1(spec) == pytest.approx(
+        np.sum(np.abs(direct_stft(window, spec))) * spec.x_cell * spec.xi_cell,
+        rel=1e-12)
+    # adjoint: sum over the lattice of F(x_p, xi_k) e^{2 pi i xi_k y} g(y - x_p)
+    n = grid.points_per_axis
+    synth = ref @ np.exp(2j * np.pi * np.outer(xi, grid.axis()))
+    wins = np.array([np.roll(window.values, p - n // 2)
+                     for p in range(0, n, spec.lattice_step_x)])
+    adj = np.sum(synth * wins, axis=0) * spec.x_cell * spec.xi_cell
+    assert rel_err(stft_adjoint(stft(f, spec), spec).values, adj) < 1e-12
+
+
+def test_kernel_mod_norm_matches_direct_2d_sum():
+    # the separable two-pass estimator against the 2d STFT summed directly
+    # with the 2d Gaussian window exp(-pi (x^2 + y^2))
+    g = GridSpec(1, 4.0, 32)
+    n, step = 32, 4
+    rng = SplitMix64(31)
+    entries = (rng.normals(n * n) + 1j * rng.normals(n * n)).reshape(n, n)
+    x = g.axis()
+    w2 = np.exp(-np.pi * (x[:, None] ** 2 + x[None, :] ** 2))
+    w2 /= np.sqrt(np.sum(w2 ** 2) * g.spacing ** 2)
+    xi = g.freq_axis()[::step]
+    expo = np.exp(-2j * np.pi * np.outer(x, xi))
+    v = np.empty((n // step,) * 4, dtype=complex)
+    for a, p in enumerate(range(0, n, step)):
+        for b, q in enumerate(range(0, n, step)):
+            win = np.roll(w2, (p - n // 2, q - n // 2), axis=(0, 1))
+            v[a, b] = expo.T @ (entries * win) @ expo * g.spacing ** 2
+    mag = np.abs(v)
+    cell = (step * g.freq_spacing) ** 2
+    radii = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
+    k = KernelMatrix(g, entries)
+    assert kernel_mod_norm(k, INF_1, step) == pytest.approx(
+        np.sum(np.max(mag, axis=(0, 1))) * cell, rel=1e-12)
+    assert kernel_mod_norm(k, INF_S, step, exponent=2.5) == pytest.approx(
+        np.max(mag * (1.0 + radii) ** 2.5), rel=1e-12)
+
+
+def test_stft_spec_rejects_2d_window_and_single_frequency(grid):
+    with pytest.raises(DimensionUnsupported):
+        StftSpec(default_window(GridSpec(2, 4.0, 32)))
+    with pytest.raises(ValueError):
+        StftSpec(default_window(grid), lattice_step_xi=grid.points_per_axis)
+
+
 def test_window_comparability(grid):
     # two admissible windows give equivalent Inf1 norms on a small corpus
-    w2 = field_from_function(grid, lambda x: np.exp(-np.pi * (x / 1.4) ** 2))
-    w2 = SampledField(grid, w2.values / w2.norm2())
+    w2 = wide_window(grid)
     s1 = StftSpec(default_window(grid))
     s2 = StftSpec(w2)
     ratios = []
@@ -94,7 +181,7 @@ def test_frequency_profile_peaks_at_content(grid, spec):
     x = grid.axis()
     f = SampledField(grid, np.exp(2j * np.pi * 3.0 * x))
     prof = frequency_profile(f, spec)
-    xi = spec.xi_points()[:, 0]
+    xi = spec.xi_axis()
     peak = xi[int(np.argmax(prof))]
     assert abs(peak - 3.0) < 2.0 * grid.freq_spacing
 
@@ -130,7 +217,7 @@ def test_sjostrand_band_limitation(grid, spec):
                      + 0.3 * np.cos(2.0 * np.pi * 3.0 * x))
     f1, _f2, r = sjostrand_decompose(v, 0.1, spec)
     prof = frequency_profile(f1, spec)
-    xi = np.abs(spec.xi_points()[:, 0])
+    xi = np.abs(spec.xi_axis())
     leak = np.sum(prof[xi > r + 2.0]) / np.sum(prof)
     assert leak < 1e-6
 
