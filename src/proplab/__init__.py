@@ -11,7 +11,7 @@ from .errors import (ConfigError, DimensionUnsupported, EmptyTable,
 from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField,
                    SymbolField, dft, delta_field, field_from_function,
                    kernel_of_operator, modulate, sup_norm_on_compact,
-                   symbol_from_function, translate)
+                   translate)
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian,
                          SymplecticBlocks, canonical_j, exceptional_times,
                          flow, is_free, lie_generator, phase_form)

@@ -5,13 +5,12 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def chirp_kernel(xpts, ypts, m_xx, m_xy, m_yy):
-    """exp(2*pi*i*Phi(x_i, y_j)) for Phi = (1/2)x.Mxx x - y.Mxy x + (1/2)y.Myy y."""
-    xpts = np.ascontiguousarray(xpts, dtype=float)
-    ypts = np.ascontiguousarray(ypts, dtype=float)
-    qx = 0.5 * np.einsum("ia,ab,ib->i", xpts, m_xx, xpts)
-    qy = 0.5 * np.einsum("ja,ab,jb->j", ypts, m_yy, ypts)
-    cross = np.einsum("ja,ab,ib->ij", ypts, m_xy, xpts)
+def chirp_kernel(x, y, m_xx, m_xy, m_yy):
+    """exp(2*pi*i*Phi(x_i, y_j)) for Phi = (1/2)Mxx x^2 - Mxy x y + (1/2)Myy y^2,
+    with 1D axes x, y and scalar coefficients."""
+    qx = 0.5 * (x * m_xx * x)
+    qy = 0.5 * (y * m_yy * y)
+    cross = (y * m_xy)[None, :] * x[:, None]
     return np.exp(1j * TWO_PI * (qx[:, None] - cross + qy[None, :]))
 
 

@@ -218,7 +218,7 @@ class Config:
 
     def potential(self, grid: GridSpec) -> SampledField:
         preset = self.get("potential", "preset", "zero")
-        x = grid.points()[:, 0] if grid.dim == 1 else None
+        x = grid.axis()
         if preset == "zero":
             return SampledField(grid, np.zeros(grid.size))
         if preset == "cosine-sum":
@@ -278,7 +278,7 @@ def _check(ok: bool, message: str, failures: list):
         failures.append(message)
 
 
-def run_flow(cfg: Config, out: dict, quiet: bool):
+def run_flow(cfg: Config, out: dict):
     """Random-Hamiltonian flow suite: symplectic, group-law, inverse defects."""
     count = cfg.get_int("flow", "count", 200)
     t_lo, t_hi = _floats(cfg.get("flow", "t_range", "-10,10"))
@@ -314,7 +314,7 @@ def run_flow(cfg: Config, out: dict, quiet: bool):
     return failures
 
 
-def run_kernel(cfg: Config, out: dict, quiet: bool):
+def run_kernel(cfg: Config, out: dict):
     """Propagator kernel oracle comparisons on one grid."""
     grid = cfg.grid()
     h = cfg.hamiltonian()
@@ -327,10 +327,9 @@ def run_kernel(cfg: Config, out: dict, quiet: bool):
     prop = propagator_for(h, t, grid, method=QUADRATURE)
     kq = prop.kernel()
     if preset == "free":
-        pts = grid.points()
-        diff = pts[:, None, :] - pts[None, :, :]
-        ana = np.exp(1j * np.sum(diff**2, axis=-1) / (2.0 * t)) \
-            / np.sqrt(2j * np.pi * t) ** grid.dim
+        x = grid.axis()
+        ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * t)) \
+            / np.sqrt(2j * np.pi * t)
         scale = float(np.max(np.abs(ana)))
         err = sup_norm_on_compact(kq, KernelMatrix(grid, ana), radius) / scale
         rows.append(("free_vs_analytic", err, tol))
@@ -347,7 +346,7 @@ def run_kernel(cfg: Config, out: dict, quiet: bool):
         err2 = float(np.max(np.abs(kf - kq.entries))) / scale
         rows.append(("fast_vs_quadrature", err2, tol))
         _check(err2 <= tol, f"fast path mismatch {err2:.2e} > {tol}", failures)
-        sup_pred = abs(np.sin(t)) ** (-0.5 * grid.dim)
+        sup_pred = abs(np.sin(t)) ** -0.5
         sup_err = abs(float(np.max(np.abs(kq.entries))) - sup_pred) / sup_pred
         rows.append(("sup_magnitude", sup_err, tol))
         _check(sup_err <= tol, f"sup magnitude off by {sup_err:.2e}", failures)
@@ -365,11 +364,16 @@ def _scenario(cfg: Config):
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
     n_list = _ints(cfg.get("time", "n_list", "4,8,16,32,64,128,256"))
+    if not n_list:
+        raise ConfigError("[time] n_list is empty")
     ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list))
-    return TrotterScenario(h, v, t, tuple(n_list), grid, ref_n)
+    try:
+        return TrotterScenario(h, v, t, tuple(n_list), grid, ref_n)
+    except ValueError as err:
+        raise ConfigError(f"[time]: {err}")
 
 
-def run_converge(cfg: Config, out: dict, quiet: bool):
+def run_converge(cfg: Config, out: dict):
     sc = _scenario(cfg)
     collapse_tol = cfg.get_float("converge", "collapse_tol", 0.0)
     rep = convergence_report(sc)
@@ -404,7 +408,7 @@ def run_converge(cfg: Config, out: dict, quiet: bool):
     return failures
 
 
-def run_modbound(cfg: Config, out: dict, quiet: bool):
+def run_modbound(cfg: Config, out: dict):
     sc = _scenario(cfg)
     ratio_cap = cfg.get_float("modbound", "ratio_cap", 3.0)
     phi = phase_form(flow(sc.hamiltonian, sc.t))
@@ -425,7 +429,7 @@ def run_modbound(cfg: Config, out: dict, quiet: bool):
     return failures
 
 
-def run_exceptional(cfg: Config, out: dict, quiet: bool):
+def run_exceptional(cfg: Config, out: dict):
     grid = cfg.grid()
     h = cfg.hamiltonian()
     t_star = cfg.get_float("exceptional", "t_star")
@@ -447,7 +451,7 @@ def run_exceptional(cfg: Config, out: dict, quiet: bool):
     return failures
 
 
-def run_perturb(cfg: Config, out: dict, quiet: bool):
+def run_perturb(cfg: Config, out: dict):
     sc = _scenario(cfg)
     eps_list = _floats(cfg.get("perturb", "eps_list", "0.2,0.1,0.05"))
     slope_lo = cfg.get_float("perturb", "slope_lo", 0.8)
@@ -482,7 +486,7 @@ def run_perturb(cfg: Config, out: dict, quiet: bool):
     return failures
 
 
-def run_freeslice(cfg: Config, out: dict, quiet: bool):
+def run_freeslice(cfg: Config, out: dict):
     grid = cfg.grid()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
@@ -535,8 +539,8 @@ def _oracle_battery(cfg: Config, checks):
         free = QuadraticHamiltonian.free_particle(1)
         g12 = GridSpec(1, 12.0, 1024)
         prop = propagator_for(free, 1.0, g12, method=QUADRATURE)
-        pts = g12.points()
-        ana = np.exp(1j * (pts[:, 0][:, None] - pts[:, 0][None, :]) ** 2 / 2.0) \
+        x = g12.axis()
+        ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / 2.0) \
             / np.sqrt(2j * np.pi)
         err = sup_norm_on_compact(prop.kernel(), KernelMatrix(g12, ana), 6.0) \
             / float(np.max(np.abs(ana)))
@@ -598,7 +602,7 @@ def _oracle_battery(cfg: Config, checks):
     return rows
 
 
-def run_oracles(cfg: Config, out: dict, quiet: bool):
+def run_oracles(cfg: Config, out: dict):
     raw = cfg.get("oracles", "checks", ",".join(ORACLE_CHECKS))
     checks = [c.strip() for c in raw.split(",") if c.strip()]
     unknown = [c for c in checks if c not in ORACLE_CHECKS]
@@ -646,7 +650,7 @@ def main(argv=None) -> int:
     try:
         cfg = Config(args.config, seed_override=args.seed)
         out_files: dict = {}
-        failures = RUNNERS[args.command](cfg, out_files, args.quiet)
+        failures = RUNNERS[args.command](cfg, out_files)
     except (ConfigError, configparser.Error) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

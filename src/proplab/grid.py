@@ -3,7 +3,7 @@ discrete Fourier transform with the e^{-2*pi*i*x*xi} convention.
 
 Grids are centered: x = 0 and xi = 0 are always sample points (N even), with
 x_j = -L + j*h, h = 2L/N, and xi_k = (k - N/2)/(2L).  Kernel matrices carry
-rectangle-rule quadrature semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h^d.
+rectangle-rule quadrature semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import OffGrid
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform centered grid on [-L, L)^d with N samples per axis."""
+    """Uniform centered grid on [-L, L) with N samples; dim must be 1."""
 
     dim: int
     half_width: float
@@ -25,8 +25,8 @@ class GridSpec:
 
     def __post_init__(self):
         n = self.points_per_axis
-        if self.dim not in (1, 2):
-            raise ValueError("only d = 1 and d = 2 are supported")
+        if self.dim != 1:
+            raise ValueError("only d = 1 is supported")
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         if n < 8 or (n & (n - 1)) != 0:
@@ -42,20 +42,20 @@ class GridSpec:
 
     @property
     def shape(self) -> tuple:
-        return (self.points_per_axis,) * self.dim
+        return (self.points_per_axis,)
 
     @property
     def size(self) -> int:
-        return self.points_per_axis ** self.dim
+        return self.points_per_axis
 
     @property
     def cell(self) -> float:
-        """Quadrature cell volume h^d."""
-        return self.spacing ** self.dim
+        """Quadrature cell length h."""
+        return self.spacing
 
     @property
     def freq_cell(self) -> float:
-        return self.freq_spacing ** self.dim
+        return self.freq_spacing
 
     def axis(self) -> np.ndarray:
         n = self.points_per_axis
@@ -65,28 +65,10 @@ class GridSpec:
         n = self.points_per_axis
         return (np.arange(n) - n // 2) * self.freq_spacing
 
-    def points(self) -> np.ndarray:
-        """All grid points as an (N^d, d) array, row-major over axes."""
-        axes = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
-        return np.stack([a.ravel() for a in axes], axis=-1)
-
-    def freq_points(self) -> np.ndarray:
-        axes = np.meshgrid(*([self.freq_axis()] * self.dim), indexing="ij")
-        return np.stack([a.ravel() for a in axes], axis=-1)
-
-    def index_of(self, x0: np.ndarray) -> tuple:
-        """Multi-index of an on-grid point; raises OffGrid otherwise."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        steps = (x0 + self.half_width) / self.spacing
-        idx = np.rint(steps)
-        if np.max(np.abs(steps - idx)) > 1e-9:
-            raise OffGrid(f"point {x0} is not on the grid")
-        return tuple(int(i) for i in idx)
-
 
 @dataclass
 class SampledField:
-    """Complex function sampled on a GridSpec; values[j...] = f(x_j)."""
+    """Complex function sampled on a GridSpec; values[j] = f(x_j)."""
 
     grid: GridSpec
     values: np.ndarray
@@ -133,9 +115,8 @@ class KernelMatrix:
 class PhaseGrid:
     """Product grid over (x, xi) built from a spatial GridSpec.
 
-    The x axes carry spacing h, the xi axes spacing 1/(2L); a phase-space
-    function over a d-dimensional base grid is an array of shape (N,)*2d with
-    x indices first.
+    The x axis carries spacing h, the xi axis spacing 1/(2L); a phase-space
+    function is an (N, N) array with the x index first.
     """
 
     base: GridSpec
@@ -149,10 +130,9 @@ class PhaseGrid:
         return self.base.cell * self.base.freq_cell
 
     def points(self) -> np.ndarray:
-        """All (x, xi) points as an (N^2d, 2d) array."""
-        axes = [self.base.axis()] * self.base.dim + [self.base.freq_axis()] * self.base.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([a.ravel() for a in mesh], axis=-1)
+        """All (x, xi) points as an (N^2, 2) array, x index first."""
+        x, xi = np.meshgrid(self.base.axis(), self.base.freq_axis(), indexing="ij")
+        return np.stack([x.ravel(), xi.ravel()], axis=-1)
 
 
 @dataclass
@@ -168,18 +148,8 @@ class SymbolField:
             raise ValueError("symbol values must be finite")
 
 
-def symbol_from_function(pg: PhaseGrid, fn) -> SymbolField:
-    pts = pg.points()
-    return SymbolField(pg, np.asarray(fn(pts), dtype=complex))
-
-
 def field_from_function(grid: GridSpec, fn) -> SampledField:
-    pts = grid.points()
-    if grid.dim == 1:
-        vals = fn(pts[:, 0])
-    else:
-        vals = fn(pts)
-    return SampledField(grid, np.asarray(vals, dtype=complex))
+    return SampledField(grid, np.asarray(fn(grid.axis()), dtype=complex))
 
 
 def _checker(n: int) -> np.ndarray:
@@ -224,86 +194,52 @@ def dft(f: SampledField, sign: int = -1) -> SampledField:
     """Continuum-normalized DFT on the centered grid.
 
     sign=-1 maps a spatial field to its spectrum on the frequency grid with
-    rectangle weight h^d; sign=+1 maps a spectrum back with weight (1/2L)^d.
+    rectangle weight h; sign=+1 maps a spectrum back with weight 1/(2L).
     dft(dft(f, -1), +1) recovers f exactly (up to rounding).
     """
     g = f.grid
-    vals = f.values
-    for ax in range(g.dim):
-        vals = _centered_fft(vals, g.points_per_axis, sign, ax)
     scale = g.cell if sign == -1 else g.freq_cell
-    return SampledField(g, vals * scale)
+    return SampledField(g, _centered_fft(f.values, g.points_per_axis, sign) * scale)
 
 
-def translate(f: SampledField, x0) -> SampledField:
+def translate(f: SampledField, x0: float) -> SampledField:
     """(T_x0 f)(y) = f(y - x0) with zero fill (non-periodic semantics)."""
-    g = f.grid
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    steps = x0 / g.spacing
-    idx = np.rint(steps)
-    if np.max(np.abs(steps - idx)) > 1e-9:
+    steps = x0 / f.grid.spacing
+    k = int(np.rint(steps))
+    if abs(steps - k) > 1e-9:
         raise OffGrid(f"translation by {x0} is not a multiple of the spacing")
-    out = f.values
-    for ax, k in enumerate(int(i) for i in idx):
-        if k == 0:
-            continue
-        shifted = np.zeros_like(out)
-        if k > 0:
-            src = [slice(None)] * g.dim
-            dst = [slice(None)] * g.dim
-            src[ax] = slice(0, g.points_per_axis - k)
-            dst[ax] = slice(k, g.points_per_axis)
-        else:
-            src = [slice(None)] * g.dim
-            dst = [slice(None)] * g.dim
-            src[ax] = slice(-k, g.points_per_axis)
-            dst[ax] = slice(0, g.points_per_axis + k)
-        shifted[tuple(dst)] = out[tuple(src)]
-        out = shifted
-    return SampledField(g, out)
+    out = np.zeros_like(f.values)
+    if k >= 0:
+        out[k:] = f.values[:max(f.grid.size - k, 0)]
+    else:
+        out[:k] = f.values[-k:]
+    return SampledField(f.grid, out)
 
 
-def modulate(f: SampledField, xi0) -> SampledField:
-    """(M_xi0 f)(y) = exp(2*pi*i*xi0.y) f(y); xi0 need not be on-grid."""
-    g = f.grid
-    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    phase = np.zeros(g.shape)
-    ax1d = g.axis()
-    for ax in range(g.dim):
-        shape = [1] * g.dim
-        shape[ax] = g.points_per_axis
-        phase = phase + xi0[ax] * ax1d.reshape(shape)
-    return SampledField(g, f.values * np.exp(2j * np.pi * phase))
+def modulate(f: SampledField, xi0: float) -> SampledField:
+    """(M_xi0 f)(y) = exp(2*pi*i*xi0*y) f(y); xi0 need not be on-grid."""
+    return SampledField(f.grid, f.values * np.exp(2j * np.pi * (xi0 * f.grid.axis())))
 
 
 def delta_field(grid: GridSpec, j: int) -> SampledField:
-    """Scaled discrete delta at flat index j (value 1/h^d at one node)."""
+    """Scaled discrete delta at index j (value 1/h at one node)."""
     v = np.zeros(grid.size, dtype=complex)
     v[j] = 1.0 / grid.cell
     return SampledField(grid, v)
 
 
-def kernel_of_operator(apply_op, grid: GridSpec, apply_matrix=None) -> KernelMatrix:
-    """Matrix of a linear grid operator, column j = apply_op(delta_j).
-
-    apply_matrix, when given, maps an (N^d, m) stack of column fields to the
-    transformed stack in one call and is used instead of the column loop.
-    """
+def kernel_of_operator(apply_op, grid: GridSpec) -> KernelMatrix:
+    """Matrix of a linear grid operator, column j = apply_op(delta_j)."""
     m = grid.size
-    if apply_matrix is not None:
-        cols = np.eye(m, dtype=complex) / grid.cell
-        entries = apply_matrix(cols)
-    else:
-        entries = np.empty((m, m), dtype=complex)
-        for j in range(m):
-            entries[:, j] = apply_op(delta_field(grid, j)).values.ravel()
+    entries = np.empty((m, m), dtype=complex)
+    for j in range(m):
+        entries[:, j] = apply_op(delta_field(grid, j)).values
     return KernelMatrix(grid, entries)
 
 
 def compact_mask(grid: GridSpec, radius: float) -> np.ndarray:
-    """Boolean mask (flat) of grid points with every coordinate in [-r, r]."""
-    pts = grid.points()
-    return np.all(np.abs(pts) <= radius + 1e-12, axis=1)
+    """Boolean mask of grid points with |x| <= r."""
+    return np.abs(grid.axis()) <= radius + 1e-12
 
 
 def sup_norm_on_compact(k1: KernelMatrix, k2: KernelMatrix, radius: float) -> float:

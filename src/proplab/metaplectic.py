@@ -81,7 +81,7 @@ def _step_candidates(steps: int):
 def _resolve_phase_fixed(h: QuadraticHamiltonian, t: float, m: int) -> complex:
     tau = t / m
     s_step = flow(h, tau)
-    if np.max(np.abs(s_step.matrix() - np.eye(2 * h.dim))) > 0.75:
+    if np.max(np.abs(s_step.matrix() - np.eye(2))) > 0.75:
         raise NotFree("step flow is not near-identity; refine steps")
     p_step = phase_form(s_step)
     c = stationary_phase_factor(p_step)
@@ -125,55 +125,37 @@ class MetaplecticPropagator:
         return SampledField(self.grid, out[:, 0])
 
     def apply_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Apply to a stack of fields given as (N^d, m) columns."""
-        if self.method == QUADRATURE or not self._fast_supported():
+        """Apply to a stack of fields given as (N, m) columns."""
+        if self.method == QUADRATURE:
             return (self.kernel_entries() @ cols) * self.grid.cell
         return self._apply_fast(cols)
-
-    def _fast_supported(self) -> bool:
-        if self.grid.dim == 1:
-            return True
-        off = self.phase.m_xy - np.diag(np.diag(self.phase.m_xy))
-        return np.max(np.abs(off)) < 1e-14
 
     def _apply_fast(self, cols: np.ndarray) -> np.ndarray:
         g = self.grid
         n = g.points_per_axis
         h = g.spacing
         x = g.axis()
-        shape = g.shape + (cols.shape[1],)
-        vals = cols.reshape(shape)
-        pts = g.points()
-        chirp_in = np.exp(1j * np.pi * np.einsum(
-            "ia,ab,ib->i", pts, self.phase.m_yy, pts)).reshape(g.shape)
-        vals = vals * chirp_in[..., None]
-        # per-axis chirp-Z: evaluate the continuum Fourier transform at the
-        # arithmetic progression xi_i = (B^-1 x)_i along each axis
-        for ax in range(g.dim):
-            slope = float(self.phase.m_xy[ax, ax])
-            xi0 = slope * x[0]
-            dxi = slope * h
-            a = np.exp(2j * np.pi * h * xi0)
-            w = np.exp(-2j * np.pi * h * dxi)
-            vals = np.moveaxis(vals, ax, 0)
-            flat = vals.reshape(n, -1)
-            out = czt(flat, m=n, w=w, a=a, axis=0)
-            xi = xi0 + dxi * np.arange(n)
-            out = out * (h * np.exp(2j * np.pi * g.half_width * xi))[:, None]
-            vals = np.moveaxis(out.reshape(vals.shape), 0, ax)
-        chirp_out = np.exp(1j * np.pi * np.einsum(
-            "ia,ab,ib->i", pts, self.phase.m_xx, pts)).reshape(g.shape)
-        vals = vals * chirp_out[..., None]
-        return (self.scale * vals).reshape(g.size, cols.shape[1])
+        m_xx, m_xy, m_yy = self.phase.coefficients()
+        vals = cols * np.exp(1j * np.pi * (x * m_yy * x))[:, None]
+        # chirp-Z: evaluate the continuum Fourier transform at the arithmetic
+        # progression xi_i = B^-1 x_i
+        xi0 = m_xy * x[0]
+        dxi = m_xy * h
+        a = np.exp(2j * np.pi * h * xi0)
+        w = np.exp(-2j * np.pi * h * dxi)
+        out = czt(vals, m=n, w=w, a=a, axis=0)
+        xi = xi0 + dxi * np.arange(n)
+        out = out * (h * np.exp(2j * np.pi * g.half_width * xi))[:, None]
+        out = out * np.exp(1j * np.pi * (x * m_xx * x))[:, None]
+        return self.scale * out
 
     # -- kernel -----------------------------------------------------------
 
     def kernel_entries(self) -> np.ndarray:
         if self._matrix is None:
-            pts = self.grid.points()
-            chirp = _kernels.chirp_kernel(pts, pts, self.phase.m_xx,
-                                          self.phase.m_xy, self.phase.m_yy)
-            self._matrix = self.scale * chirp
+            x = self.grid.axis()
+            self._matrix = self.scale * _kernels.chirp_kernel(
+                x, x, *self.phase.coefficients())
         return self._matrix
 
     def kernel(self) -> KernelMatrix:
@@ -208,16 +190,14 @@ def propagator_for(h: QuadraticHamiltonian, t: float, grid: GridSpec,
 def mehler_oracle(t: float, grid: GridSpec, tol: float = 1e-8) -> KernelMatrix:
     """Exact harmonic-oscillator kernel, assembled from the closed form.
 
-    K(x,y) = c(t) |sin t|^(-d/2) exp(2*pi*i (cos t (x^2+y^2) - 2xy) / (2 sin t)).
+    K(x,y) = c(t) |sin t|^(-1/2) exp(2*pi*i (cos t (x^2+y^2) - 2xy) / (2 sin t)).
     """
     st = np.sin(t)
     if abs(st) <= tol:
         raise NotFree(f"harmonic kernel degenerates at t = {t}")
-    d = grid.dim
-    c = resolve_phase(QuadraticHamiltonian.harmonic(d), t)
-    pts = grid.points()
-    sq = np.sum(pts**2, axis=1)
-    dot = pts @ pts.T
-    phase = (np.cos(t) * (sq[:, None] + sq[None, :]) - 2.0 * dot) / (2.0 * st)
-    entries = c * abs(st) ** (-0.5 * d) * np.exp(2j * np.pi * phase)
+    c = resolve_phase(QuadraticHamiltonian.harmonic(), t)
+    x = grid.axis()
+    sq = x**2
+    phase = (np.cos(t) * (sq[:, None] + sq[None, :]) - 2.0 * np.outer(x, x)) / (2.0 * st)
+    entries = c * abs(st) ** -0.5 * np.exp(2j * np.pi * phase)
     return KernelMatrix(grid, entries)

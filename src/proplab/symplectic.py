@@ -1,9 +1,9 @@
-"""Quadratic Hamiltonians and their phase-space flows in Sp(d, R).
+"""Quadratic Hamiltonians and their phase-space flows in Sp(1, R).
 
 The symbol is a(x, xi) = (1/2) x.A x + xi.B x + (1/2) xi.C xi with A, C
 symmetric.  The Hamilton equations give the generator
 
-    G = [[B, C], [-A, -B^T]]  in  sp(d, R),
+    G = [[B, C], [-A, -B^T]]  in  sp(1, R),
 
 and the flow is A_t = expm((t / 2pi) G).  A_t is *free* when its upper-right
 block B_t is invertible; then the generating quadratic form of the propagator
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, lu_factor, lu_solve
 
-from .errors import NotFree
+from .errors import DimensionUnsupported, NotFree
 
 COND_CAP = 1e12
 
@@ -40,6 +40,8 @@ class QuadraticHamiltonian:
     mat_c: np.ndarray
 
     def __post_init__(self):
+        if self.dim != 1:
+            raise DimensionUnsupported("only d = 1 Hamiltonians are supported")
         for name in ("mat_a", "mat_b", "mat_c"):
             m = np.asarray(getattr(self, name), dtype=float).reshape(self.dim, self.dim)
             object.__setattr__(self, name, m)
@@ -64,7 +66,7 @@ class QuadraticHamiltonian:
 
 @dataclass(frozen=True)
 class SymplecticBlocks:
-    """A 2d x 2d symplectic matrix stored as four d x d blocks."""
+    """A 2 x 2 symplectic matrix stored as four 1 x 1 blocks."""
 
     dim: int
     block_a: np.ndarray
@@ -73,6 +75,8 @@ class SymplecticBlocks:
     block_d: np.ndarray
 
     def __post_init__(self):
+        if self.dim != 1:
+            raise DimensionUnsupported("only d = 1 symplectic matrices are supported")
         for name in ("block_a", "block_b", "block_c", "block_d"):
             m = np.asarray(getattr(self, name), dtype=float).reshape(self.dim, self.dim)
             object.__setattr__(self, name, m)
@@ -116,21 +120,18 @@ class PhaseQuadratic:
             if np.max(np.abs(m - m.T)) > 1e-8 * max(1.0, np.max(np.abs(m))):
                 raise ValueError(f"{name} is not symmetric")
 
-    def negated(self) -> "PhaseQuadratic":
-        return PhaseQuadratic(self.dim, -self.m_xx, -self.m_xy, -self.m_yy)
+    def coefficients(self) -> tuple:
+        """(Mxx, Mxy, Myy) as scalars."""
+        return float(self.m_xx[0, 0]), float(self.m_xy[0, 0]), float(self.m_yy[0, 0])
 
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate Phi on batches of points; x, y have shape (..., d)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        qx = 0.5 * np.einsum("...i,ij,...j->...", x, self.m_xx, x)
-        qc = np.einsum("...i,ij,...j->...", y, self.m_xy, x)
-        qy = 0.5 * np.einsum("...i,ij,...j->...", y, self.m_yy, y)
-        return qx - qc + qy
+        """Evaluate Phi on broadcastable arrays of points x, y."""
+        m_xx, m_xy, m_yy = self.coefficients()
+        return 0.5 * (x * m_xx * x) - y * m_xy * x + 0.5 * (y * m_yy * y)
 
 
 def lie_generator(h: QuadraticHamiltonian) -> np.ndarray:
-    """Generator [[B, C], [-A, -B^T]] of the Hamiltonian flow in sp(d, R)."""
+    """Generator [[B, C], [-A, -B^T]] of the Hamiltonian flow in sp(1, R)."""
     return np.block([[h.mat_b, h.mat_c], [-h.mat_a, -h.mat_b.T]])
 
 
@@ -144,8 +145,7 @@ def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:
 
 def free_tolerance(s: SymplecticBlocks) -> float:
     """Default freeness tolerance, scaled by the magnitude of block B."""
-    scale = max(1.0, float(np.max(np.abs(s.block_b))))
-    return 1e-8 * scale**s.dim
+    return 1e-8 * max(1.0, float(np.max(np.abs(s.block_b))))
 
 
 def is_free(s: SymplecticBlocks, tol: float | None = None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupported, EpsilonTooSmall
+from .errors import EpsilonTooSmall
 from .grid import (GridSpec, PhaseGrid, SampledField, SymbolField,
                    _centered_fft, _refine_axis, dft, field_from_function)
 
@@ -24,15 +24,14 @@ FL_1 = "fl-1"
 
 
 def default_window(grid: GridSpec) -> SampledField:
-    """Unit-L2 Gaussian window exp(-pi |x|^2), normalized on the grid."""
-    w = field_from_function(grid, lambda p: np.exp(-np.pi * np.sum(
-        np.atleast_2d(p).reshape(-1, grid.dim) ** 2, axis=1)))
+    """Unit-L2 Gaussian window exp(-pi x^2), normalized on the grid."""
+    w = field_from_function(grid, lambda x: np.exp(-np.pi * x**2))
     return SampledField(grid, w.values / w.norm2())
 
 
 @dataclass
 class StftSpec:
-    """Window and lattice for the discrete STFT on a 1d grid.
+    """Window and lattice for the discrete STFT.
 
     lattice_step_x / lattice_step_xi are integer strides in grid samples and
     frequency bins (1 = dense lattice).  weight_s is the exponent of the
@@ -45,8 +44,6 @@ class StftSpec:
     weight_s: float = 0.0
 
     def __post_init__(self):
-        if self.grid.dim != 1:
-            raise DimensionUnsupported("the STFT window must live on a 1d grid")
         n = self.grid.points_per_axis
         if n % self.lattice_step_x or n % self.lattice_step_xi:
             raise ValueError("lattice steps must divide the grid extent")
@@ -151,8 +148,8 @@ def mod_norm(f: SampledField, spec: StftSpec, kind: str, exponent: float | None 
         g = f.grid
         r = 0.0 if exponent is None else exponent
         spec_f = dft(f, -1)
-        w = (1.0 + np.linalg.norm(g.freq_points(), axis=1)) ** r
-        return float(np.sum(np.abs(spec_f.values.ravel()) * w) * g.freq_cell)
+        w = (1.0 + np.abs(g.freq_axis())) ** r
+        return float(np.sum(np.abs(spec_f.values) * w) * g.freq_cell)
     return _lattice_norm(stft(f, spec).values, spec, kind, exponent)
 
 
@@ -162,7 +159,7 @@ def frequency_profile(f: SampledField, spec: StftSpec) -> np.ndarray:
 
 
 def wigner(f: SampledField, g2: SampledField) -> SymbolField:
-    """Cross-Wigner transform W(f,g)(x,xi) on the phase grid (d = 1).
+    """Cross-Wigner transform W(f,g)(x,xi) on the phase grid.
 
     Half-index samples f(x + y/2) g(x - y/2)* come from 2x zero-padded
     (trigonometric) refinement; the y-transform is the centered DFT on a
@@ -170,8 +167,6 @@ def wigner(f: SampledField, g2: SampledField) -> SymbolField:
     is kept, so the lag samples are folded to period N before the transform.
     """
     g = f.grid
-    if g.dim != 1:
-        raise NotImplementedError("wigner is implemented for d = 1")
     if g2.grid != g:
         raise ValueError("fields must share a grid")
     n = g.points_per_axis
@@ -242,7 +237,7 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
 
 @dataclass(frozen=True)
 class MeasurePotential:
-    """V(x) = sum_j c_j exp(2 pi i k_j . x), the transform of an atomic measure."""
+    """V(x) = sum_j c_j exp(2 pi i k_j x), the transform of an atomic measure."""
 
     atoms: tuple
 
@@ -253,10 +248,9 @@ class MeasurePotential:
 
 def measure_potential_field(p: MeasurePotential, grid: GridSpec) -> SampledField:
     vals = np.zeros(grid.size, dtype=complex)
-    pts = grid.points()
+    x = grid.axis()
     for k, c in p.atoms:
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        vals = vals + c * np.exp(2j * np.pi * (pts @ k))
+        vals = vals + c * np.exp(2j * np.pi * (x * k))
     return SampledField(grid, vals)
 
 

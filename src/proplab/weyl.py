@@ -20,15 +20,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionUnsupported, NotFree
+from .errors import NotFree
 from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField, SymbolField,
                    _refine_axis)
 from .symplectic import PhaseQuadratic, SymplecticBlocks
-
-
-def _require_1d(grid: GridSpec):
-    if grid.dim != 1:
-        raise DimensionUnsupported("Weyl calculus is implemented for d = 1")
+from .tfa import StftSpec, _lattice_windows, default_window
 
 
 def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:
@@ -59,7 +55,6 @@ def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:
 def weyl_quantize(sigma: SymbolField) -> KernelMatrix:
     """Kernel matrix of the Weyl operator sigma^w (midpoint rule, exact lags)."""
     g = sigma.phase_grid.base
-    _require_1d(g)
     ref2 = _refine_axis(_refine_axis(sigma.values, 0), 1)
     return _lag_quantize(ref2, g)
 
@@ -71,7 +66,6 @@ def quantize_modes(coeffs: np.ndarray, freqs: np.ndarray, g: GridSpec) -> Kernel
     midpoint/frequency lattice, so symbols that are not box-periodic (sheared
     or rotated band-limited symbols) quantize without interpolation leakage.
     """
-    _require_1d(g)
     n = g.points_per_axis
     mhalf = -g.half_width + 0.5 * g.spacing * np.arange(2 * n)
     xihalf = 0.5 * g.freq_spacing * (np.arange(2 * n) - n)
@@ -103,7 +97,6 @@ def symbol_of_kernel(k: KernelMatrix) -> SymbolField:
     short-lag reading.
     """
     g = k.grid
-    _require_1d(g)
     n = g.points_per_axis
     h = g.spacing
     i = np.arange(n)
@@ -127,7 +120,6 @@ def symbol_of_kernel(k: KernelMatrix) -> SymbolField:
 
 def multiplication_symbol(v: SampledField) -> SymbolField:
     """sigma(x, xi) = V(x), the symbol of pointwise multiplication by V."""
-    _require_1d(v.grid)
     n = v.grid.points_per_axis
     return SymbolField(PhaseGrid(v.grid), np.repeat(v.values[:, None], n, axis=1))
 
@@ -146,7 +138,6 @@ def phase_fourier_modes(sigma: SymbolField, rel_tol: float = 1e-12):
     on the dual of the xi axis (step h); modes below rel_tol * max are dropped.
     """
     g = sigma.phase_grid.base
-    _require_1d(g)
     n = g.points_per_axis
     # both axes are centered (0 sits at index N/2), so the shifted FFT is the
     # exact series transform with no origin-phase correction
@@ -167,7 +158,6 @@ def compose_with_flow(sigma: SymbolField, s: SymplecticBlocks) -> SymbolField:
     points falling outside wrap around; exact for grid-periodic symbols.
     """
     pg = sigma.phase_grid
-    _require_1d(pg.base)
     coeffs, freqs = phase_fourier_modes(sigma)
     pts = pg.points() @ s.matrix().T
     vals = _kernels.eval_fourier_modes(coeffs, freqs, pts)
@@ -188,9 +178,6 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     """
     pg = sigma.phase_grid
     g = pg.base
-    _require_1d(g)
-    if phi.dim != 1:
-        raise DimensionUnsupported("FIO conjugation is implemented for d = 1")
     b = -float(phi.m_xy[0, 0])
     if abs(b) < 1e-12:
         raise NotFree("degenerate phase: cross coefficient vanishes")
@@ -211,8 +198,8 @@ def fio_matrix(phi: PhaseQuadratic, grid: GridSpec,
                amplitude: np.ndarray | None = None) -> np.ndarray:
     """Raw oscillatory matrix e^{2 pi i Phi(x_i, y_j)}, optionally with an
     amplitude a(x_i, y_j) factor (no normalization prefactors)."""
-    pts = grid.points()
-    chirp = _kernels.chirp_kernel(pts, pts, phi.m_xx, phi.m_xy, phi.m_yy)
+    x = grid.axis()
+    chirp = _kernels.chirp_kernel(x, x, *phi.coefficients())
     if amplitude is not None:
         chirp = chirp * amplitude
     return chirp
@@ -256,7 +243,7 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     # sigma(Sz) has modes at S^T q, generally off-lattice; quantize from the
     # modes directly to avoid re-expansion leakage
     lhs = quantize_modes(coeffs, freqs @ s.matrix(), g).entries
-    if np.max(np.abs(s.matrix() - np.eye(2 * g.dim))) < 1e-9:
+    if np.max(np.abs(s.matrix() - np.eye(2))) < 1e-9:
         # composite flows that collapse to the identity are not free
         mu_op = np.eye(g.size, dtype=complex)
     else:
@@ -267,15 +254,6 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
 
-def exp_remainder(u: SampledField, t: float, n: int) -> SampledField:
-    """u0 with e^{-i(t/n)u} = 1 + i(t/n)u0, i.e. the first-order remainder."""
-    if t == 0.0:
-        raise ValueError("t must be non-zero")
-    tau = t / n
-    vals = (np.exp(-1j * tau * u.values) - 1.0) / (1j * tau)
-    return SampledField(u.grid, vals)
-
-
 def almost_diag_profile(sigma: SymbolField, lattice_step: int = 16):
     """Shell maxima of |<sigma^w pi(z) phi, pi(w) phi>| over |w - z| = r.
 
@@ -284,27 +262,17 @@ def almost_diag_profile(sigma: SymbolField, lattice_step: int = 16):
     (radius, peak) pairs sorted by radius and the fitted decay exponent of
     log(peak) against log(1 + radius) over the nonzero tail.
     """
-    from .tfa import default_window  # local import to avoid a cycle
-
     g = sigma.phase_grid.base
-    _require_1d(g)
     n = g.points_per_axis
-    phi_vals = default_window(g).values
     q = weyl_quantize(sigma).entries * g.cell
 
-    idx = np.arange(0, n, lattice_step)
-    xs = g.axis()[idx]
-    xis = g.freq_axis()[idx]
-    shifts = [np.roll(phi_vals, i - n // 2) for i in idx]
-    cols = []
-    zpts = []
-    x_axis = g.axis()
-    for a, sh in enumerate(shifts):
-        for b, xi in enumerate(xis):
-            cols.append(sh * np.exp(2j * np.pi * xi * x_axis))
-            zpts.append((xs[a], xi))
-    w = np.stack(cols, axis=1)  # (N, M) columns pi(z) phi
-    zpts = np.array(zpts)
+    # columns pi(z) phi = M_xi T_x phi over tfa's lattice, position-major
+    spec = StftSpec(default_window(g), lattice_step, lattice_step)
+    xs = g.axis()[::lattice_step]
+    xis = spec.xi_axis()
+    waves = np.exp(2j * np.pi * xis[:, None] * g.axis()[None, :])
+    w = (_lattice_windows(spec)[:, None, :] * waves[None, :, :]).reshape(-1, n).T
+    zpts = np.stack([np.repeat(xs, len(xis)), np.tile(xis, len(xs))], axis=-1)
     gram = (w.conj().T @ (q @ w)) * g.cell  # <sigma^w pi(z)phi, pi(w)phi>
 
     diff = zpts[None, :, :] - zpts[:, None, :]

@@ -17,7 +17,7 @@ def run_preset(name, kind, budget=None):
     cfg = Config(os.path.join(CONFIG_DIR, name))
     out = {}
     t0 = time.perf_counter()
-    failures = RUNNERS[kind](cfg, out, True)
+    failures = RUNNERS[kind](cfg, out)
     elapsed = time.perf_counter() - t0
     assert failures == [], f"{name}: " + "; ".join(failures)
     if budget is not None:

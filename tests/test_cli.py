@@ -46,14 +46,29 @@ def test_config_parsing_and_seed_override():
     assert cfg2.seed == 9
 
 
-@pytest.mark.parametrize("half_width", ["oops", "nan"])
-def test_malformed_config_exits_2_without_files(tmp_path, half_width):
+GRID = "[grid]\nhalf_width = 8.0\npoints = 64\n"
+GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
+
+
+@pytest.mark.parametrize("command,body", [
+    pytest.param("converge", "[grid]\nhalf_width = oops\npoints = 64\n", id="oops"),
+    pytest.param("converge", "[grid]\nhalf_width = nan\npoints = 64\n", id="nan"),
+    pytest.param("converge", GRID + "[time]\nn_list = 4,8\nreference_n = 16\n",
+                 id="reference-n-below-4x"),
+    pytest.param("converge", GRID + "[time]\nt = inf\n", id="t-inf"),
+    pytest.param("converge", GRID + "[time]\nt = nan\n", id="t-nan"),
+    pytest.param("converge", GRID + "[time]\nn_list =\n", id="n-list-empty"),
+    pytest.param("converge", GRID + "[time]\nn_list = 0,4\n", id="n-list-zero"),
+    pytest.param("converge", GRID_2D, id="dim-2-converge"),
+    pytest.param("exceptional", GRID_2D + "[exceptional]\nt_star = 3.141592653589793\n",
+                 id="dim-2-exceptional"),
+])
+def test_malformed_config_exits_2_without_files(tmp_path, command, body):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[experiment]\nkind = converge\n[grid]\n"
-                   f"half_width = {half_width}\npoints = 64\n")
+    bad.write_text(f"[experiment]\nkind = {command}\n" + body)
     out = tmp_path / "out"
     out.mkdir()
-    rc = main(["converge", "--config", str(bad), "--out", str(out), "--quiet"])
+    rc = main([command, "--config", str(bad), "--out", str(out), "--quiet"])
     assert rc == 2
     assert list(out.iterdir()) == []
 

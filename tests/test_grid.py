@@ -9,8 +9,9 @@ from proplab import (GridSpec, KernelMatrix, OffGrid, SampledField, dft,
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(1, 8.0, 100)   # not a power of two
-    with pytest.raises(ValueError):
-        GridSpec(3, 8.0, 64)
+    for dim in (2, 3):
+        with pytest.raises(ValueError):
+            GridSpec(dim, 8.0, 64)
     with pytest.raises(ValueError):
         GridSpec(1, -1.0, 64)
 
@@ -48,6 +49,8 @@ def test_translate_on_grid(grid, packet):
     shifted = translate(packet, 4.0 * grid.spacing)
     assert np.allclose(shifted.values[4:], packet.values[:-4])
     assert np.max(np.abs(shifted.values[:4])) == 0.0
+    for k in (-300, 300):   # beyond the box: zero fill leaves nothing
+        assert not np.any(translate(packet, k * grid.spacing).values)
     with pytest.raises(OffGrid):
         translate(packet, 0.3 * grid.spacing)
 

@@ -8,7 +8,7 @@ from proplab import (FAST_CHIRP_FFT, QUADRATURE, GridSpec, KernelMatrix,
 
 
 def analytic_free_kernel(grid, t):
-    x = grid.points()[:, 0]
+    x = grid.axis()
     return np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * t)) \
         / np.sqrt(2j * np.pi * t)
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from proplab import (NotFree, QuadraticHamiltonian, SymplecticBlocks,
-                     canonical_j, exceptional_times, flow, is_free,
-                     lie_generator, phase_form)
+from proplab import (DimensionUnsupported, NotFree, QuadraticHamiltonian,
+                     SymplecticBlocks, canonical_j, exceptional_times, flow,
+                     is_free, lie_generator, phase_form)
 from proplab.rng import SplitMix64
 
 
@@ -80,6 +80,13 @@ def test_phase_form_refuses_exceptional():
     h = QuadraticHamiltonian.harmonic(1)
     with pytest.raises(NotFree):
         phase_form(flow(h, np.pi))
+
+
+def test_only_one_dimension_is_accepted():
+    with pytest.raises(DimensionUnsupported):
+        QuadraticHamiltonian.harmonic(2)
+    with pytest.raises(DimensionUnsupported):
+        SymplecticBlocks.identity(2)
 
 
 def test_is_free_reports_det():
