@@ -14,9 +14,16 @@ def chirp_kernel(x, y, m_xx, m_xy, m_yy):
     return np.exp(1j * TWO_PI * (qx[:, None] - cross + qy[None, :]))
 
 
-def eval_fourier_modes(coeffs, freqs, pts):
-    """sum_q c_q exp(2*pi*i*freqs_q . pts_i) at arbitrary points."""
-    pts = np.ascontiguousarray(pts, dtype=float)
-    freqs = np.ascontiguousarray(freqs, dtype=float)
-    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-    return np.exp(1j * TWO_PI * (pts @ freqs.T)) @ coeffs
+def eval_fourier_modes(coeffs, freqs, u, v):
+    """sum_q c_q exp(2*pi*i*(f_q0 u_i + f_q1 v_j)) on the product mesh u x v.
+
+    Each exponential factors over the two axes, so the (len(u), len(v)) sum
+    is one matrix product (E_u * c) @ E_v^T of two axis-by-modes factors,
+    E_u[i, q] = exp(2*pi*i f_q0 u_i); no points-by-modes matrix is formed.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    e_u = np.exp(1j * TWO_PI * u[:, None] * freqs[None, :, 0])
+    e_v = np.exp(1j * TWO_PI * v[:, None] * freqs[None, :, 1])
+    return (e_u * np.asarray(coeffs, dtype=complex)) @ e_v.T

@@ -29,7 +29,7 @@ from .symplectic import (QuadraticHamiltonian, canonical_j, flow, phase_form)
 from .tfa import (INF_1, MeasurePotential, StftSpec, default_window,
                   frequency_profile, measure_norm_bound, mod_norm,
                   sjostrand_decompose, stft, stft_adjoint, wigner)
-from .trotter import (TrotterScenario, convergence_report,
+from .trotter import (KERNEL_LATTICE_STEP, TrotterScenario, convergence_report,
                       exceptional_blowup_scan, factor_out_phase,
                       kernel_mod_norm, perturbation_split_report,
                       time_slice_free_kernel, trotter_kernel)
@@ -150,14 +150,6 @@ def emit_svg(table, plot_spec) -> str:
 
 # -- config parsing --------------------------------------------------------
 
-def _floats(text: str):
-    return [float(v.strip()) for v in text.split(",") if v.strip()]
-
-
-def _ints(text: str):
-    return [int(v.strip()) for v in text.split(",") if v.strip()]
-
-
 class Config:
     """Validated view over the INI file."""
 
@@ -183,9 +175,12 @@ class Config:
     def get_float(self, section, key, default=None):
         raw = self.get(section, key, None if default is None else str(default))
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}")
+        if not np.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
+        return value
 
     def get_int(self, section, key, default=None):
         raw = self.get(section, key, None if default is None else str(default))
@@ -193,6 +188,19 @@ class Config:
             return int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}")
+
+    def get_list(self, section, key, default, kind=float):
+        """Non-empty comma-separated list of finite numbers of type kind."""
+        raw = self.get(section, key, default)
+        try:
+            values = [kind(v.strip()) for v in raw.split(",") if v.strip()]
+        except ValueError:
+            raise ConfigError(f"[{section}] {key}: not a list of numbers: {raw!r}")
+        if not values:
+            raise ConfigError(f"[{section}] {key} is empty")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
+        return values
 
     def grid(self) -> GridSpec:
         d = self.get_int("grid", "dim", 1)
@@ -236,6 +244,8 @@ class Config:
         if preset == "gaussian-bump":
             amp = self.get_float("potential", "amplitude", 1.0)
             width = self.get_float("potential", "width", 1.0)
+            if width <= 0.0:
+                raise ConfigError(f"[potential] width must be positive: {width}")
             center = self.get_float("potential", "center", 0.0)
             return SampledField(grid, amp * np.exp(-np.pi * ((x - center) / width) ** 2))
         if preset == "measure-atoms":
@@ -281,7 +291,10 @@ def _check(ok: bool, message: str, failures: list):
 def run_flow(cfg: Config, out: dict):
     """Random-Hamiltonian flow suite: symplectic, group-law, inverse defects."""
     count = cfg.get_int("flow", "count", 200)
-    t_lo, t_hi = _floats(cfg.get("flow", "t_range", "-10,10"))
+    t_range = cfg.get_list("flow", "t_range", "-10,10")
+    if len(t_range) != 2:
+        raise ConfigError(f"[flow] t_range needs two values: {t_range}")
+    t_lo, t_hi = t_range
     tol_sym = cfg.get_float("flow", "symplectic_tol", 1e-10)
     tol_group = cfg.get_float("flow", "group_tol", 1e-8)
     tol_inv = cfg.get_float("flow", "inverse_tol", 1e-10)
@@ -358,19 +371,28 @@ def run_kernel(cfg: Config, out: dict):
     return failures
 
 
-def _scenario(cfg: Config):
-    grid = cfg.grid()
-    h = cfg.hamiltonian()
-    v = cfg.potential(grid)
-    t = cfg.get_float("time", "t", 1.0)
-    n_list = _ints(cfg.get("time", "n_list", "4,8,16,32,64,128,256"))
-    if not n_list:
-        raise ConfigError("[time] n_list is empty")
-    ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list))
+def _trotter_scenario(h, v, t, n_list, grid, ref_n) -> TrotterScenario:
     try:
         return TrotterScenario(h, v, t, tuple(n_list), grid, ref_n)
     except ValueError as err:
         raise ConfigError(f"[time]: {err}")
+
+
+def _scenario(cfg: Config):
+    """The [grid]/[hamiltonian]/[potential]/[time] scenario of the runners
+    that take kernel modulation norms."""
+    grid = cfg.grid()
+    try:
+        StftSpec(default_window(grid), KERNEL_LATTICE_STEP, KERNEL_LATTICE_STEP)
+    except ValueError as err:
+        raise ConfigError(f"[grid] points = {grid.points_per_axis} does not fit "
+                          f"the kernel norm lattice: {err}")
+    h = cfg.hamiltonian()
+    v = cfg.potential(grid)
+    t = cfg.get_float("time", "t", 1.0)
+    n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int)
+    ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list))
+    return _trotter_scenario(h, v, t, n_list, grid, ref_n)
 
 
 def run_converge(cfg: Config, out: dict):
@@ -433,7 +455,9 @@ def run_exceptional(cfg: Config, out: dict):
     grid = cfg.grid()
     h = cfg.hamiltonian()
     t_star = cfg.get_float("exceptional", "t_star")
-    offsets = _floats(cfg.get("exceptional", "offsets", "0.2,0.1,0.05,0.025"))
+    offsets = cfg.get_list("exceptional", "offsets", "0.2,0.1,0.05,0.025")
+    if min(offsets) <= 0.0:
+        raise ConfigError(f"[exceptional] offsets must be positive: {offsets}")
     spread_cap = cfg.get_float("exceptional", "ratio_spread", 0.01)
     rows = exceptional_blowup_scan(h, t_star, offsets, grid)
     out["exceptional.csv"] = render_csv(
@@ -453,7 +477,9 @@ def run_exceptional(cfg: Config, out: dict):
 
 def run_perturb(cfg: Config, out: dict):
     sc = _scenario(cfg)
-    eps_list = _floats(cfg.get("perturb", "eps_list", "0.2,0.1,0.05"))
+    eps_list = cfg.get_list("perturb", "eps_list", "0.2,0.1,0.05")
+    if not all(0.0 < eps <= 1.0 for eps in eps_list):
+        raise ConfigError(f"[perturb] eps_list must lie in (0, 1]: {eps_list}")
     slope_lo = cfg.get_float("perturb", "slope_lo", 0.8)
     slope_hi = cfg.get_float("perturb", "slope_hi", 1.2)
     check_decomp = cfg.get("perturb", "check_decomposition", "no") == "yes"
@@ -490,13 +516,16 @@ def run_freeslice(cfg: Config, out: dict):
     grid = cfg.grid()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
-    n_list = _ints(cfg.get("time", "n_list", "1,2,4,8"))
+    n_list = cfg.get_list("time", "n_list", "1,2,4,8", int)
+    if not all(1 <= n <= 8 for n in n_list):
+        raise ConfigError(f"[time] n_list must lie in 1..8 for the path quadrature: "
+                          f"{n_list}")
     tol = cfg.get_float("freeslice", "tolerance", 1e-8)
     h = QuadraticHamiltonian.free_particle(1)
     failures = []
     rows = []
     for n in n_list:
-        sc = TrotterScenario(h, v, t, (n,), grid, 4 * n)
+        sc = _trotter_scenario(h, v, t, (n,), grid, 4 * n)
         kt = trotter_kernel(sc, n, method="chirp")
         ks = time_slice_free_kernel(v, t, n, grid)
         scale = float(np.max(np.abs(kt.entries)))

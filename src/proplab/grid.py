@@ -129,11 +129,6 @@ class PhaseGrid:
     def cell(self) -> float:
         return self.base.cell * self.base.freq_cell
 
-    def points(self) -> np.ndarray:
-        """All (x, xi) points as an (N^2, 2) array, x index first."""
-        x, xi = np.meshgrid(self.base.axis(), self.base.freq_axis(), indexing="ij")
-        return np.stack([x.ravel(), xi.ravel()], axis=-1)
-
 
 @dataclass
 class SymbolField:

@@ -191,7 +191,20 @@ def factor_out_phase(k: KernelMatrix, phi) -> KernelMatrix:
     return KernelMatrix(k.grid, k.entries * np.exp(-2j * np.pi * phase))
 
 
-def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1, lattice_step: int = 16,
+KERNEL_LATTICE_STEP = 16
+
+
+def _kernel_lattice_stft(k: KernelMatrix, lattice_step: int = KERNEL_LATTICE_STEP):
+    """(values, spec): the kernel's 2d lattice STFT with axes (x positions,
+    y positions, x freqs, y freqs), as _lattice_norm reads it."""
+    spec = StftSpec(default_window(k.grid), lattice_step, lattice_step)
+    along_x = _stft_core(k.entries, spec)  # (x positions, x freqs, y)
+    v = _stft_core(np.moveaxis(along_x, 2, 0), spec)  # (y pos, y freqs, x pos, x freqs)
+    return v.transpose(2, 0, 3, 1), spec
+
+
+def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1,
+                    lattice_step: int = KERNEL_LATTICE_STEP,
                     exponent: float | None = None) -> float:
     """Modulation-type norm of a kernel viewed as a function on the 2d plane.
 
@@ -200,10 +213,7 @@ def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1, lattice_step: int = 16,
     coarse (stride lattice_step in both position and frequency) to keep the
     cost at desk scale, which changes the estimator by a bounded factor only.
     """
-    spec = StftSpec(default_window(k.grid), lattice_step, lattice_step)
-    along_x = _stft_core(k.entries, spec)  # (x positions, x freqs, y)
-    v = _stft_core(np.moveaxis(along_x, 2, 0), spec)  # (y pos, y freqs, x pos, x freqs)
-    return _lattice_norm(v.transpose(2, 0, 3, 1), spec, kind, exponent)
+    return _lattice_norm(*_kernel_lattice_stft(k, lattice_step), kind, exponent)
 
 
 @dataclass
@@ -272,11 +282,12 @@ def convergence_report(sc: TrotterScenario, window_centers=None,
         diff = k_n.entries - ref.kernel.entries
         sup_err = float(np.abs(diff[np.ix_(mask, mask)]).max())
         windowed = tuple(_windowed_fl1(diff, sc.grid, z) for z in window_centers)
-        flat = factor_out_phase(k_n, phi)
+        # one lattice STFT of the phase-factored kernel serves both norms
+        v, spec = _kernel_lattice_stft(factor_out_phase(k_n, phi))
         rows.append(ConvergenceRow(
             n, sup_err, windowed,
-            kernel_mod_norm(flat, INF_1),
-            kernel_mod_norm(flat, INF_S, exponent=weight_s)))
+            _lattice_norm(v, spec, INF_1, None),
+            _lattice_norm(v, spec, INF_S, weight_s)))
     return ConvergenceReport(rows, skipped, ref.cauchy_tag,
                              tuple(window_centers), radius)
 

@@ -65,15 +65,13 @@ def quantize_modes(coeffs: np.ndarray, freqs: np.ndarray, g: GridSpec) -> Kernel
     Evaluates sum_q c_q e^{2 pi i (u_q x + v_q xi)} exactly on the doubled
     midpoint/frequency lattice, so symbols that are not box-periodic (sheared
     or rotated band-limited symbols) quantize without interpolation leakage.
+    The lattice is a product of its midpoint and frequency axes, so the mode
+    sum is evaluated separably from the two axes.
     """
     n = g.points_per_axis
     mhalf = -g.half_width + 0.5 * g.spacing * np.arange(2 * n)
     xihalf = 0.5 * g.freq_spacing * (np.arange(2 * n) - n)
-    mesh = np.stack([np.repeat(mhalf, 2 * n), np.tile(xihalf, 2 * n)], axis=-1)
-    ref2 = _kernels.eval_fourier_modes(np.asarray(coeffs, dtype=complex),
-                                       np.asarray(freqs, dtype=float),
-                                       mesh).reshape(2 * n, 2 * n)
-    return _lag_quantize(ref2, g)
+    return _lag_quantize(_kernels.eval_fourier_modes(coeffs, freqs, mhalf, xihalf), g)
 
 
 def _fourier_shift(arr: np.ndarray, spacing: float, delta: float) -> np.ndarray:
@@ -159,8 +157,9 @@ def compose_with_flow(sigma: SymbolField, s: SymplecticBlocks) -> SymbolField:
     """
     pg = sigma.phase_grid
     coeffs, freqs = phase_fourier_modes(sigma)
-    pts = pg.points() @ s.matrix().T
-    vals = _kernels.eval_fourier_modes(coeffs, freqs, pts)
+    # q . (S z) = (S^T q) . z: the transformed modes on the untransformed mesh
+    vals = _kernels.eval_fourier_modes(coeffs, freqs @ s.matrix(),
+                                       pg.base.axis(), pg.base.freq_axis())
     return SymbolField(pg, vals)
 
 
@@ -187,11 +186,8 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     v = freqs[:, 1]
     coeffs = coeffs * np.exp(1j * np.pi * u * v)
     out_freqs = np.stack([u, v * b], axis=-1)
-    n = g.points_per_axis
     x = g.axis()
-    pts = np.stack([np.repeat(x, n), np.tile(x, n)], axis=-1)
-    vals = _kernels.eval_fourier_modes(coeffs, out_freqs, pts)
-    return SymbolField(pg, vals.reshape(n, n))
+    return SymbolField(pg, _kernels.eval_fourier_modes(coeffs, out_freqs, x, x))
 
 
 def fio_matrix(phi: PhaseQuadratic, grid: GridSpec,

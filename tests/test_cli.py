@@ -62,6 +62,17 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
     pytest.param("converge", GRID_2D, id="dim-2-converge"),
     pytest.param("exceptional", GRID_2D + "[exceptional]\nt_star = 3.141592653589793\n",
                  id="dim-2-exceptional"),
+    pytest.param("freeslice", GRID + "[time]\nt = inf\n", id="freeslice-t-inf"),
+    pytest.param("freeslice", GRID + "[time]\nn_list =\n", id="freeslice-n-list-empty"),
+    pytest.param("freeslice", GRID + "[time]\nn_list = 16\n", id="freeslice-n-list-16"),
+    pytest.param("exceptional", GRID + "[exceptional]\nt_star = 3.141592653589793\n"
+                 "offsets = -0.1\n", id="offsets-negative"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 0\n",
+                 id="eps-list-zero"),
+    pytest.param("converge", GRID + "[potential]\npreset = gaussian-bump\nwidth = 0\n"
+                 "[time]\nn_list = 4,8\n", id="bump-width-zero"),
+    pytest.param("converge", "[grid]\nhalf_width = 8.0\npoints = 8\n"
+                 "[time]\nn_list = 4,8\n", id="points-off-kernel-lattice"),
 ])
 def test_malformed_config_exits_2_without_files(tmp_path, command, body):
     bad = tmp_path / "bad.ini"

@@ -1,4 +1,7 @@
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from proplab import (PhaseGrid, QuadraticHamiltonian, SampledField,
                      SymbolField, compose_with_flow, conjugate_through_fio,
@@ -6,6 +9,7 @@ from proplab import (PhaseGrid, QuadraticHamiltonian, SampledField,
                      phase_fourier_modes, phase_form, quantize_modes,
                      symbol_of_kernel, symplectic_covariance_residual,
                      twisted_product, weyl_quantize, wigner)
+from proplab._kernels import eval_fourier_modes
 from proplab.symplectic import SymplecticBlocks
 from proplab.trotter import kernel_mod_norm
 from proplab.weyl import almost_diag_profile
@@ -171,10 +175,67 @@ def test_fio_swap_residual_small(grid):
     assert fio_swap_residual(sig, phi) < 1e-3
 
 
+def direct_mode_sum(coeffs, freqs, px, pxi):
+    """sum_q c_q e^{2 pi i (f_q0 px + f_q1 pxi)} one point at a time, for
+    equally shaped arrays of point coordinates."""
+    out = np.empty(px.shape, dtype=complex)
+    for idx in np.ndindex(px.shape):
+        phase = freqs[:, 0] * px[idx] + freqs[:, 1] * pxi[idx]
+        out[idx] = np.sum(coeffs * np.exp(2j * np.pi * phase))
+    return out
+
+
+QUARTER = flow(QuadraticHamiltonian.harmonic(1), 0.5 * np.pi)
+SHEAR = SymplecticBlocks(1, [[1.0]], [[0.37]], [[0.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("s", [QUARTER, SHEAR], ids=["quarter", "shear"])
+def test_eval_fourier_modes_matches_direct_sum(small_grid, s):
+    # N != 4 L^2 here, so both maps move the modes off the frequency lattice
+    coeffs, freqs = phase_fourier_modes(random_symbol(small_grid, 73))
+    freqs = freqs @ s.matrix()
+    u = small_grid.axis()[::4]
+    v = small_grid.freq_axis()[1::4]
+    ref = direct_mode_sum(coeffs, freqs, *np.meshgrid(u, v, indexing="ij"))
+    got = eval_fourier_modes(coeffs, freqs, u, v)
+    assert got.shape == (len(u), len(v))
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_oracle_pair_memory_stays_small(grid):
+    # the covariance and FIO-swap oracles on the battery's 256-point grid and
+    # 91-mode symbol: 64 MB holds their N x N and 2N x 2N matrices but not a
+    # (2N)^2 x 91 phase matrix (380 MB)
+    sig = random_symbol(grid, 75)
+    h = QuadraticHamiltonian.harmonic(1)
+    quarter, phi = flow(h, 0.5 * np.pi), phase_form(flow(h, 0.7))
+    tracemalloc.start()
+    try:
+        symplectic_covariance_residual(sig, quarter)
+        fio_swap_residual(sig, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
 def test_compose_with_flow_identity(grid):
     sig = random_symbol(grid, 71)
     out = compose_with_flow(sig, SymplecticBlocks.identity(1))
     assert np.max(np.abs(out.values - sig.values)) < 1e-10
+
+
+@pytest.mark.parametrize("s", [QUARTER, SHEAR], ids=["quarter", "shear"])
+def test_compose_with_flow_matches_direct_sum(small_grid, s):
+    sig = random_symbol(small_grid, 74)
+    coeffs, freqs = phase_fourier_modes(sig)
+    x, xi = np.meshgrid(small_grid.axis(), small_grid.freq_axis(), indexing="ij")
+    m = s.matrix()
+    # sigma(S z), with S applied to each point
+    ref = direct_mode_sum(coeffs, freqs, m[0, 0] * x + m[0, 1] * xi,
+                          m[1, 0] * x + m[1, 1] * xi)
+    out = compose_with_flow(sig, s)
+    assert np.max(np.abs(out.values - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_conjugate_through_fio_constant_amplitude(grid):
