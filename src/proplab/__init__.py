@@ -13,8 +13,8 @@ from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField,
                    kernel_of_operator, modulate, sup_norm_on_compact,
                    translate)
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian,
-                         SymplecticBlocks, canonical_j, exceptional_times,
-                         flow, is_free, lie_generator, phase_form)
+                         SymplecticBlocks, exceptional_times, flow, is_free,
+                         phase_form)
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, MetaplecticPropagator,
                           build_propagator, mehler_oracle, propagator_for,
                           resolve_phase)

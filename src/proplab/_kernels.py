@@ -1,4 +1,5 @@
-"""Hot numeric kernels: dense chirp assembly and Fourier mode sums."""
+"""Hot numeric kernels: dense chirp assembly, the chirp-Z transform and
+Fourier mode sums."""
 
 import numpy as np
 
@@ -12,6 +13,31 @@ def chirp_kernel(x, y, m_xx, m_xy, m_yy):
     qy = 0.5 * (y * m_yy * y)
     cross = (y * m_xy)[None, :] * x[:, None]
     return np.exp(1j * TWO_PI * (qx[:, None] - cross + qy[None, :]))
+
+
+def chirp_z(cols, theta0, dtheta):
+    """sum_j cols[j] exp(-2*pi*i j (theta0 + k dtheta)) for k < N, along axis 0
+    of (N, m) columns, by Bluestein's algorithm.
+
+    With jk = (j^2 + k^2 - (k - j)^2) / 2 the sum is the chirp
+    exp(-pi*i dtheta k^2) times the convolution of the pre-chirped columns
+    with exp(pi*i dtheta l^2), |l| < N; the chirps and the filter spectrum
+    are built once per call and shared by all columns.
+    """
+    n = cols.shape[0]
+    nfft = 1 << (2 * n - 2).bit_length()  # a power of two >= 2N - 1
+    k = np.arange(n)
+    chirp = np.exp(-1j * np.pi * dtheta * (k * k))
+    filt = np.zeros(nfft, dtype=complex)
+    filt[:n] = chirp.conj()
+    filt[nfft - n + 1:] = chirp[:0:-1].conj()
+    pre = np.exp(-1j * TWO_PI * theta0 * k) * chirp
+    # transform along the contiguous last axis of the transposed columns:
+    # numpy's FFT along a strided axis 0 is about twice as slow
+    buf = np.fft.fft(np.multiply(cols.T, pre, order="C"), nfft, axis=1)
+    buf *= np.fft.fft(filt)
+    np.fft.ifft(buf, axis=1, out=buf)
+    return (buf[:, :n] * chirp).T
 
 
 def eval_fourier_modes(coeffs, freqs, u, v):

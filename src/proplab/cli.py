@@ -25,10 +25,11 @@ from .grid import (GridSpec, KernelMatrix, SampledField, dft,
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, mehler_oracle,
                           propagator_for)
 from .rng import SplitMix64
-from .symplectic import (QuadraticHamiltonian, canonical_j, flow, phase_form)
+from .symplectic import QuadraticHamiltonian, flow, is_free, phase_form
 from .tfa import (INF_1, MeasurePotential, StftSpec, default_window,
-                  frequency_profile, measure_norm_bound, mod_norm,
-                  sjostrand_decompose, stft, stft_adjoint, wigner)
+                  frequency_profile, measure_norm_bound,
+                  measure_potential_field, mod_norm, sjostrand_decompose, stft,
+                  stft_adjoint, wigner)
 from .trotter import (KERNEL_LATTICE_STEP, TrotterScenario, convergence_report,
                       exceptional_blowup_scan, factor_out_phase,
                       kernel_mod_norm, perturbation_split_report,
@@ -202,6 +203,22 @@ class Config:
             raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
         return values
 
+    def get_pairs(self, section, key, second=float):
+        """Comma-separated `first:second` items, both finite; first is a float."""
+        pairs = []
+        for item in self.get(section, key).split(","):
+            if not item.strip():
+                continue
+            try:
+                first, other = item.split(":")
+                pair = (float(first), second(other))
+            except ValueError:
+                raise ConfigError(f"[{section}] {key}: bad item {item!r}")
+            if not np.all(np.isfinite(pair)):
+                raise ConfigError(f"[{section}] {key}: not finite: {item!r}")
+            pairs.append(pair)
+        return pairs
+
     def grid(self) -> GridSpec:
         d = self.get_int("grid", "dim", 1)
         half = self.get_float("grid", "half_width")
@@ -221,7 +238,7 @@ class Config:
             a = self.get_float("hamiltonian", "a")
             b = self.get_float("hamiltonian", "b")
             c = self.get_float("hamiltonian", "c")
-            return QuadraticHamiltonian(1, [[a]], [[b]], [[c]])
+            return QuadraticHamiltonian(1, a, b, c)
         raise ConfigError(f"unknown hamiltonian preset: {preset}")
 
     def potential(self, grid: GridSpec) -> SampledField:
@@ -230,16 +247,9 @@ class Config:
         if preset == "zero":
             return SampledField(grid, np.zeros(grid.size))
         if preset == "cosine-sum":
-            terms = self.get("potential", "terms")
             vals = np.zeros(grid.size)
-            for item in terms.split(","):
-                if not item.strip():
-                    continue
-                try:
-                    amp, freq = item.split(":")
-                    vals = vals + float(amp) * np.cos(2.0 * np.pi * float(freq) * x)
-                except ValueError:
-                    raise ConfigError(f"[potential] terms: bad item {item!r}")
+            for amp, freq in self.get_pairs("potential", "terms"):
+                vals = vals + amp * np.cos(2.0 * np.pi * freq * x)
             return SampledField(grid, vals)
         if preset == "gaussian-bump":
             amp = self.get_float("potential", "amplitude", 1.0)
@@ -249,15 +259,14 @@ class Config:
             center = self.get_float("potential", "center", 0.0)
             return SampledField(grid, amp * np.exp(-np.pi * ((x - center) / width) ** 2))
         if preset == "measure-atoms":
-            atoms = self.measure_atoms()
-            vals = np.zeros(grid.size, dtype=complex)
-            for k, c in atoms.atoms:
-                vals = vals + c * np.exp(2j * np.pi * k * x)
-            return SampledField(grid, vals)
+            return measure_potential_field(self.measure_atoms(), grid)
         if preset == "random-band-limited":
             band = self.get_int("potential", "band", 5)
-            rng = SplitMix64(self.seed)
             n = grid.points_per_axis
+            if not 0 <= band < n // 2:
+                raise ConfigError(f"[potential] band must lie in 0..{n // 2 - 1} "
+                                  f"for points = {n}: {band}")
+            rng = SplitMix64(self.seed)
             spec = np.zeros(n, dtype=complex)
             coeffs = rng.normals(2 * band + 1) + 1j * rng.normals(2 * band + 1)
             spec[n // 2 - band: n // 2 + band + 1] = coeffs
@@ -268,17 +277,7 @@ class Config:
         raise ConfigError(f"unknown potential preset: {preset}")
 
     def measure_atoms(self) -> MeasurePotential:
-        raw = self.get("potential", "atoms")
-        atoms = []
-        for item in raw.split(","):
-            if not item.strip():
-                continue
-            try:
-                k, c = item.split(":")
-                atoms.append((float(k), complex(c)))
-            except ValueError:
-                raise ConfigError(f"[potential] atoms: bad item {item!r}")
-        return MeasurePotential(tuple(atoms))
+        return MeasurePotential(tuple(self.get_pairs("potential", "atoms", complex)))
 
 
 # -- scenario runners ------------------------------------------------------
@@ -291,6 +290,8 @@ def _check(ok: bool, message: str, failures: list):
 def run_flow(cfg: Config, out: dict):
     """Random-Hamiltonian flow suite: symplectic, group-law, inverse defects."""
     count = cfg.get_int("flow", "count", 200)
+    if count < 1:
+        raise ConfigError(f"[flow] count must be positive: {count}")
     t_range = cfg.get_list("flow", "t_range", "-10,10")
     if len(t_range) != 2:
         raise ConfigError(f"[flow] t_range needs two values: {t_range}")
@@ -299,7 +300,7 @@ def run_flow(cfg: Config, out: dict):
     tol_group = cfg.get_float("flow", "group_tol", 1e-8)
     tol_inv = cfg.get_float("flow", "inverse_tol", 1e-10)
     rng = SplitMix64(cfg.seed)
-    j = canonical_j(1)
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     rows = []
     failures = []
     for i in range(count):
@@ -307,7 +308,7 @@ def run_flow(cfg: Config, out: dict):
         b = rng.normals(1)[0]
         c = rng.normals(1)[0]
         t = t_lo + (t_hi - t_lo) * rng.uniform()
-        h = QuadraticHamiltonian(1, [[a]], [[b]], [[c]])
+        h = QuadraticHamiltonian(1, a, b, c)
         m = flow(h, t).matrix()
         sym = float(np.max(np.abs(m.T @ j @ m - j)))
         m2 = flow(h, 0.5 * t).matrix()
@@ -334,6 +335,8 @@ def run_kernel(cfg: Config, out: dict):
     t = cfg.get_float("time", "t", 1.0)
     preset = cfg.get("hamiltonian", "preset", "harmonic")
     radius = cfg.get_float("kernel", "radius", 0.5 * grid.half_width)
+    if radius <= 0.0:
+        raise ConfigError(f"[kernel] radius must be positive: {radius}")
     tol = cfg.get_float("kernel", "tolerance", 1e-3)
     failures = []
     rows = []
@@ -459,6 +462,10 @@ def run_exceptional(cfg: Config, out: dict):
     if min(offsets) <= 0.0:
         raise ConfigError(f"[exceptional] offsets must be positive: {offsets}")
     spread_cap = cfg.get_float("exceptional", "ratio_spread", 0.01)
+    free, det_b = is_free(flow(h, t_star))
+    if free:
+        raise ConfigError(f"[exceptional] t_star = {t_star} is not an exceptional "
+                          f"time (det B = {det_b:.3e})")
     rows = exceptional_blowup_scan(h, t_star, offsets, grid)
     out["exceptional.csv"] = render_csv(
         ("delta", "sup_kernel", "detB_invsqrt", "ratio"), rows)
@@ -484,6 +491,8 @@ def run_perturb(cfg: Config, out: dict):
     slope_hi = cfg.get_float("perturb", "slope_hi", 1.2)
     check_decomp = cfg.get("perturb", "check_decomposition", "no") == "yes"
     n = cfg.get_int("perturb", "n", max(sc.n_list))
+    if n < 1:
+        raise ConfigError(f"[perturb] n must be positive: {n}")
     failures = []
     results = []
     spec = StftSpec(default_window(sc.grid))
@@ -618,6 +627,8 @@ def _oracle_battery(cfg: Config, checks):
 
     if "measure_bound" in checks:
         sets = cfg.get_int("oracles", "measure_sets", 10)
+        if sets < 1:
+            raise ConfigError(f"[oracles] measure_sets must be positive: {sets}")
         worst = 0.0
         for _ in range(sets):
             count = 2 + int(rng.uniform() * 4)

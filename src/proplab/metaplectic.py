@@ -5,8 +5,8 @@ For a free symplectic matrix the operator is the quadratic Fourier transform
     mu(A) f(x) = c |det B|^(-1/2) Integral exp(2*pi*i*Phi_A(x,y)) f(y) dy,
 
 realized either by direct quadrature (dense chirp matrix) or by the factored
-fast path  chirp -> Fourier transform resampled at B^(-1) x via chirp-Z ->
-chirp.  Both paths evaluate the identical discrete sum.
+fast path  chirp -> Fourier transform resampled at B^(-1) x via a Bluestein
+chirp-Z transform -> chirp.  Both paths evaluate the identical discrete sum.
 
 The unit phase c is fixed by continuity of the metaplectic lift from t = 0:
 short steps get the stationary-phase (Fresnel) value, and compositions pick
@@ -18,21 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import czt
 
 from .errors import NotFree, PathThroughExceptional
 from .grid import GridSpec, KernelMatrix, SampledField
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, SymplecticBlocks,
-                         flow, is_free, phase_form)
+                         flow, phase_form)
 from . import _kernels
 
 
-def _signature(sym_mat: np.ndarray, tol: float = 1e-12) -> int:
-    w = np.linalg.eigvalsh(0.5 * (sym_mat + sym_mat.T))
-    scale = max(1.0, np.max(np.abs(w)))
-    if np.min(np.abs(w)) <= tol * scale:
+def _signature(q: float, tol: float = 1e-12) -> int:
+    """Sign of the scalar quadratic form q y^2, refusing a degenerate one."""
+    if abs(q) <= tol * max(1.0, abs(q)):
         raise NotFree("degenerate quadratic form in phase composition")
-    return int(np.sum(w > 0) - np.sum(w < 0))
+    return 1 if q > 0 else -1
 
 
 def stationary_phase_factor(phase: PhaseQuadratic) -> complex:
@@ -132,19 +130,16 @@ class MetaplecticPropagator:
 
     def _apply_fast(self, cols: np.ndarray) -> np.ndarray:
         g = self.grid
-        n = g.points_per_axis
         h = g.spacing
         x = g.axis()
         m_xx, m_xy, m_yy = self.phase.coefficients()
         vals = cols * np.exp(1j * np.pi * (x * m_yy * x))[:, None]
         # chirp-Z: evaluate the continuum Fourier transform at the arithmetic
-        # progression xi_i = B^-1 x_i
+        # progression xi_k = B^-1 x_k, i.e. sum_j vals_j e^{-2 pi i (x_j + L) xi_k}
         xi0 = m_xy * x[0]
         dxi = m_xy * h
-        a = np.exp(2j * np.pi * h * xi0)
-        w = np.exp(-2j * np.pi * h * dxi)
-        out = czt(vals, m=n, w=w, a=a, axis=0)
-        xi = xi0 + dxi * np.arange(n)
+        out = _kernels.chirp_z(vals, h * xi0, h * dxi)
+        xi = xi0 + dxi * np.arange(g.points_per_axis)
         out = out * (h * np.exp(2j * np.pi * g.half_width * xi))[:, None]
         out = out * np.exp(1j * np.pi * (x * m_xx * x))[:, None]
         return self.scale * out
@@ -171,13 +166,10 @@ def build_propagator(s: SymplecticBlocks, grid: GridSpec,
     used; pass the continuity-resolved phase (resolve_phase) when S sits on a
     flow path crossing exceptional times.
     """
-    free, det_b = is_free(s)
-    if not free:
-        raise NotFree(f"det B = {det_b:.3e}: not a free symplectic matrix")
-    phase = phase_form(s)
+    phase = phase_form(s)  # raises NotFree unless S is free
     if phase_factor is None:
         phase_factor = stationary_phase_factor(phase)
-    return MetaplecticPropagator(s, phase, abs(det_b), phase_factor, method, grid)
+    return MetaplecticPropagator(s, phase, abs(s.b), phase_factor, method, grid)
 
 
 def propagator_for(h: QuadraticHamiltonian, t: float, grid: GridSpec,

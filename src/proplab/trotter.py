@@ -77,39 +77,43 @@ def hamiltonian_matrix(h: QuadraticHamiltonian, grid: GridSpec) -> np.ndarray:
     xi = grid.freq_axis()
     fwd = np.exp(-2j * np.pi * np.outer(xi, x)) * grid.cell
     inv = np.exp(2j * np.pi * np.outer(x, xi)) * grid.freq_cell
-    a = float(h.mat_a[0, 0])
-    b = float(h.mat_b[0, 0])
-    c = float(h.mat_c[0, 0])
-    mat = 0.5 * a * np.diag(x**2) + inv @ ((0.5 * c * xi**2)[:, None] * fwd)
-    if b != 0.0:
+    mat = 0.5 * h.a * np.diag(x**2) + inv @ ((0.5 * h.c * xi**2)[:, None] * fwd)
+    if h.b != 0.0:
         d_op = inv @ (xi[:, None] * fwd)
         xd = x[:, None] * d_op
-        mat = mat + 0.5 * b * (xd + xd.conj().T)
+        mat = mat + 0.5 * h.b * (xd + xd.conj().T)
     return 0.5 * (mat + mat.conj().T)
 
 
 @functools.lru_cache(maxsize=1)
-def _eig(a: float, b: float, c: float, grid: GridSpec):
-    """Eigendecomposition of the grid Hamiltonian with symbol coefficients
-    (a, b, c); one entry suffices, since a run steps a single (H0, grid)."""
-    return np.linalg.eigh(hamiltonian_matrix(
-        QuadraticHamiltonian(1, a, b, c), grid))
+def _eig(h: QuadraticHamiltonian, grid: GridSpec):
+    """Eigendecomposition of the grid Hamiltonian; one entry suffices, since a
+    run steps a single (H0, grid)."""
+    return np.linalg.eigh(hamiltonian_matrix(h, grid))
 
 
 def kinetic_step(h: QuadraticHamiltonian, tau: float, grid: GridSpec) -> np.ndarray:
     """Unitary matrix exp(-i tau H_grid) via the cached eigendecomposition."""
-    w, u = _eig(float(h.mat_a[0, 0]), float(h.mat_b[0, 0]),
-                float(h.mat_c[0, 0]), grid)
+    w, u = _eig(h, grid)
     return (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
 
 
+def _require_method(h: QuadraticHamiltonian, method: str):
+    """Reject a step method the Hamiltonian cannot use.  The chirp step is the
+    quadrature of the one-step metaplectic kernel; its powers stay bounded
+    only for a free particle (a = b = 0), while for a harmonic H0 they blow
+    up (sup 7.5e108 at n = 64 on N = 256, L = 8)."""
+    if method not in (SPECTRAL, CHIRP):
+        raise ValueError(f"unknown step method: {method}")
+    if method == CHIRP and (h.a != 0.0 or h.b != 0.0):
+        raise ValueError("the chirp step needs a free-particle H0 (a = b = 0)")
+
+
 def _kinetic_matrix(sc: TrotterScenario, tau: float, method: str) -> np.ndarray:
-    if method == SPECTRAL:
-        return kinetic_step(sc.hamiltonian, tau, sc.grid)
     if method == CHIRP:
         return propagator_for(sc.hamiltonian, tau, sc.grid).kernel_entries() \
             * sc.grid.cell
-    raise ValueError(f"unknown step method: {method}")
+    return kinetic_step(sc.hamiltonian, tau, sc.grid)
 
 
 def _step_matrix(sc: TrotterScenario, n: int, method: str,
@@ -138,6 +142,7 @@ def trotter_apply(sc: TrotterScenario, n: int, f: SampledField,
     full time is applied directly (the discrete chirp quadratures do not
     close under composition, so powering them would fabricate error here).
     """
+    _require_method(sc.hamiltonian, method)
     if _zero_potential(sc):
         return SampledField(
             sc.grid, propagator_for(sc.hamiltonian, sc.t, sc.grid).apply(f).values)
@@ -153,8 +158,10 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL,
     """Kernel matrix of E_n(t), by binary powering of the one-step matrix.
 
     V identically zero collapses to the composed propagator's kernel exactly,
-    for any n (group law of the flow).
+    for any n (group law of the flow).  method = CHIRP needs a free-particle
+    H0 (ValueError otherwise).
     """
+    _require_method(sc.hamiltonian, method)
     if _zero_potential(sc):
         return propagator_for(sc.hamiltonian, sc.t, sc.grid).kernel()
     m = _step_matrix(sc, n, method, reverse_order)

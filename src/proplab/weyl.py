@@ -177,10 +177,10 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     """
     pg = sigma.phase_grid
     g = pg.base
-    b = -float(phi.m_xy[0, 0])
+    b = -phi.m_xy
     if abs(b) < 1e-12:
         raise NotFree("degenerate phase: cross coefficient vanishes")
-    a_coef = float(phi.m_xx[0, 0])
+    a_coef = phi.m_xx
     coeffs, freqs = phase_fourier_modes(sigma)
     u = freqs[:, 0] + freqs[:, 1] * a_coef
     v = freqs[:, 1]

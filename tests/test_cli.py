@@ -73,6 +73,22 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
                  "[time]\nn_list = 4,8\n", id="bump-width-zero"),
     pytest.param("converge", "[grid]\nhalf_width = 8.0\npoints = 8\n"
                  "[time]\nn_list = 4,8\n", id="points-off-kernel-lattice"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\nn = 0\n",
+                 id="perturb-n-zero"),
+    pytest.param("kernel", GRID + "[hamiltonian]\npreset = free\n[kernel]\nradius = -1\n",
+                 id="kernel-radius-negative"),
+    pytest.param("flow", "[flow]\ncount = 0\n", id="flow-count-zero"),
+    pytest.param("oracles", "[oracles]\nchecks = measure_bound\nmeasure_sets = 0\n",
+                 id="measure-sets-zero"),
+    pytest.param("converge", GRID + "[potential]\npreset = cosine-sum\nterms = inf:1\n"
+                 "[time]\nn_list = 4,8\n", id="cosine-terms-inf"),
+    pytest.param("converge", GRID + "[potential]\npreset = measure-atoms\natoms = 1:inf\n"
+                 "[time]\nn_list = 4,8\n", id="measure-atoms-inf"),
+    pytest.param("converge", "[grid]\nhalf_width = 8.0\npoints = 256\n"
+                 "[potential]\npreset = random-band-limited\nband = 200\n"
+                 "[time]\nn_list = 4,8\n", id="random-band-too-wide"),
+    pytest.param("exceptional", GRID + "[exceptional]\nt_star = 1.0\n",
+                 id="t-star-not-exceptional"),
 ])
 def test_malformed_config_exits_2_without_files(tmp_path, command, body):
     bad = tmp_path / "bad.ini"
@@ -137,6 +153,14 @@ def test_failed_assertion_exits_nonzero(tmp_path):
     rc = main(["flow", "--config", str(strict), "--out", str(tmp_path),
                "--quiet"])
     assert rc == 1
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, proplab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

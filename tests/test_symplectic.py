@@ -2,36 +2,70 @@ import numpy as np
 import pytest
 
 from proplab import (DimensionUnsupported, NotFree, QuadraticHamiltonian,
-                     SymplecticBlocks, canonical_j, exceptional_times, flow,
-                     is_free, lie_generator, phase_form)
+                     SymplecticBlocks, exceptional_times, flow, is_free,
+                     phase_form)
 from proplab.rng import SplitMix64
 
+J = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-def random_hamiltonian(rng, d=1):
-    a = rng.normals(d * d).reshape(d, d)
-    c = rng.normals(d * d).reshape(d, d)
-    b = rng.normals(d * d).reshape(d, d)
-    return QuadraticHamiltonian(d, 0.5 * (a + a.T), b, 0.5 * (c + c.T))
+
+def random_hamiltonian(rng):
+    a, b, c = rng.normals(3)
+    return QuadraticHamiltonian(1, a, b, c)
+
+
+def generator(h):
+    return np.array([[h.b, h.c], [-h.a, -h.b]])
 
 
 def test_generator_in_sp():
-    # J G must be symmetric for every quadratic symbol
+    # the flow's velocity at t = 0 is G / 2pi with G = [[b, c], [-a, -b]],
+    # and J G must be symmetric for every quadratic symbol
     rng = SplitMix64(3)
-    j = canonical_j(1)
+    eps = 1e-5
     for _ in range(20):
-        g = lie_generator(random_hamiltonian(rng))
-        jg = j @ g
-        assert np.allclose(jg, jg.T, atol=1e-14)
+        h = random_hamiltonian(rng)
+        g = (flow(h, eps).matrix() - flow(h, -eps).matrix()) * (np.pi / eps)
+        assert np.max(np.abs(g - generator(h))) < 1e-8
+        jg = J @ g
+        assert np.allclose(jg, jg.T, atol=1e-8)
+
+
+def expm_taylor(g):
+    """exp(g) by scaling and squaring: a degree-20 Taylor sum of g / 2^k
+    with |g / 2^k| <= 1/16, squared k times."""
+    norm = np.max(np.sum(np.abs(g), axis=1))
+    k = max(0, int(np.ceil(np.log2(norm))) + 4) if norm > 0 else 0
+    m = g / 2.0**k
+    term = np.eye(2)
+    total = np.eye(2)
+    for j in range(1, 21):
+        term = term @ m / j
+        total = total + term
+    for _ in range(k):
+        total = total @ total
+    return total
+
+
+@pytest.mark.parametrize("h", [
+    QuadraticHamiltonian.harmonic(1),
+    QuadraticHamiltonian(1, 1.3, 0.4, -1.3),
+    QuadraticHamiltonian.free_particle(1),
+], ids=["elliptic", "hyperbolic", "parabolic"])
+def test_closed_form_flow_matches_taylor_reference(h):
+    for t in (-7.5, -1.0, 0.0, 0.3, 2.0, 9.0):
+        ref = expm_taylor((t / (2.0 * np.pi)) * generator(h))
+        got = flow(h, t).matrix()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_flow_symplectic_random():
     rng = SplitMix64(11)
-    j = canonical_j(1)
     for _ in range(50):
         h = random_hamiltonian(rng)
         t = 20.0 * rng.uniform() - 10.0
         m = flow(h, t).matrix()
-        assert np.max(np.abs(m.T @ j @ m - j)) < 1e-10
+        assert np.max(np.abs(m.T @ J @ m - J)) < 1e-10
 
 
 def test_flow_group_law_and_inverse():
@@ -57,9 +91,9 @@ def test_free_particle_flow_is_shear():
     # B_t = 2 pi t in these conventions
     h = QuadraticHamiltonian.free_particle(1)
     s = flow(h, 0.35)
-    assert abs(s.block_b[0, 0] - 2.0 * np.pi * 0.35) < 1e-13
-    assert abs(s.block_a[0, 0] - 1.0) < 1e-14
-    assert abs(s.block_c[0, 0]) < 1e-14
+    assert abs(s.b - 2.0 * np.pi * 0.35) < 1e-13
+    assert abs(s.a - 1.0) < 1e-14
+    assert abs(s.c) < 1e-14
 
 
 def test_phase_form_symmetry_and_values():
@@ -67,9 +101,9 @@ def test_phase_form_symmetry_and_values():
     phi = phase_form(flow(h, 1.0))
     # Phi(x,y) = (cos t (x^2 + y^2) - 2xy) / (2 sin t)
     ct, st = np.cos(1.0), np.sin(1.0)
-    assert abs(phi.m_xx[0, 0] - ct / st) < 1e-12
-    assert abs(phi.m_xy[0, 0] - 1.0 / st) < 1e-12
-    assert abs(phi.m_yy[0, 0] - ct / st) < 1e-12
+    assert abs(phi.m_xx - ct / st) < 1e-12
+    assert abs(phi.m_xy - 1.0 / st) < 1e-12
+    assert abs(phi.m_yy - ct / st) < 1e-12
     x = np.array([0.4])
     y = np.array([-1.1])
     val = (ct * (0.4**2 + 1.1**2) - 2 * 0.4 * (-1.1)) / (2 * st)

@@ -178,6 +178,12 @@ def test_free_slice_matches_product_kernel(grid):
         assert np.max(np.abs(kt.entries - ks.entries)) / scale < 1e-8
 
 
+def test_chirp_step_refuses_harmonic_hamiltonian(scenario):
+    # powering the harmonic chirp quadrature diverges (sup 7.5e108 at n = 64)
+    with pytest.raises(ValueError, match="free-particle"):
+        trotter_kernel(scenario, 4, method=CHIRP)
+
+
 def test_free_slice_single_step_is_analytic_chirp(grid):
     # one step with V = 0 is the analytic free kernel itself; more steps add
     # Fresnel box-truncation fringes, which is why the n > 1 cross-check runs

@@ -139,7 +139,7 @@ def test_covariance_quarter_rotation(grid):
 def test_covariance_integer_shear(grid):
     sig = random_symbol(grid, 61)
     # B = 1 maps the square lattice to itself and is free
-    shear = SymplecticBlocks(1, [[1.0]], [[1.0]], [[0.0]], [[1.0]])
+    shear = SymplecticBlocks(1, 1.0, 1.0, 0.0, 1.0)
     assert symplectic_covariance_residual(sig, shear) < 1e-10
 
 
@@ -161,8 +161,8 @@ def test_covariance_state_level_generic_time(grid):
     coeffs, freqs = phase_fourier_modes(sig)
     lhs = quantize_modes(coeffs, freqs @ s.matrix(), grid).apply(f)
     mu = build_propagator(s, grid, method=QUADRATURE, phase_factor=1.0 + 0.0j)
-    mu_inv = build_propagator(SymplecticBlocks.from_matrix(
-        np.linalg.inv(s.matrix())), grid, method=QUADRATURE,
+    mu_inv = build_propagator(SymplecticBlocks(
+        1, *np.linalg.inv(s.matrix()).ravel()), grid, method=QUADRATURE,
         phase_factor=1.0 + 0.0j)
     rhs = mu_inv.apply(weyl_quantize(sig).apply(mu.apply(f)))
     rel = np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(lhs.values)
@@ -186,7 +186,7 @@ def direct_mode_sum(coeffs, freqs, px, pxi):
 
 
 QUARTER = flow(QuadraticHamiltonian.harmonic(1), 0.5 * np.pi)
-SHEAR = SymplecticBlocks(1, [[1.0]], [[0.37]], [[0.0]], [[1.0]])
+SHEAR = SymplecticBlocks(1, 1.0, 0.37, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("s", [QUARTER, SHEAR], ids=["quarter", "shear"])
