@@ -309,12 +309,16 @@ def run_flow(cfg: Config, out: dict):
         c = rng.normals(1)[0]
         t = t_lo + (t_hi - t_lo) * rng.uniform()
         h = QuadraticHamiltonian(1, a, b, c)
-        m = flow(h, t).matrix()
-        sym = float(np.max(np.abs(m.T @ j @ m - j)))
-        m2 = flow(h, 0.5 * t).matrix()
-        group = float(np.max(np.abs(m2 @ m2 - m)))
-        minv = flow(h, -t).matrix()
-        inv = float(np.max(np.abs(minv @ m - np.eye(2))))
+        try:
+            m, m2, minv = [flow(h, s).matrix() for s in (t, 0.5 * t, -t)]
+        except ValueError as err:  # det = 1 fails once a d or b c overflows
+            raise ProplabError(f"flow case {i} at t = {t!r}: {err}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sym = float(np.max(np.abs(m.T @ j @ m - j)))
+            group = float(np.max(np.abs(m2 @ m2 - m)))
+            inv = float(np.max(np.abs(minv @ m - np.eye(2))))
+        if not np.isfinite(sym + group + inv):
+            raise ProplabError(f"flow case {i} at t = {t!r}: the defects overflow")
         rows.append((i, t, sym, group, inv))
         _check(sym <= tol_sym, f"symplectic defect {sym:.2e} at case {i}", failures)
         _check(group <= tol_group, f"group-law defect {group:.2e} at case {i}", failures)
@@ -330,10 +334,13 @@ def run_flow(cfg: Config, out: dict):
 
 def run_kernel(cfg: Config, out: dict):
     """Propagator kernel oracle comparisons on one grid."""
+    preset = cfg.get("hamiltonian", "preset", "harmonic")
+    if preset not in ("free", "harmonic"):
+        raise ConfigError(f"[hamiltonian] kernel has oracles only for the free and "
+                          f"harmonic presets, not {preset!r}")
     grid = cfg.grid()
     h = cfg.hamiltonian()
     t = cfg.get_float("time", "t", 1.0)
-    preset = cfg.get("hamiltonian", "preset", "harmonic")
     radius = cfg.get_float("kernel", "radius", 0.5 * grid.half_width)
     if radius <= 0.0:
         raise ConfigError(f"[kernel] radius must be positive: {radius}")
@@ -689,6 +696,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = Config(args.config, seed_override=args.seed)
+        kind = cfg.get("experiment", "kind", args.command)
+        if kind != args.command:
+            raise ConfigError(f"[experiment] kind = {kind} does not match the "
+                              f"command {args.command}")
         out_files: dict = {}
         failures = RUNNERS[args.command](cfg, out_files)
     except (ConfigError, configparser.Error) as err:

@@ -10,10 +10,6 @@ class NotFree(ProplabError):
     (numerically) singular, i.e. the propagator kernel degenerates."""
 
 
-class OffGrid(ProplabError):
-    """Requested shift or sample point is not on the grid."""
-
-
 class EpsilonTooSmall(ProplabError):
     """The requested decomposition budget is below the grid truncation floor."""
 

@@ -8,11 +8,9 @@ rectangle-rule quadrature semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import OffGrid
 
 
 @dataclass(frozen=True)
@@ -92,23 +90,14 @@ class KernelMatrix:
 
     grid: GridSpec
     entries: np.ndarray
-    quadrature_weight: float = field(default=0.0)
 
     def __post_init__(self):
         m = self.grid.size
         self.entries = np.asarray(self.entries, dtype=complex).reshape(m, m)
-        if self.quadrature_weight == 0.0:
-            self.quadrature_weight = self.grid.cell
 
     def apply(self, f: SampledField) -> SampledField:
-        out = self.entries @ f.values.ravel() * self.quadrature_weight
+        out = self.entries @ f.values.ravel() * self.grid.cell
         return SampledField(self.grid, out)
-
-    def compose(self, other: "KernelMatrix") -> "KernelMatrix":
-        """Kernel of the composition self o other (matrix product with weight)."""
-        if self.grid != other.grid:
-            raise ValueError("kernel grids do not match")
-        return KernelMatrix(self.grid, self.entries @ other.entries * self.quadrature_weight)
 
 
 @dataclass(frozen=True)
@@ -195,41 +184,6 @@ def dft(f: SampledField, sign: int = -1) -> SampledField:
     g = f.grid
     scale = g.cell if sign == -1 else g.freq_cell
     return SampledField(g, _centered_fft(f.values, g.points_per_axis, sign) * scale)
-
-
-def translate(f: SampledField, x0: float) -> SampledField:
-    """(T_x0 f)(y) = f(y - x0) with zero fill (non-periodic semantics)."""
-    steps = x0 / f.grid.spacing
-    k = int(np.rint(steps))
-    if abs(steps - k) > 1e-9:
-        raise OffGrid(f"translation by {x0} is not a multiple of the spacing")
-    out = np.zeros_like(f.values)
-    if k >= 0:
-        out[k:] = f.values[:max(f.grid.size - k, 0)]
-    else:
-        out[:k] = f.values[-k:]
-    return SampledField(f.grid, out)
-
-
-def modulate(f: SampledField, xi0: float) -> SampledField:
-    """(M_xi0 f)(y) = exp(2*pi*i*xi0*y) f(y); xi0 need not be on-grid."""
-    return SampledField(f.grid, f.values * np.exp(2j * np.pi * (xi0 * f.grid.axis())))
-
-
-def delta_field(grid: GridSpec, j: int) -> SampledField:
-    """Scaled discrete delta at index j (value 1/h at one node)."""
-    v = np.zeros(grid.size, dtype=complex)
-    v[j] = 1.0 / grid.cell
-    return SampledField(grid, v)
-
-
-def kernel_of_operator(apply_op, grid: GridSpec) -> KernelMatrix:
-    """Matrix of a linear grid operator, column j = apply_op(delta_j)."""
-    m = grid.size
-    entries = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        entries[:, j] = apply_op(delta_field(grid, j)).values
-    return KernelMatrix(grid, entries)
 
 
 def compact_mask(grid: GridSpec, radius: float) -> np.ndarray:

@@ -26,9 +26,9 @@ from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, SymplecticBlocks,
 from . import _kernels
 
 
-def _signature(q: float, tol: float = 1e-12) -> int:
+def _signature(q: float) -> int:
     """Sign of the scalar quadratic form q y^2, refusing a degenerate one."""
-    if abs(q) <= tol * max(1.0, abs(q)):
+    if abs(q) <= 1e-12 * max(1.0, abs(q)):
         raise NotFree("degenerate quadratic form in phase composition")
     return 1 if q > 0 else -1
 
@@ -173,19 +173,19 @@ def build_propagator(s: SymplecticBlocks, grid: GridSpec,
 
 
 def propagator_for(h: QuadraticHamiltonian, t: float, grid: GridSpec,
-                   method: str = FAST_CHIRP_FFT, steps: int = 16) -> MetaplecticPropagator:
+                   method: str = FAST_CHIRP_FFT) -> MetaplecticPropagator:
     """Propagator exp(-itH0) with the continuity-resolved global phase."""
     s = flow(h, t)
-    return build_propagator(s, grid, method, phase_factor=resolve_phase(h, t, steps))
+    return build_propagator(s, grid, method, phase_factor=resolve_phase(h, t))
 
 
-def mehler_oracle(t: float, grid: GridSpec, tol: float = 1e-8) -> KernelMatrix:
+def mehler_oracle(t: float, grid: GridSpec) -> KernelMatrix:
     """Exact harmonic-oscillator kernel, assembled from the closed form.
 
     K(x,y) = c(t) |sin t|^(-1/2) exp(2*pi*i (cos t (x^2+y^2) - 2xy) / (2 sin t)).
     """
     st = np.sin(t)
-    if abs(st) <= tol:
+    if abs(st) <= 1e-8:
         raise NotFree(f"harmonic kernel degenerates at t = {t}")
     c = resolve_phase(QuadraticHamiltonian.harmonic(), t)
     x = grid.axis()

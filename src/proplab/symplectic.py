@@ -67,9 +67,11 @@ class SymplecticBlocks:
             raise DimensionUnsupported("only d = 1 symplectic matrices are supported")
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        # M^T J M = det(M) J for 2 x 2 matrices
-        defect = abs(self.a * self.d - self.b * self.c - 1.0)
-        if defect > 1e-10:
+        # M^T J M = det(M) J for 2 x 2 matrices; the rounding of det grows
+        # with its products, and an overflowed product gives NaN, which fails
+        ad, bc = self.a * self.d, self.b * self.c
+        defect = abs(ad - bc - 1.0) / max(1.0, abs(ad), abs(bc))
+        if not defect <= 1e-10:
             raise ValueError(f"blocks are not symplectic (defect {defect:.2e})")
 
     def matrix(self) -> np.ndarray:
@@ -118,82 +120,17 @@ def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:
     return SymplecticBlocks(1, ch + sh * gb, sh * gc, -sh * ga, ch - sh * gb)
 
 
-def is_free(s: SymplecticBlocks, tol: float | None = None):
-    """Whether |B| exceeds tol (by default 1e-8 max(1, |B|)); returns
-    (flag, B), B being det B in d = 1."""
-    if tol is None:
-        tol = 1e-8 * max(1.0, abs(s.b))
-    return abs(s.b) > tol, s.b
+def is_free(s: SymplecticBlocks):
+    """Whether |B| exceeds 1e-8 max(1, |B|); returns (flag, B), B being
+    det B in d = 1."""
+    return abs(s.b) > 1e-8 * max(1.0, abs(s.b)), s.b
 
 
-def phase_form(s: SymplecticBlocks, tol: float | None = None) -> PhaseQuadratic:
+def phase_form(s: SymplecticBlocks) -> PhaseQuadratic:
     """Generating quadratic form of a free symplectic matrix."""
-    free, det_b = is_free(s, tol)
+    free, det_b = is_free(s)
     if not free:
         raise NotFree(f"det B = {det_b:.3e} is below tolerance (exceptional time)")
     b_inv = 1.0 / s.b
     return PhaseQuadratic(s.d * b_inv, b_inv, b_inv * s.a)
 
-
-def exceptional_times(h: QuadraticHamiltonian, t_range, step: float, tol: float = 1e-6):
-    """Scan [t0, t1] for intervals where |det B_t| <= tol.
-
-    Roots of det B_t are located by sign changes plus bisection to 1e-10;
-    each root is widened to the surrounding |det| <= tol neighborhood.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    t0, t1 = t_range
-    if t1 <= t0:
-        return []
-    ts = np.arange(t0, t1 + step, step)
-    ts[-1] = min(ts[-1], t1)
-    dets = np.array([flow(h, t).b for t in ts])
-
-    roots = []
-    for i in range(len(ts) - 1):
-        a, b = ts[i], ts[i + 1]
-        fa, fb = dets[i], dets[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0:
-            while b - a > 1e-10:
-                mid = 0.5 * (a + b)
-                fm = flow(h, mid).b
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0:
-                    b, fb = mid, fm
-                else:
-                    a, fa = mid, fm
-            roots.append(0.5 * (a + b))
-    if dets[-1] == 0.0:
-        roots.append(ts[-1])
-
-    def widen(root, direction):
-        lo, hi = 0.0, step
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if abs(flow(h, root + direction * mid).b) <= tol:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12:
-                break
-        return lo
-
-    intervals = []
-    for r in roots:
-        w_lo = widen(r, -1.0)
-        w_hi = widen(r, +1.0)
-        intervals.append((max(t0, r - w_lo), min(t1, r + w_hi)))
-    intervals.sort()
-    merged = []
-    for lo, hi in intervals:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged

@@ -15,12 +15,11 @@ import numpy as np
 
 from .errors import EpsilonTooSmall
 from .grid import (GridSpec, PhaseGrid, SampledField, SymbolField,
-                   _centered_fft, _refine_axis, dft, field_from_function)
+                   _centered_fft, _refine_axis, field_from_function)
 
 
 INF_S = "inf-s"
 INF_1 = "inf-1"
-FL_1 = "fl-1"
 
 
 def default_window(grid: GridSpec) -> SampledField:
@@ -34,14 +33,12 @@ class StftSpec:
     """Window and lattice for the discrete STFT.
 
     lattice_step_x / lattice_step_xi are integer strides in grid samples and
-    frequency bins (1 = dense lattice).  weight_s is the exponent of the
-    (1 + |xi|)^s frequency weight used by the weighted sup norm.
+    frequency bins (1 = dense lattice).
     """
 
     window: SampledField
     lattice_step_x: int = 1
     lattice_step_xi: int = 1
-    weight_s: float = 0.0
 
     def __post_init__(self):
         n = self.grid.points_per_axis
@@ -103,15 +100,15 @@ def _stft_core(vals: np.ndarray, spec: StftSpec) -> np.ndarray:
 
 
 def _lattice_norm(v: np.ndarray, spec: StftSpec, kind: str,
-                  exponent: float | None) -> float:
+                  exponent: float = 0.0) -> float:
     """inf-s or inf-1 estimate from lattice STFT values whose first half of
-    axes are positions and second half frequencies (d = v.ndim / 2)."""
+    axes are positions and second half frequencies (d = v.ndim / 2); exponent
+    is the s of the (1 + |xi|)^s frequency weight of the inf-s norm."""
     d = v.ndim // 2
     mag = np.abs(v)
     if kind == INF_S:
-        s = spec.weight_s if exponent is None else exponent
         radii = np.sqrt(sum(np.ix_(*(spec.xi_axis() ** 2,) * d)))
-        return float(np.max(mag * (1.0 + radii) ** s))
+        return float(np.max(mag * (1.0 + radii) ** exponent))
     if kind == INF_1:
         profile = np.max(mag, axis=tuple(range(d)))
         return float(np.sum(profile) * spec.xi_cell ** d)
@@ -138,18 +135,12 @@ def stft_adjoint(mat: StftMatrix, spec: StftSpec) -> SampledField:
     return SampledField(spec.grid, acc * spec.x_cell * spec.xi_cell)
 
 
-def mod_norm(f: SampledField, spec: StftSpec, kind: str, exponent: float | None = None) -> float:
-    """Lattice estimator of M^infty_s, M^{infty,1} and FL^1_r norms.
+def mod_norm(f: SampledField, spec: StftSpec, kind: str, exponent: float = 0.0) -> float:
+    """Lattice estimator of the M^infty_s and M^{infty,1} norms.
 
-    inf-s: sup |V_g f| (1+|xi|)^s;  inf-1: sum_xi sup_x |V_g f| * cell;
-    fl-1 bypasses the STFT and weights |Ff| directly.
+    inf-s: sup |V_g f| (1+|xi|)^s with s = exponent;
+    inf-1: sum_xi sup_x |V_g f| * cell.
     """
-    if kind == FL_1:
-        g = f.grid
-        r = 0.0 if exponent is None else exponent
-        spec_f = dft(f, -1)
-        w = (1.0 + np.abs(g.freq_axis())) ** r
-        return float(np.sum(np.abs(spec_f.values) * w) * g.freq_cell)
     return _lattice_norm(stft(f, spec).values, spec, kind, exponent)
 
 

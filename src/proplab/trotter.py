@@ -56,10 +56,6 @@ class TrotterScenario:
                 f"t = {self.t} is an exceptional time (det B = {det_b:.2e}); "
                 "the limit kernel is distributional there", stacklevel=2)
 
-    @property
-    def potential_is_real(self) -> bool:
-        return bool(np.max(np.abs(self.potential.values.imag)) < 1e-14)
-
 
 SPECTRAL = "spectral"
 CHIRP = "chirp"
@@ -116,55 +112,31 @@ def _kinetic_matrix(sc: TrotterScenario, tau: float, method: str) -> np.ndarray:
     return kinetic_step(sc.hamiltonian, tau, sc.grid)
 
 
-def _step_matrix(sc: TrotterScenario, n: int, method: str,
-                 reverse_order: bool = False) -> np.ndarray:
-    """Weighted matrix of one product step, acting on plain sample vectors."""
+def _step_matrix(sc: TrotterScenario, n: int, method: str) -> np.ndarray:
+    """Weighted matrix of one product step, acting on plain sample vectors;
+    the potential factor acts first."""
     tau = sc.t / n
     kin = _kinetic_matrix(sc, tau, method)
-    phase = np.exp(-1j * tau * sc.potential.values.ravel())
-    if reverse_order:
-        return phase[:, None] * kin
-    return kin * phase[None, :]
+    return kin * np.exp(-1j * tau * sc.potential.values.ravel())[None, :]
 
 
 def _zero_potential(sc: TrotterScenario) -> bool:
     return bool(np.all(sc.potential.values == 0.0))
 
 
-def trotter_apply(sc: TrotterScenario, n: int, f: SampledField,
-                  method: str = SPECTRAL,
-                  reverse_order: bool = False) -> SampledField:
-    """E_n(t) f: n alternations of the potential phase and the kinetic step.
-
-    The potential factor acts first in each step; reverse_order swaps the two
-    (sensitivity studies only).  With V identically zero the step count is
-    irrelevant by the flow's group law, so the composed propagator at the
-    full time is applied directly (the discrete chirp quadratures do not
-    close under composition, so powering them would fabricate error here).
-    """
-    _require_method(sc.hamiltonian, method)
-    if _zero_potential(sc):
-        return SampledField(
-            sc.grid, propagator_for(sc.hamiltonian, sc.t, sc.grid).apply(f).values)
-    m = _step_matrix(sc, n, method, reverse_order)
-    vals = f.values.ravel()
-    for _ in range(n):
-        vals = m @ vals
-    return SampledField(sc.grid, vals)
-
-
-def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL,
-                   reverse_order: bool = False) -> KernelMatrix:
+def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
     """Kernel matrix of E_n(t), by binary powering of the one-step matrix.
 
-    V identically zero collapses to the composed propagator's kernel exactly,
-    for any n (group law of the flow).  method = CHIRP needs a free-particle
-    H0 (ValueError otherwise).
+    With V identically zero the step count is irrelevant by the flow's group
+    law, so the composed propagator's kernel at the full time is returned for
+    any n (the discrete chirp quadratures do not close under composition, so
+    powering them would fabricate error here).  method = CHIRP needs a
+    free-particle H0 (ValueError otherwise).
     """
     _require_method(sc.hamiltonian, method)
     if _zero_potential(sc):
         return propagator_for(sc.hamiltonian, sc.t, sc.grid).kernel()
-    m = _step_matrix(sc, n, method, reverse_order)
+    m = _step_matrix(sc, n, method)
     return KernelMatrix(sc.grid, np.linalg.matrix_power(m, n) / sc.grid.cell)
 
 
@@ -172,8 +144,9 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL,
 class ReferenceKernel:
     """High-n stand-in for the limit kernel with its Cauchy self-distance.
 
-    cauchy_tag = sup difference on the compact window between the reference_n
-    and reference_n/2 runs; errors below the tag are below the surrogate floor.
+    cauchy_tag = sup difference on the compact window |x|, |y| <= L/2 between
+    the reference_n and reference_n/2 runs; errors below the tag are below
+    the surrogate floor.
     """
 
     kernel: KernelMatrix
@@ -181,12 +154,10 @@ class ReferenceKernel:
     reference_n: int
 
 
-def reference_kernel(sc: TrotterScenario, radius: float | None = None) -> ReferenceKernel:
-    if radius is None:
-        radius = 0.5 * sc.grid.half_width
+def reference_kernel(sc: TrotterScenario) -> ReferenceKernel:
     k_ref = trotter_kernel(sc, sc.reference_n)
     k_half = trotter_kernel(sc, sc.reference_n // 2)
-    tag = sup_norm_on_compact(k_ref, k_half, radius)
+    tag = sup_norm_on_compact(k_ref, k_half, 0.5 * sc.grid.half_width)
     return ReferenceKernel(k_ref, tag, sc.reference_n)
 
 
@@ -212,7 +183,7 @@ def _kernel_lattice_stft(k: KernelMatrix, lattice_step: int = KERNEL_LATTICE_STE
 
 def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1,
                     lattice_step: int = KERNEL_LATTICE_STEP,
-                    exponent: float | None = None) -> float:
+                    exponent: float = 0.0) -> float:
     """Modulation-type norm of a kernel viewed as a function on the 2d plane.
 
     The 2d Gaussian window is the outer product of two 1d windows, so the 2d
@@ -252,29 +223,27 @@ def _windowed_fl1(diff: np.ndarray, grid: GridSpec, center) -> float:
     return float(np.sum(np.abs(spec * grid.cell**2)) * grid.freq_cell**2)
 
 
-def default_window_centers(grid: GridSpec, radius: float | None = None):
+def default_window_centers(grid: GridSpec):
     """3 x 3 grid of (x, y) bump centers inside the compact window."""
-    if radius is None:
-        radius = 0.5 * grid.half_width
-    c = 0.5 * radius
+    c = 0.25 * grid.half_width
     return tuple((cx, cy) for cx in (-c, 0.0, c) for cy in (-c, 0.0, c))
 
 
-def convergence_report(sc: TrotterScenario, window_centers=None,
-                       radius: float | None = None,
-                       weight_s: float = 2.5) -> ConvergenceReport:
+CONVERGENCE_WEIGHT_S = 2.5
+
+
+def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
     """Per-n error and boundedness diagnostics against the high-n reference.
 
     Each row carries the sup error on the compact window, the windowed
-    spectral l1 errors at the bump centers, and the two modulation norms of
-    the phase-factored kernel.  Step counts whose t/n hits an exceptional
-    time are skipped and listed, never silently replaced.
+    spectral l1 errors at the default bump centers, and the two modulation
+    norms of the phase-factored kernel (the weighted sup norm with exponent
+    CONVERGENCE_WEIGHT_S).  Step counts whose t/n hits an exceptional time
+    are skipped and listed, never silently replaced.
     """
-    if radius is None:
-        radius = 0.5 * sc.grid.half_width
-    if window_centers is None:
-        window_centers = default_window_centers(sc.grid, radius)
-    ref = reference_kernel(sc, radius)
+    radius = 0.5 * sc.grid.half_width
+    window_centers = default_window_centers(sc.grid)
+    ref = reference_kernel(sc)
     phi = phase_form(flow(sc.hamiltonian, sc.t))
     mask = compact_mask(sc.grid, radius)
 
@@ -293,14 +262,12 @@ def convergence_report(sc: TrotterScenario, window_centers=None,
         v, spec = _kernel_lattice_stft(factor_out_phase(k_n, phi))
         rows.append(ConvergenceRow(
             n, sup_err, windowed,
-            _lattice_norm(v, spec, INF_1, None),
-            _lattice_norm(v, spec, INF_S, weight_s)))
-    return ConvergenceReport(rows, skipped, ref.cauchy_tag,
-                             tuple(window_centers), radius)
+            _lattice_norm(v, spec, INF_1),
+            _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
+    return ConvergenceReport(rows, skipped, ref.cauchy_tag, window_centers, radius)
 
 
-def perturbation_split_report(sc: TrotterScenario, eps: float,
-                              n: int | None = None):
+def perturbation_split_report(sc: TrotterScenario, eps: float, n: int):
     """Size of the approximant's response to the rough part of the potential.
 
     V is split V = V1 + V2 with the high-frequency part V2 small in the
@@ -311,8 +278,6 @@ def perturbation_split_report(sc: TrotterScenario, eps: float,
     """
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    if n is None:
-        n = max(sc.n_list)
     spec = StftSpec(default_window(sc.grid))
     v1, _v2, _r = sjostrand_decompose(sc.potential, eps, spec)
     sc1 = TrotterScenario(sc.hamiltonian, v1, sc.t, sc.n_list, sc.grid,

@@ -7,9 +7,7 @@ refined onto the half-step x lattice,
     K[i, j] = G[i + j, (i - j) mod N],
     G[s, l] = dxi * sum_k sigma_ref[s, k] e^{2 pi i l h xi_k},
 
-and G is exactly N-periodic in the lag l because h * dxi = 1/N.  The inverse
-(symbol of a kernel) refines the kernel instead and transforms along the
-anti-diagonal, mirroring the Wigner transform of a rank-one kernel.
+and G is exactly N-periodic in the lag l because h * dxi = 1/N.
 
 Symbols are treated as periodic over the phase box; the experiments only feed
 grid-periodic band-limited symbols, for which every resampling here is exact.
@@ -21,10 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import NotFree
-from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField, SymbolField,
-                   _refine_axis)
+from .grid import GridSpec, KernelMatrix, SymbolField, _refine_axis
+from .metaplectic import build_propagator
 from .symplectic import PhaseQuadratic, SymplecticBlocks
-from .tfa import StftSpec, _lattice_windows, default_window
 
 
 def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:
@@ -74,66 +71,11 @@ def quantize_modes(coeffs: np.ndarray, freqs: np.ndarray, g: GridSpec) -> Kernel
     return _lag_quantize(_kernels.eval_fourier_modes(coeffs, freqs, mhalf, xihalf), g)
 
 
-def _fourier_shift(arr: np.ndarray, spacing: float, delta: float) -> np.ndarray:
-    """Samples of the periodic band-limited interpolant at points + delta
-    (along axis 0)."""
-    n = arr.shape[0]
-    fr = np.fft.fftfreq(n, d=spacing)
-    return np.fft.ifft(np.fft.fft(arr, axis=0)
-                       * np.exp(2j * np.pi * fr * delta)[:, None], axis=0)
-
-
-def symbol_of_kernel(k: KernelMatrix) -> SymbolField:
-    """sigma(x, xi) = Integral K(x + y/2, x - y/2) e^{-2 pi i y xi} dy.
-
-    Inverse of the periodized midpoint rule: each kernel entry is read as the
-    lag-transform slot with the shorter lag representative (|x - y| <= L on
-    the double cover), the off-parity midpoints come from a half-step
-    trigonometric shift, and the lag transform is inverted exactly.  This is
-    a two-sided inverse of weyl_quantize on symbols whose lag content stays
-    within half the box (|y| <= L); kernels with longer-range action get the
-    short-lag reading.
-    """
-    g = k.grid
-    n = g.points_per_axis
-    h = g.spacing
-    i = np.arange(n)
-    s = i[:, None] + i[None, :]
-    d = i[:, None] - i[None, :]
-    lag = np.zeros((2 * n, 2 * n), dtype=complex)
-    short = np.abs(d) <= n // 2
-    far = ~short
-    lag[s[short], d[short] % (2 * n)] = k.entries[short]
-    lag[(s[far] + n) % (2 * n), (d[far] + n) % (2 * n)] = k.entries[far]
-    # each lag column holds midpoints of one parity; shift to fill the other
-    lam = np.arange(2 * n)
-    even_l = lam[lam % 2 == 0]
-    odd_l = lam[lam % 2 == 1]
-    lag[1::2, even_l] = _fourier_shift(lag[0::2, even_l], h, 0.5 * h)
-    lag[0::2, odd_l] = _fourier_shift(lag[1::2, odd_l], h, -0.5 * h)
-    # invert G[s, lam] = (dxi/2) sum_k sigma[s, k] e^{2 pi i lam (k - N)/(2N)}
-    ref2 = np.fft.fft(lag[0::2, :] * (-1.0) ** lam[None, :], axis=1) * h
-    return SymbolField(PhaseGrid(g), ref2[:, 0::2])
-
-
-def multiplication_symbol(v: SampledField) -> SymbolField:
-    """sigma(x, xi) = V(x), the symbol of pointwise multiplication by V."""
-    n = v.grid.points_per_axis
-    return SymbolField(PhaseGrid(v.grid), np.repeat(v.values[:, None], n, axis=1))
-
-
-def twisted_product(sigma: SymbolField, rho: SymbolField) -> SymbolField:
-    """sigma # rho, computed through the kernel matrices of the two factors."""
-    if sigma.phase_grid != rho.phase_grid:
-        raise ValueError("symbol grids do not match")
-    return symbol_of_kernel(weyl_quantize(sigma).compose(weyl_quantize(rho)))
-
-
-def phase_fourier_modes(sigma: SymbolField, rel_tol: float = 1e-12):
+def phase_fourier_modes(sigma: SymbolField):
     """(coeffs, freqs) of the symbol's Fourier series over the phase box.
 
     Frequencies are (p, q) with p on the dual of the x axis (step 1/2L) and q
-    on the dual of the xi axis (step h); modes below rel_tol * max are dropped.
+    on the dual of the xi axis (step h); modes below 1e-12 * max are dropped.
     """
     g = sigma.phase_grid.base
     n = g.points_per_axis
@@ -143,24 +85,10 @@ def phase_fourier_modes(sigma: SymbolField, rel_tol: float = 1e-12):
     a = np.arange(n) - n // 2
     p = a * g.freq_spacing
     q = a * g.spacing
-    keep = np.abs(c) > rel_tol * np.max(np.abs(c))
+    keep = np.abs(c) > 1e-12 * np.max(np.abs(c))
     pa, qa = np.nonzero(keep)
     freqs = np.stack([p[pa], q[qa]], axis=-1)
     return c[pa, qa], freqs
-
-
-def compose_with_flow(sigma: SymbolField, s: SymplecticBlocks) -> SymbolField:
-    """sigma(S z) resampled on the phase grid by trigonometric interpolation.
-
-    The symbol is treated as periodic over the phase box, so transformed
-    points falling outside wrap around; exact for grid-periodic symbols.
-    """
-    pg = sigma.phase_grid
-    coeffs, freqs = phase_fourier_modes(sigma)
-    # q . (S z) = (S^T q) . z: the transformed modes on the untransformed mesh
-    vals = _kernels.eval_fourier_modes(coeffs, freqs @ s.matrix(),
-                                       pg.base.axis(), pg.base.freq_axis())
-    return SymbolField(pg, vals)
 
 
 def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolField:
@@ -201,22 +129,20 @@ def fio_matrix(phi: PhaseQuadratic, grid: GridSpec,
     return chirp
 
 
-def fio_swap_residual(sigma: SymbolField, phi: PhaseQuadratic,
-                      collar: int | None = None) -> float:
+def fio_swap_residual(sigma: SymbolField, phi: PhaseQuadratic) -> float:
     """Relative Frobenius residual of the symbol-through-FIO identity.
 
     The discrete sigma^w is periodic over the box while the oscillatory
     matrix is not, so the identity can only hold away from the wrap: the
-    residual is taken over output rows at least `collar` samples from the
-    box edge (default N/32).  For band-limited symbols the excluded rows
-    carry all of the mismatch and the interior residual is at rounding level.
+    residual is taken over output rows at least N/32 samples from the box
+    edge.  For band-limited symbols the excluded rows carry all of the
+    mismatch and the interior residual is at rounding level.
     """
     g = sigma.phase_grid.base
-    if collar is None:
-        collar = g.points_per_axis // 32
+    n = g.points_per_axis
     lhs = weyl_quantize(sigma).entries @ fio_matrix(phi, g) * g.cell
     rhs = fio_matrix(phi, g, conjugate_through_fio(sigma, phi).values)
-    keep = slice(collar, g.points_per_axis - collar)
+    keep = slice(n // 32, n - n // 32)
     return float(np.linalg.norm(lhs[keep] - rhs[keep]) / np.linalg.norm(rhs[keep]))
 
 
@@ -231,8 +157,6 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     invertible-stable and the residual reflects that, so state-level checks
     are the right tool there.
     """
-    from .metaplectic import build_propagator  # local import to avoid a cycle
-
     g = sigma.phase_grid.base
     h = g.cell
     coeffs, freqs = phase_fourier_modes(sigma)
@@ -249,42 +173,3 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     rhs = np.linalg.solve(mu_op, inner) / h
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
-
-def almost_diag_profile(sigma: SymbolField, lattice_step: int = 16):
-    """Shell maxima of |<sigma^w pi(z) phi, pi(w) phi>| over |w - z| = r.
-
-    phi is the unit Gaussian window; z, w run over a coarse phase lattice
-    (every lattice_step-th grid point in x and xi).  Returns a list of
-    (radius, peak) pairs sorted by radius and the fitted decay exponent of
-    log(peak) against log(1 + radius) over the nonzero tail.
-    """
-    g = sigma.phase_grid.base
-    n = g.points_per_axis
-    q = weyl_quantize(sigma).entries * g.cell
-
-    # columns pi(z) phi = M_xi T_x phi over tfa's lattice, position-major
-    spec = StftSpec(default_window(g), lattice_step, lattice_step)
-    xs = g.axis()[::lattice_step]
-    xis = spec.xi_axis()
-    waves = np.exp(2j * np.pi * xis[:, None] * g.axis()[None, :])
-    w = (_lattice_windows(spec)[:, None, :] * waves[None, :, :]).reshape(-1, n).T
-    zpts = np.stack([np.repeat(xs, len(xis)), np.tile(xis, len(xs))], axis=-1)
-    gram = (w.conj().T @ (q @ w)) * g.cell  # <sigma^w pi(z)phi, pi(w)phi>
-
-    diff = zpts[None, :, :] - zpts[:, None, :]
-    r = np.sqrt(np.sum(diff**2, axis=-1))
-    mags = np.abs(gram)
-    shells = {}
-    rr = np.round(r, 9)
-    for radius in np.unique(rr):
-        shells[float(radius)] = float(np.max(mags[rr == radius]))
-    table = sorted(shells.items())
-
-    tail = [(rad, pk) for rad, pk in table if rad > 0 and pk > 1e-300]
-    if len(tail) >= 2:
-        lr = np.log([1.0 + rad for rad, _ in tail])
-        lp = np.log([pk for _, pk in tail])
-        slope = float(np.polyfit(lr, lp, 1)[0])
-    else:
-        slope = 0.0
-    return table, slope

@@ -8,6 +8,7 @@ from proplab import EmptyTable
 from proplab.cli import Config, emit_svg, format_number, main, render_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def cfg_path(name):
@@ -89,10 +90,16 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
                  "[time]\nn_list = 4,8\n", id="random-band-too-wide"),
     pytest.param("exceptional", GRID + "[exceptional]\nt_star = 1.0\n",
                  id="t-star-not-exceptional"),
+    pytest.param("kernel", GRID + "[hamiltonian]\npreset = explicit\n"
+                 "a = 1.0\nb = 0.0\nc = 1.0\n", id="kernel-explicit-hamiltonian"),
+    pytest.param("flow", "[experiment]\nkind = converge\n" + GRID, id="kind-converge-for-flow"),
+    pytest.param("oracles", "[experiment]\nkind = flow\n[flow]\ncount = 20\n",
+                 id="kind-flow-for-oracles"),
 ])
 def test_malformed_config_exits_2_without_files(tmp_path, command, body):
     bad = tmp_path / "bad.ini"
-    bad.write_text(f"[experiment]\nkind = {command}\n" + body)
+    header = "" if body.startswith("[experiment]") else f"[experiment]\nkind = {command}\n"
+    bad.write_text(header + body)
     out = tmp_path / "out"
     out.mkdir()
     rc = main([command, "--config", str(bad), "--out", str(out), "--quiet"])
@@ -155,17 +162,51 @@ def test_failed_assertion_exits_nonzero(tmp_path):
     assert rc == 1
 
 
+def run_flow_range(tmp_path, t_range):
+    cfg = tmp_path / "flow.ini"
+    cfg.write_text(f"[experiment]\nkind = flow\nseed = 1\n[flow]\nt_range = {t_range}\n")
+    out = tmp_path / "out"
+    return main(["flow", "--config", str(cfg), "--out", str(out), "--quiet"]), out
+
+
+def test_large_flow_range_reports_failed_checks(tmp_path, capsys):
+    # entries near 1e3 round det - 1 above 1e-10; the suite's own
+    # symplectic_tol reports it instead of the blocks' constructor
+    rc, out = run_flow_range(tmp_path, "-50,50")
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "FAILED: symplectic defect" in err and "Traceback" not in err
+    text = (out / "flow.csv").read_text()
+    assert "nan" not in text and "inf" not in text
+
+
+def test_overflowing_flow_exits_1_without_files(tmp_path, capsys):
+    # cosh past 1e154 overflows det = a d - b c: one error line, no files
+    rc, out = run_flow_range(tmp_path, "-3000,3000")
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("ProplabError: flow case")
+    assert not out.exists()
+
+
+def run_python(*args):
+    """A fresh interpreter that imports proplab from this checkout."""
+    paths = [SRC_DIR, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env)
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, proplab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "proplab.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_python("-m", "proplab.cli", "--help")
     assert proc.returncode == 0
     for name in ("flow", "kernel", "converge", "modbound", "exceptional",
                  "perturb", "freeslice", "oracles"):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from proplab import (GridSpec, KernelMatrix, OffGrid, SampledField, dft,
-                     delta_field, field_from_function, kernel_of_operator,
-                     modulate, sup_norm_on_compact, translate)
+from proplab import (GridSpec, KernelMatrix, SampledField, dft,
+                     field_from_function, sup_norm_on_compact)
 
 
 def test_grid_validation():
@@ -45,51 +44,12 @@ def test_dft_gaussian_fixed_point(grid):
     assert np.max(np.abs(spec.values - expected)) < 1e-12
 
 
-def test_translate_on_grid(grid, packet):
-    shifted = translate(packet, 4.0 * grid.spacing)
-    assert np.allclose(shifted.values[4:], packet.values[:-4])
-    assert np.max(np.abs(shifted.values[:4])) == 0.0
-    for k in (-300, 300):   # beyond the box: zero fill leaves nothing
-        assert not np.any(translate(packet, k * grid.spacing).values)
-    with pytest.raises(OffGrid):
-        translate(packet, 0.3 * grid.spacing)
-
-
 def test_modulate_then_transform(grid, packet):
     xi0 = 8.0 * grid.freq_spacing
     spec0 = dft(packet, -1)
-    spec1 = dft(modulate(packet, xi0), -1)
+    modulated = SampledField(grid, packet.values * np.exp(2j * np.pi * xi0 * grid.axis()))
+    spec1 = dft(modulated, -1)
     assert np.max(np.abs(spec1.values[8:] - spec0.values[:-8])) < 1e-10
-
-
-def test_kernel_of_operator_matches_matrix(small_grid):
-    rng = np.random.default_rng(5)
-    m = rng.normal(size=(small_grid.size, small_grid.size)) \
-        + 1j * rng.normal(size=(small_grid.size, small_grid.size))
-
-    def apply_op(f):
-        return SampledField(small_grid, m @ f.values)
-
-    k = kernel_of_operator(apply_op, small_grid)
-    f = SampledField(small_grid, rng.normal(size=small_grid.size))
-    out = k.apply(f)
-    assert np.max(np.abs(out.values - m @ f.values)) < 1e-10
-
-
-def test_delta_field_reproduces_columns(small_grid):
-    d = delta_field(small_grid, 17)
-    assert abs(d.values[17] - 1.0 / small_grid.cell) < 1e-12
-    assert np.sum(np.abs(d.values)) * small_grid.cell == pytest.approx(1.0)
-
-
-def test_compose_is_matrix_product_with_weight(small_grid):
-    rng = np.random.default_rng(6)
-    a = KernelMatrix(small_grid, rng.normal(size=(small_grid.size,) * 2))
-    b = KernelMatrix(small_grid, rng.normal(size=(small_grid.size,) * 2))
-    f = SampledField(small_grid, rng.normal(size=small_grid.size))
-    lhs = a.compose(b).apply(f)
-    rhs = a.apply(b.apply(f))
-    assert np.max(np.abs(lhs.values - rhs.values)) < 1e-9
 
 
 def test_sup_norm_on_compact_window(small_grid):

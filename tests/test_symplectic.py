@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from proplab import (DimensionUnsupported, NotFree, QuadraticHamiltonian,
-                     SymplecticBlocks, exceptional_times, flow, is_free,
-                     phase_form)
+                     SymplecticBlocks, flow, is_free, phase_form)
 from proplab.rng import SplitMix64
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -129,21 +128,18 @@ def test_is_free_reports_det():
     assert not free and det_b == 0.0
 
 
-def test_exceptional_times_harmonic():
-    h = QuadraticHamiltonian.harmonic(1)
-    intervals = exceptional_times(h, (0.1, 7.0), 0.05)
-    centers = [0.5 * (lo + hi) for lo, hi in intervals]
-    assert len(centers) == 2
-    assert abs(centers[0] - np.pi) < 1e-6
-    assert abs(centers[1] - 2 * np.pi) < 1e-6
-
-
-def test_exceptional_times_free_particle_none():
-    h = QuadraticHamiltonian.free_particle(1)
-    assert exceptional_times(h, (0.1, 10.0), 0.1) == []
-
-
 def test_compose_blocks():
     h = QuadraticHamiltonian.harmonic(1)
     s = flow(h, 0.3).compose(flow(h, 0.4))
     assert np.allclose(s.matrix(), flow(h, 0.7).matrix(), atol=1e-13)
+
+
+def test_symplectic_check_scales_with_entries():
+    # det - 1 rounds with the size of a d and b c: a flow with entries near
+    # 1e5 must still pass, while a non-symplectic or overflowed matrix fails
+    h = QuadraticHamiltonian(1, 1.3, 0.4, -1.3)
+    assert np.max(np.abs(flow(h, 60.0).matrix())) > 1e5
+    with pytest.raises(ValueError):
+        SymplecticBlocks(1, 2.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        SymplecticBlocks(1, np.inf, 1.0, 1.0, np.inf)   # det = inf - inf = nan

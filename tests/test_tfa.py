@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proplab import (EpsilonTooSmall, INF_1, INF_S, FL_1, GridSpec,
+from proplab import (EpsilonTooSmall, INF_1, INF_S, GridSpec,
                      KernelMatrix, MeasurePotential, SampledField, StftSpec,
                      default_window, dft, field_from_function, kernel_mod_norm,
                      measure_norm_bound, measure_potential_field, mod_norm,
@@ -68,14 +68,6 @@ def test_inf1_dominates_sup(grid, spec):
     assert mod_norm(f, spec, INF_1) >= 0.2 * sup_f
 
 
-def test_fl1_of_pure_cosine(grid, spec):
-    x = grid.axis()
-    f = SampledField(grid, np.cos(2.0 * np.pi * x))
-    # spectrum is two atoms of weight 1/2 -> weighted l1 = (1+2)^r summed
-    assert mod_norm(f, spec, FL_1, exponent=0.0) == pytest.approx(1.0, abs=1e-10)
-    assert mod_norm(f, spec, FL_1, exponent=1.0) == pytest.approx(2.0, abs=1e-10)
-
-
 def wide_window(grid):
     w2 = field_from_function(grid, lambda x: np.exp(-np.pi * (x / 1.4) ** 2))
     return SampledField(grid, w2.values / w2.norm2())
@@ -105,7 +97,7 @@ def rel_err(a, b):
                                         ((2, 4), True)])
 def test_stft_matches_direct_sum(grid, steps, wide):
     window = wide_window(grid) if wide else default_window(grid)
-    spec = StftSpec(window, *steps, weight_s=1.5)
+    spec = StftSpec(window, *steps)
     f = band_limited(grid, 30, 40)
     ref = direct_stft(f, spec)
     assert rel_err(stft(f, spec).values, ref) < 1e-12
@@ -115,7 +107,7 @@ def test_stft_matches_direct_sum(grid, steps, wide):
     assert rel_err(frequency_profile(f, spec), profile) < 1e-12
     assert mod_norm(f, spec, INF_1) == pytest.approx(
         np.sum(profile) * spec.xi_cell, rel=1e-12)
-    assert mod_norm(f, spec, INF_S) == pytest.approx(
+    assert mod_norm(f, spec, INF_S, exponent=1.5) == pytest.approx(
         np.max(mag * (1.0 + np.abs(xi)) ** 1.5), rel=1e-12)
     assert cross_ambiguity_l1(spec) == pytest.approx(
         np.sum(np.abs(direct_stft(window, spec))) * spec.x_cell * spec.xi_cell,
