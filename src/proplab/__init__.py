@@ -6,8 +6,7 @@ and the time-sliced product approximation with rough bounded potentials.
 """
 
 from .errors import (ConfigError, DimensionUnsupported, EmptyTable,
-                     EpsilonTooSmall, NotFree, PathThroughExceptional,
-                     ProplabError)
+                     EpsilonTooSmall, NotFree, ProplabError)
 from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField,
                    SymbolField, dft, field_from_function, sup_norm_on_compact)
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian,

@@ -14,10 +14,6 @@ class EpsilonTooSmall(ProplabError):
     """The requested decomposition budget is below the grid truncation floor."""
 
 
-class PathThroughExceptional(ProplabError):
-    """Phase continuation could not isolate a free factorization of the flow."""
-
-
 class DimensionUnsupported(ProplabError):
     """Operation restricted to lower dimension than requested."""
 

@@ -9,8 +9,7 @@ fast path  chirp -> Fourier transform resampled at B^(-1) x via a Bluestein
 chirp-Z transform -> chirp.  Both paths evaluate the identical discrete sum.
 
 The unit phase c is fixed by continuity of the metaplectic lift from t = 0:
-short steps get the stationary-phase (Fresnel) value, and compositions pick
-up the signature of the intermediate Gaussian integral.
+it counts the zeros of B_s (the exceptional times) crossed on the way to t.
 """
 
 from __future__ import annotations
@@ -19,75 +18,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotFree, PathThroughExceptional
+from .errors import NotFree
 from .grid import GridSpec, KernelMatrix, SampledField
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, SymplecticBlocks,
                          flow, phase_form)
 from . import _kernels
 
 
-def _signature(q: float) -> int:
-    """Sign of the scalar quadratic form q y^2, refusing a degenerate one."""
-    if abs(q) <= 1e-12 * max(1.0, abs(q)):
-        raise NotFree("degenerate quadratic form in phase composition")
-    return 1 if q > 0 else -1
-
-
-def stationary_phase_factor(phase: PhaseQuadratic) -> complex:
-    """Fresnel phase of a single near-identity free step: exp(-i*pi*sig/4)."""
-    sig = _signature(phase.m_yy)
-    return np.exp(-0.25j * np.pi * sig)
-
-
-def compose_phase_factor(c1: complex, p1: PhaseQuadratic,
-                         c2: complex, p2: PhaseQuadratic) -> complex:
-    """Phase of mu(S1)mu(S2) given the factors' phases.
-
-    The intermediate Gaussian integral over the shared variable contributes
-    exp(i*pi*sig(Q)/4) with Q = Myy(S1) + Mxx(S2).
+def resolve_phase(h: QuadraticHamiltonian, t: float) -> complex:
+    """Unit phase c(t) = exp(-i pi sgn(c t) (2m + 1) / 4) of mu(A_t),
+    continuous in t from c(0) = 1: each of the m zeros of B_s strictly between
+    0 and t turns it by exp(-i pi sgn(c t) / 2), as in Mehler's kernel.  B_s
+    vanishes only for ac > b^2, where the flow's angle |t| sqrt(ac - b^2) / 2pi
+    passes k pi; m is reduced mod 4 so a huge angle stays exact.
     """
-    q = p1.m_yy + p2.m_xx
-    return c1 * c2 * np.exp(0.25j * np.pi * _signature(q))
-
-
-def resolve_phase(h: QuadraticHamiltonian, t: float, steps: int = 16) -> complex:
-    """Continuity-resolved unit phase c(t) of mu(A_t), lifted from c(0) = 1.
-
-    Composes `steps` short free factors analytically (no grids involved); the
-    result is exact in exact arithmetic, hence stable under refining `steps`.
-    """
-    if t == 0.0:
-        return 1.0 + 0.0j
-    last_err = None
-    for m in _step_candidates(steps):
-        try:
-            return _resolve_phase_fixed(h, t, m)
-        except NotFree as err:
-            last_err = err
-    raise PathThroughExceptional(
-        f"could not find a free factorization of the flow up to t={t}: {last_err}")
-
-
-def _step_candidates(steps: int):
-    yield steps
-    yield steps + 1
-    yield 2 * steps
-    yield 2 * steps + 1
-    yield 3 * steps + 2
-
-
-def _resolve_phase_fixed(h: QuadraticHamiltonian, t: float, m: int) -> complex:
-    tau = t / m
-    s_step = flow(h, tau)
-    if np.max(np.abs(s_step.matrix() - np.eye(2))) > 0.75:
-        raise NotFree("step flow is not near-identity; refine steps")
-    p_step = phase_form(s_step)
-    c = stationary_phase_factor(p_step)
-    c_acc = c
-    for k in range(2, m + 1):
-        p_acc = phase_form(flow(h, (k - 1) * tau))
-        c_acc = compose_phase_factor(c_acc, p_acc, c, p_step)
-    return c_acc
+    omega = h.a * h.c - h.b * h.b
+    m = 0.0
+    if omega > 0.0:
+        s = abs(t) * np.sqrt(omega) / (2.0 * np.pi)
+        m = (np.ceil(s / np.pi) - 1.0) % 4.0
+    return np.exp(-0.25j * np.pi * np.sign(h.c * t) * (2.0 * m + 1.0))
 
 
 QUADRATURE = "quadrature"
@@ -98,7 +48,6 @@ FAST_CHIRP_FFT = "fast-chirp-fft"
 class MetaplecticPropagator:
     """mu(A) realized on a grid; immutable after construction."""
 
-    blocks: SymplecticBlocks
     phase: PhaseQuadratic
     abs_det_b: float
     phase_factor: complex
@@ -157,26 +106,19 @@ class MetaplecticPropagator:
         return KernelMatrix(self.grid, self.kernel_entries().copy())
 
 
-def build_propagator(s: SymplecticBlocks, grid: GridSpec,
-                     method: str = FAST_CHIRP_FFT,
-                     phase_factor: complex | None = None) -> MetaplecticPropagator:
-    """Grid realization of mu(S) for a free S.
-
-    Without an explicit phase_factor the single-step stationary-phase value is
-    used; pass the continuity-resolved phase (resolve_phase) when S sits on a
-    flow path crossing exceptional times.
-    """
+def build_propagator(s: SymplecticBlocks, grid: GridSpec, method: str,
+                     phase_factor: complex) -> MetaplecticPropagator:
+    """Grid realization of mu(S) for a free S with the given unit phase; the
+    phase of a flow A_t is resolve_phase(h, t)."""
     phase = phase_form(s)  # raises NotFree unless S is free
-    if phase_factor is None:
-        phase_factor = stationary_phase_factor(phase)
-    return MetaplecticPropagator(s, phase, abs(s.b), phase_factor, method, grid)
+    return MetaplecticPropagator(phase, abs(s.b), phase_factor, method, grid)
 
 
 def propagator_for(h: QuadraticHamiltonian, t: float, grid: GridSpec,
                    method: str = FAST_CHIRP_FFT) -> MetaplecticPropagator:
     """Propagator exp(-itH0) with the continuity-resolved global phase."""
     s = flow(h, t)
-    return build_propagator(s, grid, method, phase_factor=resolve_phase(h, t))
+    return build_propagator(s, grid, method, resolve_phase(h, t))
 
 
 def mehler_oracle(t: float, grid: GridSpec) -> KernelMatrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupported, NotFree
+from .errors import DimensionUnsupported, NotFree, ProplabError
 
 
 @dataclass(frozen=True)
@@ -102,6 +102,7 @@ class PhaseQuadratic:
         return 0.5 * (x * self.m_xx * x) - y * self.m_xy * x + 0.5 * (y * self.m_yy * y)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the det = 1 check reports it
 def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:
     """A_t = exp((t / 2pi) G) in closed form (see the module docstring)."""
     if not np.isfinite(t):
@@ -117,7 +118,10 @@ def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:
         ch, sh = np.cosh(s), np.sinh(s) / s
     else:
         ch, sh = 1.0, 1.0
-    return SymplecticBlocks(1, ch + sh * gb, sh * gc, -sh * ga, ch - sh * gb)
+    try:
+        return SymplecticBlocks(1, ch + sh * gb, sh * gc, -sh * ga, ch - sh * gb)
+    except ValueError as err:  # det = 1 fails once a d or b c overflows the floats
+        raise ProplabError(f"flow at t = {t!r}: {err}")
 
 
 def is_free(s: SymplecticBlocks):

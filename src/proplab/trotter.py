@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFree
 from .grid import (GridSpec, KernelMatrix, SampledField, _centered_fft,
                    compact_mask, sup_norm_on_compact)
 from .metaplectic import propagator_for
@@ -206,7 +205,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceReport:
     rows: list
-    skipped: list
     cauchy_tag: float
     window_centers: tuple
     radius: float
@@ -238,8 +236,7 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
     Each row carries the sup error on the compact window, the windowed
     spectral l1 errors at the default bump centers, and the two modulation
     norms of the phase-factored kernel (the weighted sup norm with exponent
-    CONVERGENCE_WEIGHT_S).  Step counts whose t/n hits an exceptional time
-    are skipped and listed, never silently replaced.
+    CONVERGENCE_WEIGHT_S).
     """
     radius = 0.5 * sc.grid.half_width
     window_centers = default_window_centers(sc.grid)
@@ -248,13 +245,8 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
     mask = compact_mask(sc.grid, radius)
 
     rows = []
-    skipped = []
     for n in sc.n_list:
-        try:
-            k_n = trotter_kernel(sc, n)
-        except NotFree:
-            skipped.append(n)
-            continue
+        k_n = trotter_kernel(sc, n)
         diff = k_n.entries - ref.kernel.entries
         sup_err = float(np.abs(diff[np.ix_(mask, mask)]).max())
         windowed = tuple(_windowed_fl1(diff, sc.grid, z) for z in window_centers)
@@ -264,7 +256,7 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
             n, sup_err, windowed,
             _lattice_norm(v, spec, INF_1),
             _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
-    return ConvergenceReport(rows, skipped, ref.cauchy_tag, window_centers, radius)
+    return ConvergenceReport(rows, ref.cauchy_tag, window_centers, radius)
 
 
 def perturbation_split_report(sc: TrotterScenario, eps: float, n: int):

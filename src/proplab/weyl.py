@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import NotFree
 from .grid import GridSpec, KernelMatrix, SymbolField, _refine_axis
-from .metaplectic import build_propagator
+from .metaplectic import QUADRATURE, build_propagator
 from .symplectic import PhaseQuadratic, SymplecticBlocks
 
 
@@ -168,7 +168,7 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
         mu_op = np.eye(g.size, dtype=complex)
     else:
         # the unit phase cancels between mu and mu^{-1}, so fix it to 1
-        mu_op = build_propagator(s, g, phase_factor=1.0 + 0.0j).kernel_entries() * h
+        mu_op = build_propagator(s, g, QUADRATURE, 1.0).kernel_entries() * h
     inner = weyl_quantize(sigma).entries * h @ mu_op
     rhs = np.linalg.solve(mu_op, inner) / h
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))

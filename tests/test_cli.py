@@ -76,11 +76,24 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
                  "[time]\nn_list = 4,8\n", id="points-off-kernel-lattice"),
     pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\nn = 0\n",
                  id="perturb-n-zero"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 0.1\n",
+                 id="eps-list-one-value"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 0.1,0.1\n",
+                 id="eps-list-repeated-value"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\n"
+                 "check_decomposition = true\n", id="check-decomposition-true"),
     pytest.param("kernel", GRID + "[hamiltonian]\npreset = free\n[kernel]\nradius = -1\n",
                  id="kernel-radius-negative"),
     pytest.param("flow", "[flow]\ncount = 0\n", id="flow-count-zero"),
     pytest.param("oracles", "[oracles]\nchecks = measure_bound\nmeasure_sets = 0\n",
                  id="measure-sets-zero"),
+    pytest.param("oracles", "[oracles]\nmeasure_sets = 0\n", id="measure-sets-zero-all-checks"),
+    pytest.param("oracles", "[oracles]\nchecks = ,\n", id="oracle-checks-empty"),
+    pytest.param("converge", GRID + "[potential]\npreset = cosine-sum\n"
+                 "terms = 1e308:1, 1e308:1\n[time]\nn_list = 4,8\n",
+                 id="cosine-terms-overflow", marks=pytest.mark.filterwarnings("error")),
+    pytest.param("kernel", "[grid]\nhalf_width = 8.0\npoints = 1048576\n"
+                 "[hamiltonian]\npreset = free\n", id="points-above-1024"),
     pytest.param("converge", GRID + "[potential]\npreset = cosine-sum\nterms = inf:1\n"
                  "[time]\nn_list = 4,8\n", id="cosine-terms-inf"),
     pytest.param("converge", GRID + "[potential]\npreset = measure-atoms\natoms = 1:inf\n"
@@ -186,6 +199,29 @@ def test_overflowing_flow_exits_1_without_files(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("ProplabError: flow case")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    pytest.param("kernel", GRID + "[hamiltonian]\npreset = free\n[time]\nt = 1e308\n",
+                 id="kernel"),
+    pytest.param("exceptional", GRID + "[exceptional]\nt_star = 1e308\n", id="t-star"),
+    pytest.param("exceptional", GRID + "[exceptional]\nt_star = 3.141592653589793\n"
+                 "offsets = 1e308\n", id="offsets"),
+    pytest.param("converge", GRID + "[time]\nt = 1e308\nn_list = 4,8\n", id="converge"),
+    pytest.param("modbound", GRID + "[time]\nt = 1e308\nn_list = 4,8\n", id="modbound"),
+    pytest.param("freeslice", GRID + "[time]\nt = 1e308\n", id="freeslice"),
+])
+@pytest.mark.filterwarnings("error")  # an overflow warning would add stderr lines
+def test_overflowing_time_exits_1_without_files(tmp_path, capsys, command, body):
+    # the flow's entries leave the float range: one error line, no files
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(f"[experiment]\nkind = {command}\n" + body)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("ProplabError: flow at t =")
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ from proplab import (FAST_CHIRP_FFT, QUADRATURE, GridSpec, KernelMatrix,
                      NotFree, QuadraticHamiltonian, build_propagator, dft,
                      flow, mehler_oracle, propagator_for, resolve_phase,
                      sup_norm_on_compact)
+from proplab.trotter import kinetic_step
 
 
 def analytic_free_kernel(grid, t):
@@ -68,10 +69,29 @@ def test_resolve_phase_continuity_past_exceptional():
     assert abs(ratio - np.exp(-0.5j * np.pi)) < 1e-10
 
 
-def test_resolve_phase_stable_under_refinement():
-    h = QuadraticHamiltonian.harmonic(1)
-    assert abs(resolve_phase(h, 2.0, steps=16)
-               - resolve_phase(h, 2.0, steps=64)) < 1e-12
+@pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
+                               QuadraticHamiltonian(1, 2.0 * np.pi, 1.0, 2.0 * np.pi)],
+                         ids=["harmonic", "cross-term"])
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3, 7])
+def test_phase_matches_spectral_step_across_exceptional_times(grid, packet, h, k):
+    # the spectral step exp(-itH_grid) involves no phase logic, so it checks
+    # the crossing count independently, on both sides of t = 0 and up to
+    # eight exceptional times out
+    omega = np.sqrt(h.a * h.c - h.b**2) / (2.0 * np.pi)
+    t = 0.8 + k * np.pi / omega
+    spectral = kinetic_step(h, t, grid) @ packet.values
+    chirp = propagator_for(h, t, grid).apply(packet).values
+    assert np.max(np.abs(spectral - chirp)) < 1e-8
+
+
+@pytest.mark.parametrize("t", [6.0, 10.0, -8.0])
+def test_free_kernel_at_long_times(t):
+    grid = GridSpec(1, 12.0, 1024)
+    h = QuadraticHamiltonian.free_particle(1)
+    prop = propagator_for(h, t, grid, method=QUADRATURE)
+    ana = analytic_free_kernel(grid, t)
+    err = sup_norm_on_compact(prop.kernel(), KernelMatrix(grid, ana), 6.0)
+    assert err / float(np.max(np.abs(ana))) < 1e-12
 
 
 def test_propagator_unitary_on_packets(grid, packet):
@@ -93,7 +113,7 @@ def test_harmonic_quarter_period_is_fourier(grid, packet):
 def test_build_propagator_rejects_exceptional(grid):
     h = QuadraticHamiltonian.harmonic(1)
     with pytest.raises(NotFree):
-        build_propagator(flow(h, np.pi), grid)
+        build_propagator(flow(h, np.pi), grid, QUADRATURE, 1.0)
 
 
 def test_mehler_oracle_rejects_degenerate(grid):

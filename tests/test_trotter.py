@@ -85,7 +85,6 @@ def test_convergence_report_decreases(grid):
     sup = [r.sup_error for r in rep.rows]
     assert all(a > b for a, b in zip(sup, sup[1:]))
     assert rep.cauchy_tag > 0.0
-    assert rep.skipped == []
     assert len(rep.rows[0].windowed) == 9
 
 
