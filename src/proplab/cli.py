@@ -411,6 +411,7 @@ def _scenario(cfg: Config):
     t = cfg.get_float("time", "t", 1.0)
     n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int)
     ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list))
+    phase_form(flow(h, t))  # NotFree at an exceptional t, before any numerics
     return _trotter_scenario(h, v, t, n_list, grid, ref_n)
 
 
@@ -549,6 +550,7 @@ def run_freeslice(cfg: Config, out: dict):
                           f"{n_list}")
     tol = cfg.get_float("freeslice", "tolerance", 1e-8)
     h = QuadraticHamiltonian.free_particle(1)
+    phase_form(flow(h, t))  # NotFree at t = 0, before any numerics
     failures = []
     rows = []
     for n in n_list:

@@ -4,9 +4,12 @@ diagnostics used by the experiment layer.
 
 The approximant is E_n(t) = (exp(-i(t/n)H0) exp(-i(t/n)V))^n, realized on the
 grid as n alternations of a pointwise potential phase with the metaplectic
-step kernel.  The n-step kernel is assembled by binary powering of the single
-weighted step matrix, which is identical to composing the step operator n
-times.  A high-n run stands in for the limit kernel, carrying its own Cauchy
+step kernel.  The n-step kernel is assembled by binary powering of the
+Strang-conjugated step diag(q) K diag(q), q = exp(-i(t/n)V/2), which equals
+the n-fold product of K diag(q^2) once the outer factors of q are undone.
+That step is complex symmetric whenever the kinetic matrix K is, as it is
+for a symbol with no cross term, so every squaring is a z @ z.T product.
+A high-n run stands in for the limit kernel, carrying its own Cauchy
 self-distance so the surrogate error stays visible in every report.
 """
 
@@ -53,7 +56,7 @@ class TrotterScenario:
         if not free:
             warnings.warn(
                 f"t = {self.t} is an exceptional time (det B = {det_b:.2e}); "
-                "the limit kernel is distributional there", stacklevel=2)
+                "the limit kernel is distributional there", stacklevel=3)
 
 
 SPECTRAL = "spectral"
@@ -66,13 +69,16 @@ def hamiltonian_matrix(h: QuadraticHamiltonian, grid: GridSpec) -> np.ndarray:
     (1/2)A x^2 quantizes to a diagonal, (1/2)C xi^2 to a Fourier multiplier,
     and the cross term B x xi to the symmetrized product (XD + DX)/2; this is
     the exact Weyl correspondence for polynomial symbols, realized with the
-    grid's unitary Fourier transform.
+    grid's unitary Fourier transform.  The multiplier is real (its symbol is
+    even and the unpaired Nyquist mode is real), so with B = 0 the matrix is
+    real symmetric; the cross term makes it complex Hermitian.
     """
     x = grid.axis()
     xi = grid.freq_axis()
     fwd = np.exp(-2j * np.pi * np.outer(xi, x)) * grid.cell
     inv = np.exp(2j * np.pi * np.outer(x, xi)) * grid.freq_cell
-    mat = 0.5 * h.a * np.diag(x**2) + inv @ ((0.5 * h.c * xi**2)[:, None] * fwd)
+    mat = 0.5 * h.a * np.diag(x**2) \
+        + (inv @ ((0.5 * h.c * xi**2)[:, None] * fwd)).real
     if h.b != 0.0:
         d_op = inv @ (xi[:, None] * fwd)
         xd = x[:, None] * d_op
@@ -111,12 +117,30 @@ def _kinetic_matrix(sc: TrotterScenario, tau: float, method: str) -> np.ndarray:
     return kinetic_step(sc.hamiltonian, tau, sc.grid)
 
 
-def _step_matrix(sc: TrotterScenario, n: int, method: str) -> np.ndarray:
-    """Weighted matrix of one product step, acting on plain sample vectors;
-    the potential factor acts first."""
-    tau = sc.t / n
-    kin = _kinetic_matrix(sc, tau, method)
-    return kin * np.exp(-1j * tau * sc.potential.values.ravel())[None, :]
+def _power_step(z: np.ndarray, q: np.ndarray, n: int,
+                symmetric: bool) -> np.ndarray:
+    """(z diag(q^2))^n by binary powering; z is overwritten, and the caller
+    passes a temporary so that no reference keeps it alive.
+
+    With S = diag(q) z diag(q) the step is diag(q)^-1 S diag(q), so its
+    n-th power is diag(q)^-1 S^n diag(q).  When z is complex symmetric so
+    are S and all its squares, and each squaring is z @ z.T, which numpy
+    hands to BLAS zsyrk: it computes one triangle, about 40% less time than
+    the general product.
+    """
+    z *= q[:, None]
+    z *= q[None, :]
+    res = None
+    while True:
+        if n & 1:
+            res = z if res is None else res @ z
+        n >>= 1
+        if not n:
+            break
+        z = z @ (z.T if symmetric else z)
+    res /= q[:, None]
+    res *= q[None, :]
+    return res
 
 
 def _zero_potential(sc: TrotterScenario) -> bool:
@@ -124,7 +148,7 @@ def _zero_potential(sc: TrotterScenario) -> bool:
 
 
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
-    """Kernel matrix of E_n(t), by binary powering of the one-step matrix.
+    """Kernel matrix of E_n(t), by binary powering of the symmetrized step.
 
     With V identically zero the step count is irrelevant by the flow's group
     law, so the composed propagator's kernel at the full time is returned for
@@ -135,8 +159,15 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     _require_method(sc.hamiltonian, method)
     if _zero_potential(sc):
         return propagator_for(sc.hamiltonian, sc.t, sc.grid).kernel()
-    m = _step_matrix(sc, n, method)
-    return KernelMatrix(sc.grid, np.linalg.matrix_power(m, n) / sc.grid.cell)
+    tau = sc.t / n
+    # b = 0, which the chirp step also requires, makes both kinetic matrices
+    # complex symmetric: H_grid is real symmetric, and the free chirp is
+    # symmetric in x and y
+    m = _power_step(_kinetic_matrix(sc, tau, method),
+                    np.exp(-0.5j * tau * sc.potential.values.ravel()), n,
+                    symmetric=sc.hamiltonian.b == 0.0)
+    m /= sc.grid.cell
+    return KernelMatrix(sc.grid, m)
 
 
 @dataclass
@@ -300,10 +331,12 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
         raise ValueError("potential grid does not match")
     tau = t / n
     x = grid.axis()
-    one_step = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * tau)) \
-        / np.sqrt(2j * np.pi * tau)
-    step = one_step * np.exp(-1j * tau * v.values)[None, :] * grid.cell
-    total = np.linalg.matrix_power(step, n) / grid.cell
+    # the chirp depends on (x - y)^2 only, so it is exactly symmetric
+    total = _power_step(
+        np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * tau))
+        * (grid.cell / np.sqrt(2j * np.pi * tau)),
+        np.exp(-0.5j * tau * v.values), n, symmetric=True)
+    total /= grid.cell
     return KernelMatrix(grid, total)
 
 

@@ -225,6 +225,25 @@ def test_overflowing_time_exits_1_without_files(tmp_path, capsys, command, body)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,t", [("converge", "3.141592653589793"),
+                                       ("modbound", "3.141592653589793"),
+                                       ("perturb", "3.141592653589793"),
+                                       ("freeslice", "0.0")])
+@pytest.mark.filterwarnings("error")  # the scenario's warning would add a line
+def test_exceptional_time_exits_1_before_numerics(tmp_path, capsys, command, t):
+    # B_t = sin t (harmonic) vanishes at t = pi, and B_t = t (free, as
+    # freeslice uses) at t = 0: NotFree before any powering
+    cfg = tmp_path / "exceptional.ini"
+    cfg.write_text(f"[experiment]\nkind = {command}\n" + GRID
+                   + f"[time]\nt = {t}\nn_list = 4,8\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("NotFree:")
+    assert not out.exists()
+
+
 def run_python(*args):
     """A fresh interpreter that imports proplab from this checkout."""
     paths = [SRC_DIR, os.environ.get("PYTHONPATH", "")]

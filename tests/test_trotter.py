@@ -1,13 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from proplab import (CHIRP, QuadraticHamiltonian,
+from proplab import (CHIRP, GridSpec, QuadraticHamiltonian,
                      SampledField, TrotterScenario, convergence_report,
                      exceptional_blowup_scan, factor_out_phase, flow,
                      kernel_mod_norm, perturbation_split_report, phase_form,
                      propagator_for, reference_kernel, time_slice_free_kernel,
                      trotter_kernel)
-from proplab.trotter import hamiltonian_matrix, kinetic_step
+from proplab.trotter import _eig, hamiltonian_matrix, kinetic_step
 
 
 def cosine_potential(grid, amp=1.0, freq=1.0):
@@ -28,6 +30,33 @@ def test_grid_harmonic_spectrum(grid):
         QuadraticHamiltonian.harmonic(1), grid))
     k = np.arange(40)
     assert np.max(np.abs(w[:40] - (k + 0.5))) < 1e-9
+
+
+CROSS_TERM = QuadraticHamiltonian(1, 2.0 * np.pi, 1.0, 2.0 * np.pi)
+
+
+def complex_hamiltonian(h, grid):
+    """hamiltonian_matrix without taking the real part of the multiplier."""
+    x, xi = grid.axis(), grid.freq_axis()
+    fwd = np.exp(-2j * np.pi * np.outer(xi, x)) * grid.cell
+    inv = np.exp(2j * np.pi * np.outer(x, xi)) * grid.freq_cell
+    mat = 0.5 * h.a * np.diag(x**2) + inv @ ((0.5 * h.c * xi**2)[:, None] * fwd)
+    d_op = inv @ (xi[:, None] * fwd)
+    xd = x[:, None] * d_op
+    mat = mat + 0.5 * h.b * (xd + xd.conj().T)
+    return 0.5 * (mat + mat.conj().T)
+
+
+@pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
+                               QuadraticHamiltonian.free_particle(1), CROSS_TERM],
+                         ids=["harmonic", "free", "cross-term"])
+def test_hamiltonian_matrix_is_real_without_cross_term(grid, h):
+    mat = hamiltonian_matrix(h, grid)
+    w, u = _eig(h, grid)
+    assert np.isrealobj(mat) == (h.b == 0.0) == np.isrealobj(u)
+    assert np.array_equal(mat, mat.conj().T)
+    w_old = np.linalg.eigvalsh(complex_hamiltonian(h, grid))
+    assert np.max(np.abs(w - w_old)) < 1e-12 * np.max(np.abs(w_old))
 
 
 def test_kinetic_step_unitary_semigroup(grid):
@@ -159,6 +188,77 @@ def test_free_slice_matches_product_kernel(grid):
         ks = time_slice_free_kernel(v.copy(), 1.0, n, grid)
         scale = np.max(np.abs(kt.entries))
         assert np.max(np.abs(kt.entries - ks.entries)) / scale < 1e-8
+
+
+def matrix_power_kernel(sc, n, method):
+    """E_n(t) from np.linalg.matrix_power of the unsymmetrized step."""
+    tau = sc.t / n
+    if method == CHIRP:
+        kin = propagator_for(sc.hamiltonian, tau, sc.grid).kernel_entries() \
+            * sc.grid.cell
+    else:
+        kin = kinetic_step(sc.hamiltonian, tau, sc.grid)
+    phase = np.exp(-1j * tau * sc.potential.values)
+    return np.linalg.matrix_power(kin * phase[None, :], n) / sc.grid.cell
+
+
+@pytest.mark.parametrize("h,potential,method,n_values", [
+    pytest.param(QuadraticHamiltonian.harmonic(1), "cos", "spectral",
+                 (1, 3, 4, 7, 64), id="harmonic"),
+    pytest.param(CROSS_TERM, "cos", "spectral", (3, 8), id="cross-term"),
+    pytest.param(QuadraticHamiltonian.harmonic(1), "complex", "spectral", (8,),
+                 id="complex-potential"),
+    pytest.param(QuadraticHamiltonian.free_particle(1), "cos", CHIRP, (1, 3, 8),
+                 id="chirp"),
+])
+def test_powering_matches_matrix_power(grid, h, potential, method, n_values):
+    # odd n reach the res @ z multiply; b != 0 squares with the general
+    # product; a complex V makes |q| != 1 in the symmetrized step
+    x = grid.axis()
+    values = np.cos(2.0 * np.pi * x)
+    if potential == "complex":
+        values = values + 0.3j * np.sin(2.0 * np.pi * x)
+    v = SampledField(grid, values)
+    for n in n_values:
+        sc = TrotterScenario(h, v, 1.0, (n,), grid, 4 * n)
+        ref = matrix_power_kernel(sc, n, method)
+        got = trotter_kernel(sc, n, method=method).entries
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_free_slice_matches_iterated_product(grid):
+    v = cosine_potential(grid)
+    x = grid.axis()
+    for n in range(1, 9):
+        tau = 1.0 / n
+        step = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * tau)) \
+            / np.sqrt(2j * np.pi * tau) * np.exp(-1j * tau * v.values)[None, :] \
+            * grid.cell
+        ref = np.eye(grid.size, dtype=complex)
+        for _ in range(n):
+            ref = step @ ref
+        ref /= grid.cell
+        got = time_slice_free_kernel(v, 1.0, n, grid).entries
+        assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_powering_memory_stays_small():
+    # the symmetrized step is scaled and unscaled in place, so at most the
+    # step, one square and the running product are alive: 16 MiB each at
+    # N = 1024 (measured peaks 40 and 32 MiB)
+    grid = GridSpec(1, 16.0, 1024)
+    v = cosine_potential(grid)
+    sc = TrotterScenario(QuadraticHamiltonian.free_particle(1), v, 1.0, (8,),
+                         grid, 32)
+    for run in (lambda: trotter_kernel(sc, 8, method=CHIRP),
+                lambda: time_slice_free_kernel(v, 1.0, 8, grid)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 16 * 2**20
 
 
 def test_chirp_step_refuses_harmonic_hamiltonian(scenario):
