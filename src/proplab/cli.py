@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import os
 import sys
 import tempfile
@@ -20,12 +21,12 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, EmptyTable, ProplabError
-from .grid import (GridSpec, KernelMatrix, SampledField, dft,
-                   sup_norm_on_compact)
+from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField, SymbolField,
+                   dft, sup_norm_on_compact)
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, mehler_oracle,
                           propagator_for)
 from .rng import SplitMix64
-from .symplectic import QuadraticHamiltonian, flow, is_free, phase_form
+from .symplectic import QuadraticHamiltonian, flow, phase_form
 from .tfa import (INF_1, MeasurePotential, StftSpec, default_window,
                   frequency_profile, measure_norm_bound,
                   measure_potential_field, mod_norm, sjostrand_decompose, stft,
@@ -75,14 +76,13 @@ def _atomic_write(path: str, text: str):
 
 # -- SVG line plots --------------------------------------------------------
 
-def emit_svg(table, plot_spec) -> str:
+def emit_svg(series, plot_spec) -> str:
     """Self-contained SVG with one polyline per series.
 
-    table: list of (x, y) pair lists, one per series; plot_spec: dict with
+    series: list of (x, y) pair lists, one per series; plot_spec: dict with
     title, xlabel, ylabel, optional xlog/ylog flags and series labels.
     """
-    series = table if isinstance(table[0] if table else None, list) else [table]
-    if not series or not any(len(s) for s in series):
+    if not any(len(s) for s in series):
         raise EmptyTable("no rows to plot")
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
@@ -151,6 +151,27 @@ def emit_svg(table, plot_spec) -> str:
 
 # -- config parsing --------------------------------------------------------
 
+# A domain is (predicate, rule): a value the predicate rejects is a config
+# error that names the key and states the rule.
+POSITIVE = (lambda v: v > 0, "positive")
+
+
+def _in_domain(section, key, value, domain):
+    if domain is not None and not domain[0](value):
+        raise ConfigError(f"[{section}] {key} must be {domain[1]}: {value}")
+    return value
+
+
+@contextlib.contextmanager
+def _config_errors(where: str):
+    """Report a library's ValueError on config input as a config error, so the
+    library's own input check is not repeated here."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{where}: {err}")
+
+
 class Config:
     """Validated view over the INI file."""
 
@@ -165,15 +186,16 @@ class Config:
         if self.seed is None:
             self.seed = self.get_int("experiment", "seed", 1)
 
-    def get(self, section, key, default=None):
+    def get(self, section, key, default=None, domain=None):
         try:
-            return self.parser.get(section, key)
+            value = self.parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
             if default is None:
                 raise ConfigError(f"missing [{section}] {key} in {self.path}")
-            return default
+            value = default
+        return _in_domain(section, key, value, domain)
 
-    def get_float(self, section, key, default=None):
+    def get_float(self, section, key, default=None, domain=None):
         raw = self.get(section, key, None if default is None else str(default))
         try:
             value = float(raw)
@@ -181,16 +203,17 @@ class Config:
             raise ConfigError(f"[{section}] {key}: not a number: {raw!r}")
         if not np.isfinite(value):
             raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
-        return value
+        return _in_domain(section, key, value, domain)
 
-    def get_int(self, section, key, default=None):
+    def get_int(self, section, key, default=None, domain=None):
         raw = self.get(section, key, None if default is None else str(default))
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}")
+        return _in_domain(section, key, value, domain)
 
-    def get_list(self, section, key, default, kind=float):
+    def get_list(self, section, key, default, kind=float, domain=None):
         """Non-empty comma-separated list of finite numbers of type kind."""
         raw = self.get(section, key, default)
         try:
@@ -201,7 +224,7 @@ class Config:
             raise ConfigError(f"[{section}] {key} is empty")
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
-        return values
+        return _in_domain(section, key, values, domain)
 
     def get_pairs(self, section, key, second=float):
         """Comma-separated `first:second` items, both finite; first is a float."""
@@ -222,13 +245,10 @@ class Config:
     def grid(self) -> GridSpec:
         d = self.get_int("grid", "dim", 1)
         half = self.get_float("grid", "half_width")
-        pts = self.get_int("grid", "points")
-        if pts > 1024:  # desk scale: a dense N x N kernel stays at 16 MiB
-            raise ConfigError(f"[grid] points must be at most 1024: {pts}")
-        try:
+        # desk scale: a dense N x N kernel stays at 16 MiB
+        pts = self.get_int("grid", "points", domain=(lambda n: n <= 1024, "at most 1024"))
+        with _config_errors("[grid]"):
             return GridSpec(d, half, pts)
-        except ValueError as err:
-            raise ConfigError(f"[grid]: {err}")
 
     def hamiltonian(self) -> QuadraticHamiltonian:
         preset = self.get("hamiltonian", "preset", "harmonic")
@@ -244,67 +264,53 @@ class Config:
         raise ConfigError(f"unknown hamiltonian preset: {preset}")
 
     def potential(self, grid: GridSpec) -> SampledField:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return self._potential(grid)
-        except ValueError as err:  # values that overflow the float range
-            raise ConfigError(f"[potential]: {err}")
-
-    def _potential(self, grid: GridSpec) -> SampledField:
         preset = self.get("potential", "preset", "zero")
         x = grid.axis()
-        if preset == "zero":
-            return SampledField(grid, np.zeros(grid.size))
-        if preset == "cosine-sum":
-            vals = np.zeros(grid.size)
-            for amp, freq in self.get_pairs("potential", "terms"):
-                vals = vals + amp * np.cos(2.0 * np.pi * freq * x)
-            return SampledField(grid, vals)
-        if preset == "gaussian-bump":
-            amp = self.get_float("potential", "amplitude", 1.0)
-            width = self.get_float("potential", "width", 1.0)
-            if width <= 0.0:
-                raise ConfigError(f"[potential] width must be positive: {width}")
-            center = self.get_float("potential", "center", 0.0)
-            return SampledField(grid, amp * np.exp(-np.pi * ((x - center) / width) ** 2))
-        if preset == "measure-atoms":
-            return measure_potential_field(self.measure_atoms(), grid)
-        if preset == "random-band-limited":
-            band = self.get_int("potential", "band", 5)
-            n = grid.points_per_axis
-            if not 0 <= band < n // 2:
-                raise ConfigError(f"[potential] band must lie in 0..{n // 2 - 1} "
-                                  f"for points = {n}: {band}")
-            rng = SplitMix64(self.seed)
-            spec = np.zeros(n, dtype=complex)
-            coeffs = rng.normals(2 * band + 1) + 1j * rng.normals(2 * band + 1)
-            spec[n // 2 - band: n // 2 + band + 1] = coeffs
-            # hermitian symmetry keeps the potential real
-            spec = 0.5 * (spec + np.conj(spec[::-1].copy()))
-            field = dft(SampledField(grid, spec), +1)
-            return SampledField(grid, field.values.real)
+        # values that overflow the float range are the field's ValueError
+        with _config_errors("[potential]"), np.errstate(over="ignore", invalid="ignore"):
+            if preset == "zero":
+                return SampledField(grid, np.zeros(grid.size))
+            if preset == "cosine-sum":
+                vals = np.zeros(grid.size)
+                for amp, freq in self.get_pairs("potential", "terms"):
+                    vals = vals + amp * np.cos(2.0 * np.pi * freq * x)
+                return SampledField(grid, vals)
+            if preset == "gaussian-bump":
+                amp = self.get_float("potential", "amplitude", 1.0)
+                width = self.get_float("potential", "width", 1.0, POSITIVE)
+                center = self.get_float("potential", "center", 0.0)
+                bump = np.exp(-np.pi * ((x - center) / width) ** 2)
+                return SampledField(grid, amp * bump)
+            if preset == "measure-atoms":
+                atoms = self.get_pairs("potential", "atoms", complex)
+                return measure_potential_field(MeasurePotential(tuple(atoms)), grid)
+            if preset == "random-band-limited":
+                n = grid.points_per_axis
+                band = self.get_int("potential", "band", 5, (
+                    lambda b: 0 <= b < n // 2, f"in 0..{n // 2 - 1} for points = {n}"))
+                rng = SplitMix64(self.seed)
+                spec = np.zeros(n, dtype=complex)
+                coeffs = rng.normals(2 * band + 1) + 1j * rng.normals(2 * band + 1)
+                spec[n // 2 - band: n // 2 + band + 1] = coeffs
+                # hermitian symmetry keeps the potential real
+                spec = 0.5 * (spec + np.conj(spec[::-1].copy()))
+                field = dft(SampledField(grid, spec), +1)
+                return SampledField(grid, field.values.real)
         raise ConfigError(f"unknown potential preset: {preset}")
-
-    def measure_atoms(self) -> MeasurePotential:
-        return MeasurePotential(tuple(self.get_pairs("potential", "atoms", complex)))
 
 
 # -- scenario runners ------------------------------------------------------
 
-def _check(ok: bool, message: str, failures: list):
-    if not ok:
-        failures.append(message)
+def _check(ok: bool, message: str) -> list:
+    """The failures of one condition: none, or its message."""
+    return [] if ok else [message]
 
 
 def run_flow(cfg: Config, out: dict):
     """Random-Hamiltonian flow suite: symplectic, group-law, inverse defects."""
-    count = cfg.get_int("flow", "count", 200)
-    if count < 1:
-        raise ConfigError(f"[flow] count must be positive: {count}")
-    t_range = cfg.get_list("flow", "t_range", "-10,10")
-    if len(t_range) != 2:
-        raise ConfigError(f"[flow] t_range needs two values: {t_range}")
-    t_lo, t_hi = t_range
+    count = cfg.get_int("flow", "count", 200, POSITIVE)
+    t_lo, t_hi = cfg.get_list("flow", "t_range", "-10,10",
+                              domain=(lambda r: len(r) == 2, "two values"))
     tol_sym = cfg.get_float("flow", "symplectic_tol", 1e-10)
     tol_group = cfg.get_float("flow", "group_tol", 1e-8)
     tol_inv = cfg.get_float("flow", "inverse_tol", 1e-10)
@@ -329,9 +335,9 @@ def run_flow(cfg: Config, out: dict):
         if not np.isfinite(sym + group + inv):
             raise ProplabError(f"flow case {i} at t = {t!r}: the defects overflow")
         rows.append((i, t, sym, group, inv))
-        _check(sym <= tol_sym, f"symplectic defect {sym:.2e} at case {i}", failures)
-        _check(group <= tol_group, f"group-law defect {group:.2e} at case {i}", failures)
-        _check(inv <= tol_inv, f"inverse defect {inv:.2e} at case {i}", failures)
+        failures += _check(sym <= tol_sym, f"symplectic defect {sym:.2e} at case {i}")
+        failures += _check(group <= tol_group, f"group-law defect {group:.2e} at case {i}")
+        failures += _check(inv <= tol_inv, f"inverse defect {inv:.2e} at case {i}")
     out["flow.csv"] = render_csv(
         ("case", "t", "symplectic_defect", "group_defect", "inverse_defect"), rows)
     out["flow.svg"] = emit_svg(
@@ -341,77 +347,73 @@ def run_flow(cfg: Config, out: dict):
     return failures
 
 
+def _free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
+    """Sup difference on |x|, |y| <= radius between the quadrature kernel of
+    the free propagator and the analytic chirp, relative to the chirp's sup."""
+    prop = propagator_for(QuadraticHamiltonian.free_particle(1), t, grid,
+                          method=QUADRATURE)
+    kq = KernelMatrix(grid, prop.kernel_entries())
+    x = grid.axis()
+    ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * t)) \
+        / np.sqrt(2j * np.pi * t)
+    return sup_norm_on_compact(kq, KernelMatrix(grid, ana), radius) \
+        / float(np.max(np.abs(ana)))
+
+
+def _residual_table(name: str, rows, out: dict, title: str):
+    """Write name.csv and name.svg from (check, residual, threshold) rows and
+    return one failure per row whose residual is not within its threshold."""
+    out[f"{name}.csv"] = render_csv(("check", "residual", "threshold"), rows)
+    out[f"{name}.svg"] = emit_svg(
+        [[(i + 1, max(res, 1e-18)) for i, (_, res, _) in enumerate(rows)]],
+        {"title": title, "xlabel": "check #", "ylabel": "residual", "ylog": True})
+    return [f"{name} {check}: {res:.3e} > {thr}" for check, res, thr in rows
+            if not res <= thr]
+
+
 def run_kernel(cfg: Config, out: dict):
     """Propagator kernel oracle comparisons on one grid."""
-    preset = cfg.get("hamiltonian", "preset", "harmonic")
-    if preset not in ("free", "harmonic"):
-        raise ConfigError(f"[hamiltonian] kernel has oracles only for the free and "
-                          f"harmonic presets, not {preset!r}")
+    preset = cfg.get("hamiltonian", "preset", "harmonic", (
+        lambda p: p in ("free", "harmonic"), "free or harmonic for the oracles"))
     grid = cfg.grid()
     h = cfg.hamiltonian()
     t = cfg.get_float("time", "t", 1.0)
-    radius = cfg.get_float("kernel", "radius", 0.5 * grid.half_width)
-    if radius <= 0.0:
-        raise ConfigError(f"[kernel] radius must be positive: {radius}")
+    radius = cfg.get_float("kernel", "radius", 0.5 * grid.half_width, POSITIVE)
     tol = cfg.get_float("kernel", "tolerance", 1e-3)
-    failures = []
-    rows = []
-    prop = propagator_for(h, t, grid, method=QUADRATURE)
-    kq = prop.kernel()
     if preset == "free":
-        x = grid.axis()
-        ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * t)) \
-            / np.sqrt(2j * np.pi * t)
-        scale = float(np.max(np.abs(ana)))
-        err = sup_norm_on_compact(kq, KernelMatrix(grid, ana), radius) / scale
-        rows.append(("free_vs_analytic", err, tol))
-        _check(err <= tol, f"free kernel error {err:.2e} > {tol}", failures)
-    elif preset == "harmonic":
-        ko = mehler_oracle(t, grid)
-        scale = float(np.max(np.abs(ko.entries)))
-        err = float(np.max(np.abs(kq.entries - ko.entries))) / scale
-        rows.append(("quadrature_vs_mehler", err, tol))
-        _check(err <= tol, f"mehler mismatch {err:.2e} > {tol}", failures)
-        pf = propagator_for(h, t, grid, method=FAST_CHIRP_FFT)
+        rows = [("free_vs_analytic", _free_kernel_residual(t, grid, radius), tol)]
+    else:
+        kq = propagator_for(h, t, grid, method=QUADRATURE).kernel_entries()
+        ko = mehler_oracle(t, grid).entries
+        scale = float(np.max(np.abs(ko)))
         cols = np.eye(grid.size, dtype=complex) / grid.cell
-        kf = pf.apply_columns(cols)
-        err2 = float(np.max(np.abs(kf - kq.entries))) / scale
-        rows.append(("fast_vs_quadrature", err2, tol))
-        _check(err2 <= tol, f"fast path mismatch {err2:.2e} > {tol}", failures)
+        kf = propagator_for(h, t, grid, method=FAST_CHIRP_FFT).apply_columns(cols)
         sup_pred = abs(np.sin(t)) ** -0.5
-        sup_err = abs(float(np.max(np.abs(kq.entries))) - sup_pred) / sup_pred
-        rows.append(("sup_magnitude", sup_err, tol))
-        _check(sup_err <= tol, f"sup magnitude off by {sup_err:.2e}", failures)
-    out["kernel.csv"] = render_csv(("check", "residual", "threshold"), rows)
-    out["kernel.svg"] = emit_svg(
-        [[(i + 1, max(r[1], 1e-18)) for i, r in enumerate(rows)]],
-        {"title": "kernel oracle residuals", "xlabel": "check #",
-         "ylabel": "residual", "ylog": True})
-    return failures
+        rows = [("quadrature_vs_mehler", float(np.max(np.abs(kq - ko))) / scale, tol),
+                ("fast_vs_quadrature", float(np.max(np.abs(kf - kq))) / scale, tol),
+                ("sup_magnitude", abs(float(np.max(np.abs(kq))) - sup_pred) / sup_pred,
+                 tol)]
+    return _residual_table("kernel", rows, out, "kernel oracle residuals")
 
 
 def _trotter_scenario(h, v, t, n_list, grid, ref_n) -> TrotterScenario:
-    try:
+    phase_form(flow(h, t))  # NotFree at an exceptional t, before any numerics
+    with _config_errors("[time]"):
         return TrotterScenario(h, v, t, tuple(n_list), grid, ref_n)
-    except ValueError as err:
-        raise ConfigError(f"[time]: {err}")
 
 
 def _scenario(cfg: Config):
     """The [grid]/[hamiltonian]/[potential]/[time] scenario of the runners
     that take kernel modulation norms."""
     grid = cfg.grid()
-    try:
+    with _config_errors(f"[grid] points = {grid.points_per_axis} does not fit "
+                        "the kernel norm lattice"):
         StftSpec(default_window(grid), KERNEL_LATTICE_STEP, KERNEL_LATTICE_STEP)
-    except ValueError as err:
-        raise ConfigError(f"[grid] points = {grid.points_per_axis} does not fit "
-                          f"the kernel norm lattice: {err}")
     h = cfg.hamiltonian()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
     n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int)
     ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list))
-    phase_form(flow(h, t))  # NotFree at an exceptional t, before any numerics
     return _trotter_scenario(h, v, t, n_list, grid, ref_n)
 
 
@@ -430,22 +432,19 @@ def run_converge(cfg: Config, out: dict):
         [[(r.n, max(r.sup_error, 1e-18)) for r in rep.rows]],
         {"title": "kernel convergence", "xlabel": "n", "ylabel": "sup error",
          "xlog": True, "ylog": True, "labels": ["sup error"]})
-    failures = []
     sup = [r.sup_error for r in rep.rows]
     if collapse_tol > 0.0:
-        _check(max(sup) <= collapse_tol,
-               f"collapse error {max(sup):.2e} > {collapse_tol}", failures)
-    else:
-        _check(all(a > b for a, b in zip(sup, sup[1:])),
-               "sup errors are not strictly decreasing", failures)
-        _check(sup[-1] <= 5.0 * rep.cauchy_tag,
-               f"final error {sup[-1]:.2e} above 5x Cauchy tag {rep.cauchy_tag:.2e}",
-               failures)
-        floor = 5.0 * rep.cauchy_tag
-        for j in range(len(centers)):
-            seq = [r.windowed[j] for r in rep.rows]
-            ok = all(a > b or b <= floor for a, b in zip(seq, seq[1:]))
-            _check(ok, f"windowed error at center {j} not decreasing", failures)
+        return _check(max(sup) <= collapse_tol,
+                      f"collapse error {max(sup):.2e} > {collapse_tol}")
+    failures = _check(all(a > b for a, b in zip(sup, sup[1:])),
+                      "sup errors are not strictly decreasing")
+    floor = 5.0 * rep.cauchy_tag
+    failures += _check(sup[-1] <= floor, f"final error {sup[-1]:.2e} above 5x "
+                       f"Cauchy tag {rep.cauchy_tag:.2e}")
+    for j in range(len(centers)):
+        seq = [r.windowed[j] for r in rep.rows]
+        ok = all(a > b or b <= floor for a, b in zip(seq, seq[1:]))
+        failures += _check(ok, f"windowed error at center {j} not decreasing")
     return failures
 
 
@@ -465,9 +464,7 @@ def run_modbound(cfg: Config, out: dict):
         [[(n, v) for n, v in rows]],
         {"title": "phase-factored mod norm", "xlabel": "n",
          "ylabel": "Inf1 norm", "xlog": True})
-    failures = []
-    _check(ratio <= ratio_cap, f"mod-norm ratio {ratio:.3f} > {ratio_cap}", failures)
-    return failures
+    return _check(ratio <= ratio_cap, f"mod-norm ratio {ratio:.3f} > {ratio_cap}")
 
 
 def run_exceptional(cfg: Config, out: dict):
@@ -475,14 +472,10 @@ def run_exceptional(cfg: Config, out: dict):
     h = cfg.hamiltonian()
     t_star = cfg.get_float("exceptional", "t_star")
     offsets = cfg.get_list("exceptional", "offsets", "0.2,0.1,0.05,0.025")
-    if min(offsets) <= 0.0:
-        raise ConfigError(f"[exceptional] offsets must be positive: {offsets}")
     spread_cap = cfg.get_float("exceptional", "ratio_spread", 0.01)
-    free, det_b = is_free(flow(h, t_star))
-    if free:
-        raise ConfigError(f"[exceptional] t_star = {t_star} is not an exceptional "
-                          f"time (det B = {det_b:.3e})")
-    rows = exceptional_blowup_scan(h, t_star, offsets, grid)
+    # the scan refuses a t_star that is not exceptional and offsets <= 0
+    with _config_errors("[exceptional]"):
+        rows = exceptional_blowup_scan(h, t_star, offsets, grid)
     out["exceptional.csv"] = render_csv(
         ("delta", "sup_kernel", "detB_invsqrt", "ratio"), rows)
     out["exceptional.svg"] = emit_svg(
@@ -492,26 +485,19 @@ def run_exceptional(cfg: Config, out: dict):
          "labels": ["measured", "|det B|^-1/2"]})
     ratios = [r[3] for r in rows]
     spread = max(ratios) / min(ratios) - 1.0
-    failures = []
-    _check(spread <= spread_cap,
-           f"ratio spread {spread:.4f} exceeds {spread_cap}", failures)
-    return failures
+    return _check(spread <= spread_cap, f"ratio spread {spread:.4f} exceeds {spread_cap}")
 
 
 def run_perturb(cfg: Config, out: dict):
     sc = _scenario(cfg)
-    eps_list = cfg.get_list("perturb", "eps_list", "0.2,0.1,0.05")
-    if not all(0.0 < eps <= 1.0 for eps in eps_list) or len(set(eps_list)) < 2:
-        raise ConfigError(f"[perturb] eps_list needs two distinct values in (0, 1] "
-                          f"for the slope fit: {eps_list}")
+    eps_list = cfg.get_list("perturb", "eps_list", "0.2,0.1,0.05", domain=(
+        lambda e: all(0.0 < eps <= 1.0 for eps in e) and len(set(e)) >= 2,
+        "two or more distinct values in (0, 1] for the slope fit"))
     slope_lo = cfg.get_float("perturb", "slope_lo", 0.8)
     slope_hi = cfg.get_float("perturb", "slope_hi", 1.2)
-    check_decomp = cfg.get("perturb", "check_decomposition", "no")
-    if check_decomp not in ("yes", "no"):
-        raise ConfigError(f"[perturb] check_decomposition is not yes or no: {check_decomp}")
-    n = cfg.get_int("perturb", "n", max(sc.n_list))
-    if n < 1:
-        raise ConfigError(f"[perturb] n must be positive: {n}")
+    check_decomp = cfg.get("perturb", "check_decomposition", "no",
+                           (lambda v: v in ("yes", "no"), "yes or no"))
+    n = cfg.get_int("perturb", "n", max(sc.n_list), POSITIVE)
     failures = []
     results = []
     spec = StftSpec(default_window(sc.grid))
@@ -519,13 +505,13 @@ def run_perturb(cfg: Config, out: dict):
         if check_decomp == "yes":
             f1, f2, r = sjostrand_decompose(sc.potential, eps, spec)
             norm2 = mod_norm(f2, spec, INF_1)
-            _check(norm2 <= eps, f"||f2|| = {norm2:.4e} exceeds eps {eps}", failures)
+            failures += _check(norm2 <= eps, f"||f2|| = {norm2:.4e} exceeds eps {eps}")
             # the low band must stay frequency-localized near the cut radius
             prof = frequency_profile(f1, spec)
             leak = float(np.sum(prof[np.abs(spec.xi_axis()) > r + 2.0]) / np.sum(prof))
-            _check(leak <= 1e-6, f"f1 leaks {leak:.2e} beyond the cut", failures)
+            failures += _check(leak <= 1e-6, f"f1 leaks {leak:.2e} beyond the cut")
         rem, bound = perturbation_split_report(sc, eps, n)
-        _check(rem <= bound, f"remainder {rem:.3e} above bound {bound:.3e}", failures)
+        failures += _check(rem <= bound, f"remainder {rem:.3e} above bound {bound:.3e}")
         results.append((eps, rem))
     slope = float(np.polyfit(np.log([r[0] for r in results]),
                              np.log([max(r[1], 1e-300) for r in results]), 1)[0])
@@ -535,22 +521,18 @@ def run_perturb(cfg: Config, out: dict):
         [[(eps, max(rem, 1e-18)) for eps, rem in results]],
         {"title": "remainder vs split budget", "xlabel": "epsilon",
          "ylabel": "remainder norm", "xlog": True, "ylog": True})
-    _check(slope_lo <= slope <= slope_hi,
-           f"log-log slope {slope:.3f} outside [{slope_lo}, {slope_hi}]", failures)
-    return failures
+    return failures + _check(slope_lo <= slope <= slope_hi,
+                             f"log-log slope {slope:.3f} outside [{slope_lo}, {slope_hi}]")
 
 
 def run_freeslice(cfg: Config, out: dict):
     grid = cfg.grid()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
-    n_list = cfg.get_list("time", "n_list", "1,2,4,8", int)
-    if not all(1 <= n <= 8 for n in n_list):
-        raise ConfigError(f"[time] n_list must lie in 1..8 for the path quadrature: "
-                          f"{n_list}")
+    n_list = cfg.get_list("time", "n_list", "1,2,4,8", int, (
+        lambda ns: all(1 <= n <= 8 for n in ns), "in 1..8 for the path quadrature"))
     tol = cfg.get_float("freeslice", "tolerance", 1e-8)
     h = QuadraticHamiltonian.free_particle(1)
-    phase_form(flow(h, t))  # NotFree at t = 0, before any numerics
     failures = []
     rows = []
     for n in n_list:
@@ -560,7 +542,7 @@ def run_freeslice(cfg: Config, out: dict):
         scale = float(np.max(np.abs(kt.entries)))
         err = float(np.max(np.abs(kt.entries - ks.entries))) / scale
         rows.append((n, err))
-        _check(err <= tol, f"slice mismatch {err:.2e} at n={n}", failures)
+        failures += _check(err <= tol, f"slice mismatch {err:.2e} at n={n}")
     out["freeslice.csv"] = render_csv(("n", "relative_difference"), rows)
     out["freeslice.svg"] = emit_svg(
         [[(n, max(e, 1e-18)) for n, e in rows]],
@@ -575,8 +557,6 @@ ORACLE_CHECKS = ("free_kernel", "mehler", "stft_inversion", "wigner_duality",
 
 def _random_symbol(rng: SplitMix64, grid: GridSpec):
     """Smooth band-limited random symbol on the phase grid."""
-    from .grid import PhaseGrid, SymbolField
-
     n = grid.points_per_axis
     c = np.zeros((n, n), dtype=complex)
     c[n // 2 - 6: n // 2 + 7, n // 2 - 3: n // 2 + 4] = (
@@ -594,20 +574,13 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
     rows = []
 
     if "free_kernel" in checks:
-        free = QuadraticHamiltonian.free_particle(1)
-        g12 = GridSpec(1, 12.0, 1024)
-        prop = propagator_for(free, 1.0, g12, method=QUADRATURE)
-        x = g12.axis()
-        ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / 2.0) \
-            / np.sqrt(2j * np.pi)
-        err = sup_norm_on_compact(prop.kernel(), KernelMatrix(g12, ana), 6.0) \
-            / float(np.max(np.abs(ana)))
-        rows.append(("free_kernel", err, 1e-3))
+        rows.append(("free_kernel",
+                     _free_kernel_residual(1.0, GridSpec(1, 12.0, 1024), 6.0), 1e-3))
 
     if "mehler" in checks:
         ko = mehler_oracle(1.0, grid)
-        kq = propagator_for(harm, 1.0, grid, method=QUADRATURE).kernel()
-        rows.append(("mehler", float(np.max(np.abs(ko.entries - kq.entries)))
+        kq = propagator_for(harm, 1.0, grid, method=QUADRATURE).kernel_entries()
+        rows.append(("mehler", float(np.max(np.abs(ko.entries - kq)))
                      / float(np.max(np.abs(ko.entries))), 1e-6))
 
     n = grid.points_per_axis
@@ -665,22 +638,9 @@ def run_oracles(cfg: Config, out: dict):
     unknown = [c for c in checks if c not in ORACLE_CHECKS]
     if unknown or not checks:
         raise ConfigError(f"[oracles] checks must name some of {ORACLE_CHECKS}: {raw!r}")
-    sets = cfg.get_int("oracles", "measure_sets", 10)
-    if sets < 1:
-        raise ConfigError(f"[oracles] measure_sets must be positive: {sets}")
-    rows = _oracle_battery(cfg, checks, sets)
-    failures = []
-    for name, residual, threshold in rows:
-        _check(residual <= threshold,
-               f"oracle {name}: {residual:.3e} > {threshold}", failures)
-    out["oracles.csv"] = render_csv(
-        ("check", "residual", "threshold"),
-        [(name, res, thr) for name, res, thr in rows])
-    out["oracles.svg"] = emit_svg(
-        [[(i + 1, max(res, 1e-18)) for i, (_, res, _) in enumerate(rows)]],
-        {"title": "oracle residuals", "xlabel": "check #", "ylabel": "residual",
-         "ylog": True})
-    return failures
+    sets = cfg.get_int("oracles", "measure_sets", 10, POSITIVE)
+    return _residual_table("oracles", _oracle_battery(cfg, checks, sets), out,
+                           "oracle residuals")
 
 
 RUNNERS = {
@@ -709,10 +669,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = Config(args.config, seed_override=args.seed)
-        kind = cfg.get("experiment", "kind", args.command)
-        if kind != args.command:
-            raise ConfigError(f"[experiment] kind = {kind} does not match the "
-                              f"command {args.command}")
+        cfg.get("experiment", "kind", args.command,
+                (lambda kind: kind == args.command, f"the command {args.command}"))
         out_files: dict = {}
         failures = RUNNERS[args.command](cfg, out_files)
     except (ConfigError, configparser.Error) as err:

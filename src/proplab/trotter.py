@@ -75,15 +75,21 @@ def hamiltonian_matrix(h: QuadraticHamiltonian, grid: GridSpec) -> np.ndarray:
     """
     x = grid.axis()
     xi = grid.freq_axis()
-    fwd = np.exp(-2j * np.pi * np.outer(xi, x)) * grid.cell
-    inv = np.exp(2j * np.pi * np.outer(x, xi)) * grid.freq_cell
-    mat = 0.5 * h.a * np.diag(x**2) \
-        + (inv @ ((0.5 * h.c * xi**2)[:, None] * fwd)).real
+    mat = 0.5 * h.a * np.diag(x**2) + _multiplier(0.5 * h.c * xi**2, grid).real
     if h.b != 0.0:
-        d_op = inv @ (xi[:, None] * fwd)
-        xd = x[:, None] * d_op
+        xd = x[:, None] * _multiplier(xi, grid)
         mat = mat + 0.5 * h.b * (xd + xd.conj().T)
     return 0.5 * (mat + mat.conj().T)
+
+
+def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Grid Fourier multiplier of symbol(xi), inverse DFT . diag(symbol) . DFT:
+    as x_i - x_j = (i - j) h and xi_k h = (k - N/2)/N, it is the circulant
+    c[(i - j + N/2) mod N], c the centered inverse DFT of the symbol over N."""
+    n = grid.points_per_axis
+    c = _centered_fft(symbol, n, +1) / n
+    i = np.arange(n)
+    return c[(i[:, None] - i[None, :] + n // 2) % n]
 
 
 @functools.lru_cache(maxsize=1)
@@ -143,22 +149,18 @@ def _power_step(z: np.ndarray, q: np.ndarray, n: int,
     return res
 
 
-def _zero_potential(sc: TrotterScenario) -> bool:
-    return bool(np.all(sc.potential.values == 0.0))
-
-
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step.
 
-    With V identically zero the step count is irrelevant by the flow's group
-    law, so the composed propagator's kernel at the full time is returned for
-    any n (the discrete chirp quadratures do not close under composition, so
-    powering them would fabricate error here).  method = CHIRP needs a
-    free-particle H0 (ValueError otherwise).
+    With V identically zero one full-time step is taken for any n: SPECTRAL
+    returns the grid step kinetic_step(h, t), by the group law the n-th power
+    of the t/n step, so the kernel stays continuous in V at V = 0; CHIRP the
+    full-time chirp quadrature, because powered chirp quadratures do not
+    compose.  method = CHIRP needs a free-particle H0 (ValueError otherwise).
     """
     _require_method(sc.hamiltonian, method)
-    if _zero_potential(sc):
-        return propagator_for(sc.hamiltonian, sc.t, sc.grid).kernel()
+    if not np.any(sc.potential.values):
+        n = 1
     tau = sc.t / n
     # b = 0, which the chirp step also requires, makes both kinetic matrices
     # complex symmetric: H_grid is real symmetric, and the free chirp is
@@ -238,7 +240,6 @@ class ConvergenceReport:
     rows: list
     cauchy_tag: float
     window_centers: tuple
-    radius: float
 
 
 def _windowed_fl1(diff: np.ndarray, grid: GridSpec, center) -> float:
@@ -269,11 +270,10 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
     norms of the phase-factored kernel (the weighted sup norm with exponent
     CONVERGENCE_WEIGHT_S).
     """
-    radius = 0.5 * sc.grid.half_width
     window_centers = default_window_centers(sc.grid)
     ref = reference_kernel(sc)
     phi = phase_form(flow(sc.hamiltonian, sc.t))
-    mask = compact_mask(sc.grid, radius)
+    mask = compact_mask(sc.grid, 0.5 * sc.grid.half_width)
 
     rows = []
     for n in sc.n_list:
@@ -287,7 +287,7 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
             n, sup_err, windowed,
             _lattice_norm(v, spec, INF_1),
             _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
-    return ConvergenceReport(rows, ref.cauchy_tag, window_centers, radius)
+    return ConvergenceReport(rows, ref.cauchy_tag, window_centers)
 
 
 def perturbation_split_report(sc: TrotterScenario, eps: float, n: int):
@@ -345,16 +345,17 @@ def exceptional_blowup_scan(h: QuadraticHamiltonian, t_star: float, offsets,
     """Kernel magnitude growth approaching an exceptional time (V = 0).
 
     Rows (delta, sup |kernel|, |det B_{t_star - delta}|^{-1/2}, ratio); the
-    ratio is the constancy check.  Refuses when t_star is not exceptional.
+    ratio is the constancy check.  Refuses, before any kernel is built, when
+    t_star is not exceptional or an offset is not positive.
     """
     free, det_b = is_free(flow(h, t_star))
     if free:
         raise ValueError(
             f"t = {t_star} is not exceptional (det B = {det_b:.3e})")
+    if not all(delta > 0 for delta in offsets):
+        raise ValueError(f"offsets must be positive: {list(offsets)}")
     rows = []
     for delta in offsets:
-        if delta <= 0:
-            raise ValueError("offsets must be positive")
         t = t_star - delta
         prop = propagator_for(h, t, grid)
         sup_k = float(np.max(np.abs(prop.kernel_entries())))

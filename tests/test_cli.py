@@ -101,6 +101,13 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
     pytest.param("converge", "[grid]\nhalf_width = 8.0\npoints = 256\n"
                  "[potential]\npreset = random-band-limited\nband = 200\n"
                  "[time]\nn_list = 4,8\n", id="random-band-too-wide"),
+    pytest.param("converge", GRID + "[potential]\npreset = random-band-limited\n"
+                 "band = -1\n[time]\nn_list = 4,8\n", id="random-band-negative"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 1.5,0.5\n",
+                 id="eps-list-above-one"),
+    pytest.param("freeslice", GRID + "[time]\nn_list = 0\n", id="freeslice-n-list-zero"),
+    pytest.param("kernel", "[grid]\nhalf_width = 8.0\npoints = 0\n"
+                 "[hamiltonian]\npreset = free\n", id="points-zero"),
     pytest.param("exceptional", GRID + "[exceptional]\nt_star = 1.0\n",
                  id="t-star-not-exceptional"),
     pytest.param("kernel", GRID + "[hamiltonian]\npreset = explicit\n"
@@ -173,6 +180,22 @@ def test_failed_assertion_exits_nonzero(tmp_path):
     rc = main(["flow", "--config", str(strict), "--out", str(tmp_path),
                "--quiet"])
     assert rc == 1
+
+
+def test_kernel_failed_checks_exit_1(tmp_path, capsys):
+    # no residual is within 1e-30: each of the three harmonic rows fails
+    cfg = tmp_path / "kernel.ini"
+    cfg.write_text("[experiment]\nkind = kernel\n" + GRID
+                   + "[kernel]\ntolerance = 1e-30\n")
+    out = tmp_path / "out"
+    rc = main(["kernel", "--config", str(cfg), "--out", str(out), "--quiet"])
+    failed = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("FAILED:")]
+    assert rc == 1
+    table = (out / "kernel.csv").read_text().splitlines()[1:]
+    rows = [line.split(",")[0] for line in table]
+    assert rows == ["quadrature_vs_mehler", "fast_vs_quadrature", "sup_magnitude"]
+    assert [line.split()[2] for line in failed] == [f"{row}:" for row in rows]
 
 
 def run_flow_range(tmp_path, t_range):

@@ -55,7 +55,9 @@ def test_hamiltonian_matrix_is_real_without_cross_term(grid, h):
     w, u = _eig(h, grid)
     assert np.isrealobj(mat) == (h.b == 0.0) == np.isrealobj(u)
     assert np.array_equal(mat, mat.conj().T)
-    w_old = np.linalg.eigvalsh(complex_hamiltonian(h, grid))
+    dense = complex_hamiltonian(h, grid)
+    assert np.max(np.abs(mat - dense)) < 1e-12 * np.max(np.abs(dense))
+    w_old = np.linalg.eigvalsh(dense)
     assert np.max(np.abs(w - w_old)) < 1e-12 * np.max(np.abs(w_old))
 
 
@@ -82,6 +84,19 @@ def test_zero_potential_collapse(grid):
     kernels = [trotter_kernel(sc, n).entries for n in sc.n_list]
     for k in kernels[1:]:
         assert np.max(np.abs(k - kernels[0])) == 0.0
+
+
+@pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
+                               QuadraticHamiltonian.free_particle(1)],
+                         ids=["harmonic", "free"])
+def test_kernel_is_continuous_in_v_at_zero(grid, h):
+    # E_8(t) for V = 1e-12 cos(2 pi x) is within 1e-9 of the V = 0 kernel
+    zero = TrotterScenario(h, SampledField(grid, np.zeros(grid.size)), 1.0, (8,),
+                           grid, 32)
+    tiny = TrotterScenario(h, cosine_potential(grid, amp=1e-12), 1.0, (8,), grid, 32)
+    mask = np.abs(grid.axis()) <= 4.0
+    diff = trotter_kernel(tiny, 8).entries - trotter_kernel(zero, 8).entries
+    assert np.max(np.abs(diff[np.ix_(mask, mask)])) < 1e-9
 
 
 def test_scenario_validation(grid):
