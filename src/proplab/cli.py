@@ -21,8 +21,8 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, EmptyTable, ProplabError
-from .grid import (GridSpec, KernelMatrix, PhaseGrid, SampledField, SymbolField,
-                   dft, sup_norm_on_compact)
+from .grid import (GridSpec, KernelMatrix, SampledField, SymbolField, dft,
+                   sup_norm_on_compact)
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, mehler_oracle,
                           propagator_for)
 from .rng import SplitMix64
@@ -31,10 +31,11 @@ from .tfa import (INF_1, MeasurePotential, StftSpec, default_window,
                   frequency_profile, measure_norm_bound,
                   measure_potential_field, mod_norm, sjostrand_decompose, stft,
                   stft_adjoint, wigner)
-from .trotter import (KERNEL_LATTICE_STEP, TrotterScenario, convergence_report,
-                      exceptional_blowup_scan, factor_out_phase,
-                      kernel_mod_norm, perturbation_split_report,
-                      time_slice_free_kernel, trotter_kernel)
+from .trotter import (CHIRP, KERNEL_LATTICE_STEP, TrotterScenario,
+                      convergence_report, exceptional_blowup_scan,
+                      factor_out_phase, kernel_mod_norm,
+                      perturbation_split_report, time_slice_free_kernel,
+                      trotter_kernel)
 from .weyl import (fio_swap_residual, symplectic_covariance_residual,
                    weyl_quantize)
 
@@ -154,6 +155,13 @@ def emit_svg(series, plot_spec) -> str:
 # A domain is (predicate, rule): a value the predicate rejects is a config
 # error that names the key and states the rule.
 POSITIVE = (lambda v: v > 0, "positive")
+# Step counts stop at 2^20, far past desk scale; the reference run may take
+# four times that, so its default 4 * max(n_list) always fits.
+MAX_STEPS = 2**20
+
+
+def _steps_upto(cap: int):
+    return (lambda n: 1 <= n <= cap, f"in 1..{cap}")
 
 
 def _in_domain(section, key, value, domain):
@@ -214,7 +222,7 @@ class Config:
         return _in_domain(section, key, value, domain)
 
     def get_list(self, section, key, default, kind=float, domain=None):
-        """Non-empty comma-separated list of finite numbers of type kind."""
+        """Non-empty comma-separated list of numbers of type kind (floats finite)."""
         raw = self.get(section, key, default)
         try:
             values = [kind(v.strip()) for v in raw.split(",") if v.strip()]
@@ -222,7 +230,7 @@ class Config:
             raise ConfigError(f"[{section}] {key}: not a list of numbers: {raw!r}")
         if not values:
             raise ConfigError(f"[{section}] {key} is empty")
-        if not np.all(np.isfinite(values)):
+        if kind is float and not np.all(np.isfinite(values)):
             raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
         return _in_domain(section, key, values, domain)
 
@@ -244,7 +252,9 @@ class Config:
 
     def grid(self) -> GridSpec:
         d = self.get_int("grid", "dim", 1)
-        half = self.get_float("grid", "half_width")
+        # far outside this box the diagnostics' squared cells overflow the floats
+        half = self.get_float("grid", "half_width", domain=(
+            lambda v: 1e-6 <= v <= 1e6, "in [1e-6, 1e6]"))
         # desk scale: a dense N x N kernel stays at 16 MiB
         pts = self.get_int("grid", "points", domain=(lambda n: n <= 1024, "at most 1024"))
         with _config_errors("[grid]"):
@@ -269,9 +279,9 @@ class Config:
         # values that overflow the float range are the field's ValueError
         with _config_errors("[potential]"), np.errstate(over="ignore", invalid="ignore"):
             if preset == "zero":
-                return SampledField(grid, np.zeros(grid.size))
+                return SampledField(grid, np.zeros(grid.points))
             if preset == "cosine-sum":
-                vals = np.zeros(grid.size)
+                vals = np.zeros(grid.points)
                 for amp, freq in self.get_pairs("potential", "terms"):
                     vals = vals + amp * np.cos(2.0 * np.pi * freq * x)
                 return SampledField(grid, vals)
@@ -285,7 +295,7 @@ class Config:
                 atoms = self.get_pairs("potential", "atoms", complex)
                 return measure_potential_field(MeasurePotential(tuple(atoms)), grid)
             if preset == "random-band-limited":
-                n = grid.points_per_axis
+                n = grid.points
                 band = self.get_int("potential", "band", 5, (
                     lambda b: 0 <= b < n // 2, f"in 0..{n // 2 - 1} for points = {n}"))
                 rng = SplitMix64(self.seed)
@@ -386,7 +396,7 @@ def run_kernel(cfg: Config, out: dict):
         kq = propagator_for(h, t, grid, method=QUADRATURE).kernel_entries()
         ko = mehler_oracle(t, grid).entries
         scale = float(np.max(np.abs(ko)))
-        cols = np.eye(grid.size, dtype=complex) / grid.cell
+        cols = np.eye(grid.points, dtype=complex) / grid.cell
         kf = propagator_for(h, t, grid, method=FAST_CHIRP_FFT).apply_columns(cols)
         sup_pred = abs(np.sin(t)) ** -0.5
         rows = [("quadrature_vs_mehler", float(np.max(np.abs(kq - ko))) / scale, tol),
@@ -396,25 +406,23 @@ def run_kernel(cfg: Config, out: dict):
     return _residual_table("kernel", rows, out, "kernel oracle residuals")
 
 
-def _trotter_scenario(h, v, t, n_list, grid, ref_n) -> TrotterScenario:
-    phase_form(flow(h, t))  # NotFree at an exceptional t, before any numerics
-    with _config_errors("[time]"):
-        return TrotterScenario(h, v, t, tuple(n_list), grid, ref_n)
-
-
 def _scenario(cfg: Config):
     """The [grid]/[hamiltonian]/[potential]/[time] scenario of the runners
     that take kernel modulation norms."""
     grid = cfg.grid()
-    with _config_errors(f"[grid] points = {grid.points_per_axis} does not fit "
+    with _config_errors(f"[grid] points = {grid.points} does not fit "
                         "the kernel norm lattice"):
         StftSpec(default_window(grid), KERNEL_LATTICE_STEP, KERNEL_LATTICE_STEP)
     h = cfg.hamiltonian()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
-    n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int)
-    ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list))
-    return _trotter_scenario(h, v, t, n_list, grid, ref_n)
+    n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int, (
+        lambda ns: all(1 <= n <= MAX_STEPS for n in ns), f"in 1..{MAX_STEPS}"))
+    ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list),
+                        _steps_upto(4 * MAX_STEPS))
+    # an exceptional t is the scenario's NotFree, before any numerics
+    with _config_errors("[time]"):
+        return TrotterScenario(h, v, t, n_list, grid, ref_n)
 
 
 def run_converge(cfg: Config, out: dict):
@@ -451,11 +459,9 @@ def run_converge(cfg: Config, out: dict):
 def run_modbound(cfg: Config, out: dict):
     sc = _scenario(cfg)
     ratio_cap = cfg.get_float("modbound", "ratio_cap", 3.0)
-    phi = phase_form(flow(sc.hamiltonian, sc.t))
     rows = []
     for n in sc.n_list:
-        k = trotter_kernel(sc, n)
-        flat = factor_out_phase(k, phi)
+        flat = factor_out_phase(trotter_kernel(sc, n), sc.phase)
         rows.append((n, kernel_mod_norm(flat, INF_1)))
     norms = [r[1] for r in rows]
     ratio = max(norms) / min(norms)
@@ -497,7 +503,7 @@ def run_perturb(cfg: Config, out: dict):
     slope_hi = cfg.get_float("perturb", "slope_hi", 1.2)
     check_decomp = cfg.get("perturb", "check_decomposition", "no",
                            (lambda v: v in ("yes", "no"), "yes or no"))
-    n = cfg.get_int("perturb", "n", max(sc.n_list), POSITIVE)
+    n = cfg.get_int("perturb", "n", max(sc.n_list), _steps_upto(MAX_STEPS))
     failures = []
     results = []
     spec = StftSpec(default_window(sc.grid))
@@ -532,12 +538,13 @@ def run_freeslice(cfg: Config, out: dict):
     n_list = cfg.get_list("time", "n_list", "1,2,4,8", int, (
         lambda ns: all(1 <= n <= 8 for n in ns), "in 1..8 for the path quadrature"))
     tol = cfg.get_float("freeslice", "tolerance", 1e-8)
-    h = QuadraticHamiltonian.free_particle(1)
+    with _config_errors("[time]"):
+        sc = TrotterScenario(QuadraticHamiltonian.free_particle(1), v, t, n_list,
+                             grid, 4 * max(n_list))
     failures = []
     rows = []
     for n in n_list:
-        sc = _trotter_scenario(h, v, t, (n,), grid, 4 * n)
-        kt = trotter_kernel(sc, n, method="chirp")
+        kt = trotter_kernel(sc, n, method=CHIRP)
         ks = time_slice_free_kernel(v, t, n, grid)
         scale = float(np.max(np.abs(kt.entries)))
         err = float(np.max(np.abs(kt.entries - ks.entries))) / scale
@@ -557,12 +564,12 @@ ORACLE_CHECKS = ("free_kernel", "mehler", "stft_inversion", "wigner_duality",
 
 def _random_symbol(rng: SplitMix64, grid: GridSpec):
     """Smooth band-limited random symbol on the phase grid."""
-    n = grid.points_per_axis
+    n = grid.points
     c = np.zeros((n, n), dtype=complex)
     c[n // 2 - 6: n // 2 + 7, n // 2 - 3: n // 2 + 4] = (
         rng.normals(13 * 7).reshape(13, 7) + 1j * rng.normals(13 * 7).reshape(13, 7))
     vals = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c))) * n * n
-    return SymbolField(PhaseGrid(grid), vals)
+    return SymbolField(grid, vals)
 
 
 def _oracle_battery(cfg: Config, checks, measure_sets: int):
@@ -583,7 +590,7 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
         rows.append(("mehler", float(np.max(np.abs(ko.entries - kq)))
                      / float(np.max(np.abs(ko.entries))), 1e-6))
 
-    n = grid.points_per_axis
+    n = grid.points
     spec_vals = np.zeros(n, dtype=complex)
     spec_vals[n // 2 - 12: n // 2 + 12] = rng.normals(24) + 1j * rng.normals(24)
     f = dft(SampledField(grid, spec_vals), +1)
@@ -606,7 +613,7 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
                           * np.exp(-2j * np.pi * 1.1 * x))
         lhs = np.vdot(gp.values, weyl_quantize(sig).apply(fp).values) * grid.cell
         w = wigner(fp, gp)
-        rhs = np.sum(sig.values * w.values) * sig.phase_grid.cell
+        rhs = np.sum(sig.values * w.values) * sig.grid.cell * sig.grid.freq_cell
         rows.append(("wigner_duality", abs(lhs - rhs) / abs(rhs), 1e-6))
 
     if "covariance" in checks:

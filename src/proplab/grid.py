@@ -2,8 +2,10 @@
 discrete Fourier transform with the e^{-2*pi*i*x*xi} convention.
 
 Grids are centered: x = 0 and xi = 0 are always sample points (N even), with
-x_j = -L + j*h, h = 2L/N, and xi_k = (k - N/2)/(2L).  Kernel matrices carry
-rectangle-rule quadrature semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h.
+x_j = -L + j*h, h = 2L/N, and xi_k = (k - N/2)/(2L).  On a GridSpec,
+`points` is N, `cell` is h and `freq_cell` is 1/(2L); the phase-space cell
+is cell * freq_cell = 1/N.  Kernel matrices carry rectangle-rule quadrature
+semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h.
 """
 
 from __future__ import annotations
@@ -15,53 +17,37 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform centered grid on [-L, L) with N samples; dim must be 1."""
+    """Uniform centered grid on [-L, L) with N points; dim must be 1."""
 
     dim: int
     half_width: float
-    points_per_axis: int
+    points: int
 
     def __post_init__(self):
-        n = self.points_per_axis
+        n = self.points
         if self.dim != 1:
             raise ValueError("only d = 1 is supported")
         if not self.half_width > 0:
             raise ValueError("half_width must be positive")
         if n < 8 or (n & (n - 1)) != 0:
-            raise ValueError("points_per_axis must be a power of two >= 8")
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.points_per_axis
-
-    @property
-    def freq_spacing(self) -> float:
-        return 1.0 / (2.0 * self.half_width)
-
-    @property
-    def shape(self) -> tuple:
-        return (self.points_per_axis,)
-
-    @property
-    def size(self) -> int:
-        return self.points_per_axis
+            raise ValueError("points must be a power of two >= 8")
 
     @property
     def cell(self) -> float:
-        """Quadrature cell length h."""
-        return self.spacing
+        """Quadrature cell length h = 2L/N."""
+        return 2.0 * self.half_width / self.points
 
     @property
     def freq_cell(self) -> float:
-        return self.freq_spacing
+        """Frequency cell length 1/(2L)."""
+        return 1.0 / (2.0 * self.half_width)
 
     def axis(self) -> np.ndarray:
-        n = self.points_per_axis
-        return -self.half_width + self.spacing * np.arange(n)
+        return -self.half_width + self.cell * np.arange(self.points)
 
     def freq_axis(self) -> np.ndarray:
-        n = self.points_per_axis
-        return (np.arange(n) - n // 2) * self.freq_spacing
+        n = self.points
+        return (np.arange(n) - n // 2) * self.freq_cell
 
 
 @dataclass
@@ -72,7 +58,7 @@ class SampledField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).reshape(self.grid.shape)
+        self.values = np.asarray(self.values, dtype=complex).reshape(self.grid.points)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
@@ -92,7 +78,7 @@ class KernelMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = self.grid.size
+        m = self.grid.points
         self.entries = np.asarray(self.entries, dtype=complex).reshape(m, m)
 
     def apply(self, f: SampledField) -> SampledField:
@@ -100,34 +86,17 @@ class KernelMatrix:
         return SampledField(self.grid, out)
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Product grid over (x, xi) built from a spatial GridSpec.
-
-    The x axis carries spacing h, the xi axis spacing 1/(2L); a phase-space
-    function is an (N, N) array with the x index first.
-    """
-
-    base: GridSpec
-
-    @property
-    def shape(self) -> tuple:
-        return self.base.shape + self.base.shape
-
-    @property
-    def cell(self) -> float:
-        return self.base.cell * self.base.freq_cell
-
-
 @dataclass
 class SymbolField:
-    """Complex phase-space function sigma(x, xi) sampled on a PhaseGrid."""
+    """Complex phase-space function sigma(x, xi) on the product of a grid's
+    x and xi axes: an (N, N) array with the x index first."""
 
-    phase_grid: PhaseGrid
+    grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).reshape(self.phase_grid.shape)
+        n = self.grid.points
+        self.values = np.asarray(self.values, dtype=complex).reshape(n, n)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("symbol values must be finite")
 
@@ -183,7 +152,7 @@ def dft(f: SampledField, sign: int = -1) -> SampledField:
     """
     g = f.grid
     scale = g.cell if sign == -1 else g.freq_cell
-    return SampledField(g, _centered_fft(f.values, g.points_per_axis, sign) * scale)
+    return SampledField(g, _centered_fft(f.values, g.points, sign) * scale)
 
 
 def compact_mask(grid: GridSpec, radius: float) -> np.ndarray:

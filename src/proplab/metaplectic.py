@@ -68,7 +68,7 @@ class MetaplecticPropagator:
     # -- application ------------------------------------------------------
 
     def apply(self, f: SampledField) -> SampledField:
-        out = self.apply_columns(f.values.reshape(self.grid.size, 1))
+        out = self.apply_columns(f.values.reshape(self.grid.points, 1))
         return SampledField(self.grid, out[:, 0])
 
     def apply_columns(self, cols: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ class MetaplecticPropagator:
 
     def _apply_fast(self, cols: np.ndarray) -> np.ndarray:
         g = self.grid
-        h = g.spacing
+        h = g.cell
         x = g.axis()
         m_xx, m_xy, m_yy = self.phase.coefficients()
         vals = cols * np.exp(1j * np.pi * (x * m_yy * x))[:, None]
@@ -88,7 +88,7 @@ class MetaplecticPropagator:
         xi0 = m_xy * x[0]
         dxi = m_xy * h
         out = _kernels.chirp_z(vals, h * xi0, h * dxi)
-        xi = xi0 + dxi * np.arange(g.points_per_axis)
+        xi = xi0 + dxi * np.arange(g.points)
         out = out * (h * np.exp(2j * np.pi * g.half_width * xi))[:, None]
         out = out * np.exp(1j * np.pi * (x * m_xx * x))[:, None]
         return self.scale * out

@@ -56,15 +56,12 @@ class QuadraticHamiltonian:
 class SymplecticBlocks:
     """A 2 x 2 symplectic matrix [[a, b], [c, d]] (det = 1)."""
 
-    dim: int
     a: float
     b: float
     c: float
     d: float
 
     def __post_init__(self):
-        if self.dim != 1:
-            raise DimensionUnsupported("only d = 1 symplectic matrices are supported")
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
         # M^T J M = det(M) J for 2 x 2 matrices; the rounding of det grows
@@ -78,11 +75,11 @@ class SymplecticBlocks:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
     @staticmethod
-    def identity(d: int) -> "SymplecticBlocks":
-        return SymplecticBlocks(d, 1.0, 0.0, 0.0, 1.0)
+    def identity() -> "SymplecticBlocks":
+        return SymplecticBlocks(1.0, 0.0, 0.0, 1.0)
 
     def compose(self, other: "SymplecticBlocks") -> "SymplecticBlocks":
-        return SymplecticBlocks(self.dim, *(self.matrix() @ other.matrix()).ravel())
+        return SymplecticBlocks(*(self.matrix() @ other.matrix()).ravel())
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:
     else:
         ch, sh = 1.0, 1.0
     try:
-        return SymplecticBlocks(1, ch + sh * gb, sh * gc, -sh * ga, ch - sh * gb)
+        return SymplecticBlocks(ch + sh * gb, sh * gc, -sh * ga, ch - sh * gb)
     except ValueError as err:  # det = 1 fails once a d or b c overflows the floats
         raise ProplabError(f"flow at t = {t!r}: {err}")
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonTooSmall
-from .grid import (GridSpec, PhaseGrid, SampledField, SymbolField,
-                   _centered_fft, _refine_axis, field_from_function)
+from .grid import (GridSpec, SampledField, SymbolField, _centered_fft,
+                   _refine_axis, field_from_function)
 
 
 INF_S = "inf-s"
@@ -41,7 +41,7 @@ class StftSpec:
     lattice_step_xi: int = 1
 
     def __post_init__(self):
-        n = self.grid.points_per_axis
+        n = self.grid.points
         if n % self.lattice_step_x or n % self.lattice_step_xi:
             raise ValueError("lattice steps must divide the grid extent")
         if self.lattice_step_xi == n:
@@ -55,11 +55,11 @@ class StftSpec:
 
     @property
     def x_cell(self) -> float:
-        return self.lattice_step_x * self.grid.spacing
+        return self.lattice_step_x * self.grid.cell
 
     @property
     def xi_cell(self) -> float:
-        return self.lattice_step_xi * self.grid.freq_spacing
+        return self.lattice_step_xi * self.grid.freq_cell
 
     def xi_axis(self) -> np.ndarray:
         return self.grid.freq_axis()[:: self.lattice_step_xi]
@@ -80,7 +80,7 @@ def _lattice_windows(spec: StftSpec) -> np.ndarray:
     (no boundary truncation); for the Gaussian window the wrap-around tail is
     below 1e-80 on the default grids.
     """
-    n = spec.grid.points_per_axis
+    n = spec.grid.points
     pos = np.arange(0, n, spec.lattice_step_x)
     return spec.window.values[(np.arange(n)[None, :] - pos[:, None] + n // 2) % n]
 
@@ -91,12 +91,12 @@ def _stft_core(vals: np.ndarray, spec: StftSpec) -> np.ndarray:
     Every windowed product is folded to period N / lattice_step_xi before the
     one batched DFT, which then yields exactly the lattice frequencies.
     """
-    n = spec.grid.points_per_axis
+    n = spec.grid.points
     m = n // spec.lattice_step_xi
     win = np.conj(_lattice_windows(spec))
     folded = np.einsum("ptr,tr...->pr...", win.reshape(len(win), -1, m),
                        vals.reshape((-1, m) + vals.shape[1:]), optimize=True)
-    return _centered_fft(folded, n, -1, axis=1) * spec.grid.spacing
+    return _centered_fft(folded, n, -1, axis=1) * spec.grid.cell
 
 
 def _lattice_norm(v: np.ndarray, spec: StftSpec, kind: str,
@@ -127,7 +127,7 @@ def stft_adjoint(mat: StftMatrix, spec: StftSpec) -> SampledField:
     The inner frequency sums sum_xi F(x,xi) e^{2 pi i xi y} are one batched
     inverse DFT of the lattice rows embedded into the full frequency grid.
     """
-    n = spec.grid.points_per_axis
+    n = spec.grid.points
     full = np.zeros((mat.values.shape[0], n), dtype=complex)
     full[:, :: spec.lattice_step_xi] = mat.values
     inner = _centered_fft(full, n, +1, axis=1)
@@ -160,7 +160,7 @@ def wigner(f: SampledField, g2: SampledField) -> SymbolField:
     g = f.grid
     if g2.grid != g:
         raise ValueError("fields must share a grid")
-    n = g.points_per_axis
+    n = g.points
     fr = _refine_axis(f.values, 0)
     gr = _refine_axis(g2.values, 0)
     # A[i, m] = f(x_i + y_m / 2) conj(g(x_i - y_m / 2)), y_m = -2L + m h
@@ -169,8 +169,8 @@ def wigner(f: SampledField, g2: SampledField) -> SymbolField:
     minus = plus - 2 * off
     ok = (plus >= 0) & (plus < 2 * n) & (minus >= 0) & (minus < 2 * n)
     a = np.where(ok, fr[plus % (2 * n)] * np.conj(gr[minus % (2 * n)]), 0.0)
-    vals = _centered_fft(a[:, :n] + a[:, n:], 2 * n, -1, axis=1) * g.spacing
-    return SymbolField(PhaseGrid(g), vals)
+    vals = _centered_fft(a[:, :n] + a[:, n:], 2 * n, -1, axis=1) * g.cell
+    return SymbolField(g, vals)
 
 
 def cross_ambiguity_l1(spec: StftSpec) -> float:
@@ -189,7 +189,7 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     proportional to eps instead of staircasing with the lattice shells.
     """
     if np.max(np.abs(f.values)) == 0.0:
-        zero = SampledField(f.grid, np.zeros(f.grid.shape))
+        zero = SampledField(f.grid, np.zeros(f.grid.points))
         return zero, zero.copy(), 0.0
     mat = stft(f, spec)
     profile = np.max(np.abs(mat.values), axis=0)
@@ -238,7 +238,7 @@ class MeasurePotential:
 
 
 def measure_potential_field(p: MeasurePotential, grid: GridSpec) -> SampledField:
-    vals = np.zeros(grid.size, dtype=complex)
+    vals = np.zeros(grid.points, dtype=complex)
     x = grid.axis()
     for k, c in p.atoms:
         vals = vals + c * np.exp(2j * np.pi * (x * k))

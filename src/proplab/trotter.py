@@ -16,15 +16,15 @@ self-distance so the surrogate error stays visible in every report.
 from __future__ import annotations
 
 import functools
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .grid import (GridSpec, KernelMatrix, SampledField, _centered_fft,
                    compact_mask, sup_norm_on_compact)
 from .metaplectic import propagator_for
-from .symplectic import QuadraticHamiltonian, flow, is_free, phase_form
+from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, flow, is_free,
+                         phase_form)
 from .tfa import (INF_1, INF_S, StftSpec, _lattice_norm, _stft_core,
                   default_window, mod_norm, sjostrand_decompose)
 
@@ -33,8 +33,10 @@ from .tfa import (INF_1, INF_S, StftSpec, _lattice_norm, _stft_core,
 class TrotterScenario:
     """One experiment: Hamiltonian, potential, final time, step counts, grid.
 
-    reference_n is the step count of the stand-in for the limit kernel and
-    must dominate every requested n by a factor of at least four.
+    It refuses an exceptional t, where the limit kernel is only a
+    distribution, with NotFree before any other check; phase is Phi_t, the
+    chirp carrier of the kernels.  reference_n, the step count of the
+    stand-in for the limit kernel, must be at least 4 * max(n_list).
     """
 
     hamiltonian: QuadraticHamiltonian
@@ -43,8 +45,10 @@ class TrotterScenario:
     n_list: tuple
     grid: GridSpec
     reference_n: int
+    phase: PhaseQuadratic = field(init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "phase", phase_form(flow(self.hamiltonian, self.t)))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if any(n <= 0 for n in self.n_list):
             raise ValueError("step counts must be positive")
@@ -52,11 +56,6 @@ class TrotterScenario:
             raise ValueError("reference_n must be at least 4 * max(n_list)")
         if self.potential.grid != self.grid:
             raise ValueError("potential grid does not match scenario grid")
-        free, det_b = is_free(flow(self.hamiltonian, self.t))
-        if not free:
-            warnings.warn(
-                f"t = {self.t} is an exceptional time (det B = {det_b:.2e}); "
-                "the limit kernel is distributional there", stacklevel=3)
 
 
 SPECTRAL = "spectral"
@@ -86,7 +85,7 @@ def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Grid Fourier multiplier of symbol(xi), inverse DFT . diag(symbol) . DFT:
     as x_i - x_j = (i - j) h and xi_k h = (k - N/2)/N, it is the circulant
     c[(i - j + N/2) mod N], c the centered inverse DFT of the symbol over N."""
-    n = grid.points_per_axis
+    n = grid.points
     c = _centered_fft(symbol, n, +1) / n
     i = np.arange(n)
     return c[(i[:, None] - i[None, :] + n // 2) % n]
@@ -246,7 +245,7 @@ def _windowed_fl1(diff: np.ndarray, grid: GridSpec, center) -> float:
     """l1 norm of the 2d spectrum of the kernel difference times the Gaussian
     bump exp(-pi |(x, y) - center|^2), the centered DFT along both axes."""
     x = grid.axis()
-    n = grid.points_per_axis
+    n = grid.points
     bump = np.outer(np.exp(-np.pi * (x - center[0]) ** 2),
                     np.exp(-np.pi * (x - center[1]) ** 2))
     spec = _centered_fft(_centered_fft(diff * bump, n, -1, 0), n, -1, 1)
@@ -272,7 +271,6 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
     """
     window_centers = default_window_centers(sc.grid)
     ref = reference_kernel(sc)
-    phi = phase_form(flow(sc.hamiltonian, sc.t))
     mask = compact_mask(sc.grid, 0.5 * sc.grid.half_width)
 
     rows = []
@@ -282,7 +280,7 @@ def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
         sup_err = float(np.abs(diff[np.ix_(mask, mask)]).max())
         windowed = tuple(_windowed_fl1(diff, sc.grid, z) for z in window_centers)
         # one lattice STFT of the phase-factored kernel serves both norms
-        v, spec = _kernel_lattice_stft(factor_out_phase(k_n, phi))
+        v, spec = _kernel_lattice_stft(factor_out_phase(k_n, sc.phase))
         rows.append(ConvergenceRow(
             n, sup_err, windowed,
             _lattice_norm(v, spec, INF_1),
@@ -303,13 +301,10 @@ def perturbation_split_report(sc: TrotterScenario, eps: float, n: int):
         raise ValueError("eps must lie in (0, 1]")
     spec = StftSpec(default_window(sc.grid))
     v1, _v2, _r = sjostrand_decompose(sc.potential, eps, spec)
-    sc1 = TrotterScenario(sc.hamiltonian, v1, sc.t, sc.n_list, sc.grid,
-                          sc.reference_n)
     k_full = trotter_kernel(sc, n)
-    k_low = trotter_kernel(sc1, n)
+    k_low = trotter_kernel(replace(sc, potential=v1), n)
     remainder = KernelMatrix(sc.grid, k_full.entries - k_low.entries)
-    phi = phase_form(flow(sc.hamiltonian, sc.t))
-    rem_norm = kernel_mod_norm(factor_out_phase(remainder, phi), INF_1)
+    rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase), INF_1)
     c = mod_norm(sc.potential, spec, INF_1)
     bound = eps * abs(sc.t) * c * np.exp(2.0 * abs(sc.t) * c)
     return rem_norm, float(bound)

@@ -38,7 +38,7 @@ def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:
 
         K[i, j] = G[i + j, (i - j) mod 2N] + G[(i + j + N) mod 2N, (i - j + N) mod 2N].
     """
-    n = g.points_per_axis
+    n = g.points
     lag = np.fft.ifft(ref2, axis=1) * n * g.freq_cell
     lag = lag * (-1.0) ** np.arange(2 * n)[None, :]
     i = np.arange(n)
@@ -51,7 +51,7 @@ def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:
 
 def weyl_quantize(sigma: SymbolField) -> KernelMatrix:
     """Kernel matrix of the Weyl operator sigma^w (midpoint rule, exact lags)."""
-    g = sigma.phase_grid.base
+    g = sigma.grid
     ref2 = _refine_axis(_refine_axis(sigma.values, 0), 1)
     return _lag_quantize(ref2, g)
 
@@ -65,9 +65,9 @@ def quantize_modes(coeffs: np.ndarray, freqs: np.ndarray, g: GridSpec) -> Kernel
     The lattice is a product of its midpoint and frequency axes, so the mode
     sum is evaluated separably from the two axes.
     """
-    n = g.points_per_axis
-    mhalf = -g.half_width + 0.5 * g.spacing * np.arange(2 * n)
-    xihalf = 0.5 * g.freq_spacing * (np.arange(2 * n) - n)
+    n = g.points
+    mhalf = -g.half_width + 0.5 * g.cell * np.arange(2 * n)
+    xihalf = 0.5 * g.freq_cell * (np.arange(2 * n) - n)
     return _lag_quantize(_kernels.eval_fourier_modes(coeffs, freqs, mhalf, xihalf), g)
 
 
@@ -77,14 +77,14 @@ def phase_fourier_modes(sigma: SymbolField):
     Frequencies are (p, q) with p on the dual of the x axis (step 1/2L) and q
     on the dual of the xi axis (step h); modes below 1e-12 * max are dropped.
     """
-    g = sigma.phase_grid.base
-    n = g.points_per_axis
+    g = sigma.grid
+    n = g.points
     # both axes are centered (0 sits at index N/2), so the shifted FFT is the
     # exact series transform with no origin-phase correction
     c = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(sigma.values))) / n**2
     a = np.arange(n) - n // 2
-    p = a * g.freq_spacing
-    q = a * g.spacing
+    p = a * g.freq_cell
+    q = a * g.cell
     keep = np.abs(c) > 1e-12 * np.max(np.abs(c))
     pa, qa = np.nonzero(keep)
     freqs = np.stack([p[pa], q[qa]], axis=-1)
@@ -103,8 +103,7 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     box-periodic.  The result is the two-variable amplitude a(x, y) sampled
     with y on the spatial axis.
     """
-    pg = sigma.phase_grid
-    g = pg.base
+    g = sigma.grid
     b = -phi.m_xy
     if abs(b) < 1e-12:
         raise NotFree("degenerate phase: cross coefficient vanishes")
@@ -115,7 +114,7 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     coeffs = coeffs * np.exp(1j * np.pi * u * v)
     out_freqs = np.stack([u, v * b], axis=-1)
     x = g.axis()
-    return SymbolField(pg, _kernels.eval_fourier_modes(coeffs, out_freqs, x, x))
+    return SymbolField(g, _kernels.eval_fourier_modes(coeffs, out_freqs, x, x))
 
 
 def fio_matrix(phi: PhaseQuadratic, grid: GridSpec,
@@ -138,8 +137,8 @@ def fio_swap_residual(sigma: SymbolField, phi: PhaseQuadratic) -> float:
     edge.  For band-limited symbols the excluded rows carry all of the
     mismatch and the interior residual is at rounding level.
     """
-    g = sigma.phase_grid.base
-    n = g.points_per_axis
+    g = sigma.grid
+    n = g.points
     lhs = weyl_quantize(sigma).entries @ fio_matrix(phi, g) * g.cell
     rhs = fio_matrix(phi, g, conjugate_through_fio(sigma, phi).values)
     keep = slice(n // 32, n - n // 32)
@@ -157,7 +156,7 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     invertible-stable and the residual reflects that, so state-level checks
     are the right tool there.
     """
-    g = sigma.phase_grid.base
+    g = sigma.grid
     h = g.cell
     coeffs, freqs = phase_fourier_modes(sigma)
     # sigma(Sz) has modes at S^T q, generally off-lattice; quantize from the
@@ -165,7 +164,7 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     lhs = quantize_modes(coeffs, freqs @ s.matrix(), g).entries
     if np.max(np.abs(s.matrix() - np.eye(2))) < 1e-9:
         # composite flows that collapse to the identity are not free
-        mu_op = np.eye(g.size, dtype=complex)
+        mu_op = np.eye(g.points, dtype=complex)
     else:
         # the unit phase cancels between mu and mu^{-1}, so fix it to 1
         mu_op = build_propagator(s, g, QUADRATURE, 1.0).kernel_entries() * h

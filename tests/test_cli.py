@@ -60,6 +60,14 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
     pytest.param("converge", GRID + "[time]\nt = nan\n", id="t-nan"),
     pytest.param("converge", GRID + "[time]\nn_list =\n", id="n-list-empty"),
     pytest.param("converge", GRID + "[time]\nn_list = 0,4\n", id="n-list-zero"),
+    pytest.param("converge", GRID + "[time]\nn_list = 4,100000000000000000000000\n",
+                 id="n-list-beyond-int64"),
+    pytest.param("converge", GRID + "[time]\nn_list = 4,8\nreference_n = 1" + "0" * 30
+                 + "\n", id="reference-n-1e30"),
+    pytest.param("converge", "[grid]\nhalf_width = 1e-160\npoints = 64\n"
+                 "[time]\nn_list = 4,8\n", id="half-width-1e-160"),
+    pytest.param("converge", "[grid]\nhalf_width = 1e160\npoints = 64\n"
+                 "[time]\nn_list = 4,8\n", id="half-width-1e160"),
     pytest.param("converge", GRID_2D, id="dim-2-converge"),
     pytest.param("exceptional", GRID_2D + "[exceptional]\nt_star = 3.141592653589793\n",
                  id="dim-2-exceptional"),
@@ -76,6 +84,8 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
                  "[time]\nn_list = 4,8\n", id="points-off-kernel-lattice"),
     pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\nn = 0\n",
                  id="perturb-n-zero"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\nn = 2097152\n",
+                 id="perturb-n-above-2-20"),
     pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 0.1\n",
                  id="eps-list-one-value"),
     pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 0.1,0.1\n",
@@ -252,7 +262,7 @@ def test_overflowing_time_exits_1_without_files(tmp_path, capsys, command, body)
                                        ("modbound", "3.141592653589793"),
                                        ("perturb", "3.141592653589793"),
                                        ("freeslice", "0.0")])
-@pytest.mark.filterwarnings("error")  # the scenario's warning would add a line
+@pytest.mark.filterwarnings("error")  # a numpy warning would add a stderr line
 def test_exceptional_time_exits_1_before_numerics(tmp_path, capsys, command, t):
     # B_t = sin t (harmonic) vanishes at t = pi, and B_t = t (free, as
     # freeslice uses) at t = 0: NotFree before any powering

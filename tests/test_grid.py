@@ -18,8 +18,8 @@ def test_grid_validation():
 def test_axis_and_cells(grid):
     x = grid.axis()
     assert x[0] == -8.0
-    assert abs(x[1] - x[0] - grid.spacing) < 1e-15
-    assert abs(grid.cell * grid.freq_cell * grid.points_per_axis - 1.0) < 1e-12
+    assert abs(x[1] - x[0] - grid.cell) < 1e-15
+    assert abs(grid.cell * grid.freq_cell * grid.points - 1.0) < 1e-12
 
 
 def test_dft_inverts(grid, packet):
@@ -45,7 +45,7 @@ def test_dft_gaussian_fixed_point(grid):
 
 
 def test_modulate_then_transform(grid, packet):
-    xi0 = 8.0 * grid.freq_spacing
+    xi0 = 8.0 * grid.freq_cell
     spec0 = dft(packet, -1)
     modulated = SampledField(grid, packet.values * np.exp(2j * np.pi * xi0 * grid.axis()))
     spec1 = dft(modulated, -1)
@@ -53,9 +53,9 @@ def test_modulate_then_transform(grid, packet):
 
 
 def test_sup_norm_on_compact_window(small_grid):
-    e1 = np.zeros((small_grid.size,) * 2)
+    e1 = np.zeros((small_grid.points,) * 2)
     e2 = e1.copy()
-    center = small_grid.size // 2
+    center = small_grid.points // 2
     e2[center, center] = 3.0   # inside |x|,|y| <= 2
     e2[0, 0] = 100.0           # at the corner, outside the window
     diff = sup_norm_on_compact(KernelMatrix(small_grid, e1),

@@ -17,7 +17,7 @@ def spec(grid):
 
 def band_limited(grid, seed, band):
     rng = SplitMix64(seed)
-    n = grid.points_per_axis
+    n = grid.points
     sv = np.zeros(n, dtype=complex)
     sv[n // 2 - band: n // 2 + band] = (rng.normals(2 * band)
                                         + 1j * rng.normals(2 * band))
@@ -78,13 +78,13 @@ def direct_stft(f, spec):
     as a plain sum against the exponential matrix, one lattice position at a
     time, with the window translated periodically by np.roll."""
     g = spec.grid
-    n = g.points_per_axis
+    n = g.points
     x = g.axis()
     xi = g.freq_axis()[:: spec.lattice_step_xi]
     expo = np.exp(-2j * np.pi * np.outer(x, xi))
     rows = [(f.values * np.conj(np.roll(spec.window.values, p - n // 2))) @ expo
             for p in range(0, n, spec.lattice_step_x)]
-    return np.array(rows) * g.spacing
+    return np.array(rows) * g.cell
 
 
 def rel_err(a, b):
@@ -113,7 +113,7 @@ def test_stft_matches_direct_sum(grid, steps, wide):
         np.sum(np.abs(direct_stft(window, spec))) * spec.x_cell * spec.xi_cell,
         rel=1e-12)
     # adjoint: sum over the lattice of F(x_p, xi_k) e^{2 pi i xi_k y} g(y - x_p)
-    n = grid.points_per_axis
+    n = grid.points
     synth = ref @ np.exp(2j * np.pi * np.outer(xi, grid.axis()))
     wins = np.array([np.roll(window.values, p - n // 2)
                      for p in range(0, n, spec.lattice_step_x)])
@@ -130,16 +130,16 @@ def test_kernel_mod_norm_matches_direct_2d_sum():
     entries = (rng.normals(n * n) + 1j * rng.normals(n * n)).reshape(n, n)
     x = g.axis()
     w2 = np.exp(-np.pi * (x[:, None] ** 2 + x[None, :] ** 2))
-    w2 /= np.sqrt(np.sum(w2 ** 2) * g.spacing ** 2)
+    w2 /= np.sqrt(np.sum(w2 ** 2) * g.cell ** 2)
     xi = g.freq_axis()[::step]
     expo = np.exp(-2j * np.pi * np.outer(x, xi))
     v = np.empty((n // step,) * 4, dtype=complex)
     for a, p in enumerate(range(0, n, step)):
         for b, q in enumerate(range(0, n, step)):
             win = np.roll(w2, (p - n // 2, q - n // 2), axis=(0, 1))
-            v[a, b] = expo.T @ (entries * win) @ expo * g.spacing ** 2
+            v[a, b] = expo.T @ (entries * win) @ expo * g.cell ** 2
     mag = np.abs(v)
-    cell = (step * g.freq_spacing) ** 2
+    cell = (step * g.freq_cell) ** 2
     radii = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
     k = KernelMatrix(g, entries)
     assert kernel_mod_norm(k, INF_1, step) == pytest.approx(
@@ -150,7 +150,7 @@ def test_kernel_mod_norm_matches_direct_2d_sum():
 
 def test_stft_spec_rejects_single_frequency(grid):
     with pytest.raises(ValueError):
-        StftSpec(default_window(grid), lattice_step_xi=grid.points_per_axis)
+        StftSpec(default_window(grid), lattice_step_xi=grid.points)
 
 
 def test_window_comparability(grid):
@@ -172,13 +172,13 @@ def test_frequency_profile_peaks_at_content(grid, spec):
     prof = frequency_profile(f, spec)
     xi = spec.xi_axis()
     peak = xi[int(np.argmax(prof))]
-    assert abs(peak - 3.0) < 2.0 * grid.freq_spacing
+    assert abs(peak - 3.0) < 2.0 * grid.freq_cell
 
 
 def test_wigner_marginal(grid, packet):
     # integrating W(f,f) over xi returns |f|^2
     w = wigner(packet, packet)
-    marg = np.sum(w.values, axis=1) * grid.freq_spacing
+    marg = np.sum(w.values, axis=1) * grid.freq_cell
     assert np.max(np.abs(marg - np.abs(packet.values) ** 2)) < 1e-10
 
 
@@ -219,7 +219,7 @@ def test_sjostrand_rejects_hopeless_budget(grid, spec):
 
 
 def test_sjostrand_zero_field(grid, spec):
-    z = SampledField(grid, np.zeros(grid.size))
+    z = SampledField(grid, np.zeros(grid.points))
     f1, f2, r = sjostrand_decompose(z, 0.1, spec)
     assert np.all(f1.values == 0.0) and np.all(f2.values == 0.0)
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proplab import (CHIRP, GridSpec, QuadraticHamiltonian,
+from proplab import (CHIRP, GridSpec, NotFree, QuadraticHamiltonian,
                      SampledField, TrotterScenario, convergence_report,
                      exceptional_blowup_scan, factor_out_phase, flow,
                      kernel_mod_norm, perturbation_split_report, phase_form,
@@ -67,7 +67,7 @@ def test_kinetic_step_unitary_semigroup(grid):
     u2 = kinetic_step(h, 0.7, grid)
     u3 = kinetic_step(h, 1.0, grid)
     assert np.max(np.abs(u1 @ u2 - u3)) < 1e-11
-    assert np.max(np.abs(u1 @ u1.conj().T - np.eye(grid.size))) < 1e-11
+    assert np.max(np.abs(u1 @ u1.conj().T - np.eye(grid.points))) < 1e-11
 
 
 def test_kinetic_step_matches_chirp_on_packets(grid, packet):
@@ -79,7 +79,7 @@ def test_kinetic_step_matches_chirp_on_packets(grid, packet):
 
 def test_zero_potential_collapse(grid):
     sc = TrotterScenario(QuadraticHamiltonian.harmonic(1),
-                         SampledField(grid, np.zeros(grid.size)),
+                         SampledField(grid, np.zeros(grid.points)),
                          1.0, (1, 3, 7, 64), grid, 1024)
     kernels = [trotter_kernel(sc, n).entries for n in sc.n_list]
     for k in kernels[1:]:
@@ -91,7 +91,7 @@ def test_zero_potential_collapse(grid):
                          ids=["harmonic", "free"])
 def test_kernel_is_continuous_in_v_at_zero(grid, h):
     # E_8(t) for V = 1e-12 cos(2 pi x) is within 1e-9 of the V = 0 kernel
-    zero = TrotterScenario(h, SampledField(grid, np.zeros(grid.size)), 1.0, (8,),
+    zero = TrotterScenario(h, SampledField(grid, np.zeros(grid.points)), 1.0, (8,),
                            grid, 32)
     tiny = TrotterScenario(h, cosine_potential(grid, amp=1e-12), 1.0, (8,), grid, 32)
     mask = np.abs(grid.axis()) <= 4.0
@@ -109,16 +109,19 @@ def test_scenario_validation(grid):
                         (0,), grid, 128)
 
 
-def test_scenario_warns_at_exceptional_time(grid):
-    with pytest.warns(UserWarning):
-        TrotterScenario(QuadraticHamiltonian.harmonic(1),
-                        cosine_potential(grid), np.pi, (4,), grid, 64)
+def test_scenario_refuses_exceptional_time(grid):
+    # B_t = sin t vanishes at t = pi; the refusal comes before the step
+    # count checks, so an invalid n_list does not mask it
+    for n_list in ((4,), (0,)):
+        with pytest.raises(NotFree):
+            TrotterScenario(QuadraticHamiltonian.harmonic(1),
+                            cosine_potential(grid), np.pi, n_list, grid, 64)
 
 
 def test_steps_are_unitary_for_real_potential(scenario):
     # E_n(t) times the quadrature cell is a unitary matrix for real V
     u = trotter_kernel(scenario, 16).entries * scenario.grid.cell
-    assert np.max(np.abs(u @ u.conj().T - np.eye(scenario.grid.size))) < 1e-10
+    assert np.max(np.abs(u @ u.conj().T - np.eye(scenario.grid.points))) < 1e-10
 
 
 def test_convergence_report_decreases(grid):
@@ -153,8 +156,7 @@ def test_mod_norm_ratio_bounded_over_n(grid):
     sc = TrotterScenario(QuadraticHamiltonian.harmonic(1),
                          cosine_potential(grid), 1.0,
                          (1, 4, 16, 64), grid, 256)
-    phi = phase_form(flow(sc.hamiltonian, sc.t))
-    norms = [kernel_mod_norm(factor_out_phase(trotter_kernel(sc, n), phi))
+    norms = [kernel_mod_norm(factor_out_phase(trotter_kernel(sc, n), sc.phase))
              for n in sc.n_list]
     assert max(norms) / min(norms) < 3.0
 
@@ -249,7 +251,7 @@ def test_free_slice_matches_iterated_product(grid):
         step = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * tau)) \
             / np.sqrt(2j * np.pi * tau) * np.exp(-1j * tau * v.values)[None, :] \
             * grid.cell
-        ref = np.eye(grid.size, dtype=complex)
+        ref = np.eye(grid.points, dtype=complex)
         for _ in range(n):
             ref = step @ ref
         ref /= grid.cell
@@ -286,7 +288,7 @@ def test_free_slice_single_step_is_analytic_chirp(grid):
     # one step with V = 0 is the analytic free kernel itself; more steps add
     # Fresnel box-truncation fringes, which is why the n > 1 cross-check runs
     # against the identically-discretized product kernel instead
-    v = SampledField(grid, np.zeros(grid.size))
+    v = SampledField(grid, np.zeros(grid.points))
     k = time_slice_free_kernel(v, 1.0, 1, grid)
     x = grid.axis()
     ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / 2.0) / np.sqrt(2j * np.pi)

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proplab import (PhaseGrid, QuadraticHamiltonian, SampledField,
-                     SymbolField, conjugate_through_fio, fio_swap_residual,
-                     flow, phase_fourier_modes, phase_form, quantize_modes,
+from proplab import (QuadraticHamiltonian, SampledField, SymbolField,
+                     conjugate_through_fio, fio_swap_residual, flow,
+                     phase_fourier_modes, phase_form, quantize_modes,
                      symplectic_covariance_residual, weyl_quantize, wigner)
 from proplab._kernels import eval_fourier_modes
 from proplab.symplectic import SymplecticBlocks
@@ -14,14 +14,14 @@ from proplab.rng import SplitMix64
 
 def random_symbol(grid, seed, px=6, qx=3):
     rng = SplitMix64(seed)
-    n = grid.points_per_axis
+    n = grid.points
     c = np.zeros((n, n), dtype=complex)
     nx, nq = 2 * px + 1, 2 * qx + 1
     c[n // 2 - px: n // 2 + px + 1, n // 2 - qx: n // 2 + qx + 1] = (
         rng.normals(nx * nq).reshape(nx, nq)
         + 1j * rng.normals(nx * nq).reshape(nx, nq))
     vals = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c))) * n * n
-    return SymbolField(PhaseGrid(grid), vals)
+    return SymbolField(grid, vals)
 
 
 def gaussian_packet(grid, x0, xi0):
@@ -31,7 +31,7 @@ def gaussian_packet(grid, x0, xi0):
 
 
 def test_constant_symbol_is_identity(grid, packet):
-    one = SymbolField(PhaseGrid(grid), np.ones((grid.size, grid.size)))
+    one = SymbolField(grid, np.ones((grid.points, grid.points)))
     out = weyl_quantize(one).apply(packet)
     assert np.max(np.abs(out.values - packet.values)) < 1e-10
 
@@ -40,18 +40,18 @@ def test_multiplication_symbol_acts_pointwise(grid, packet):
     x = grid.axis()
     v = SampledField(grid, np.cos(2.0 * np.pi * x))
     # sigma(x, xi) = V(x) is the symbol of pointwise multiplication by V
-    sigma = np.repeat(v.values[:, None], grid.size, axis=1)
-    out = weyl_quantize(SymbolField(PhaseGrid(grid), sigma)).apply(packet)
+    sigma = np.repeat(v.values[:, None], grid.points, axis=1)
+    out = weyl_quantize(SymbolField(grid, sigma)).apply(packet)
     assert np.max(np.abs(out.values - v.values * packet.values)) < 1e-9
 
 
 def test_pure_frequency_symbol_translates(grid, packet):
     # sigma = e^{2 pi i v xi} shifts by -v (midpoint rule, exact on the grid)
-    v = 8.0 * grid.spacing
-    n = grid.points_per_axis
+    v = 8.0 * grid.cell
+    n = grid.points
     xi = grid.freq_axis()
     vals = np.repeat(np.exp(2j * np.pi * v * xi)[None, :], n, axis=0)
-    out = weyl_quantize(SymbolField(PhaseGrid(grid), vals)).apply(packet)
+    out = weyl_quantize(SymbolField(grid, vals)).apply(packet)
     assert np.max(np.abs(out.values[:-8] - packet.values[8:])) < 1e-9
 
 
@@ -65,7 +65,7 @@ def test_quantize_modes_matches_grid_quantizer(grid):
 
 def test_real_symbol_gives_hermitian_kernel(grid):
     sig = random_symbol(grid, 34)
-    sig = SymbolField(sig.phase_grid, sig.values.real)
+    sig = SymbolField(sig.grid, sig.values.real)
     k = weyl_quantize(sig).entries
     assert np.max(np.abs(k - k.conj().T)) < 1e-11
 
@@ -75,7 +75,7 @@ def test_wigner_duality_pairing(grid):
     f = gaussian_packet(grid, 0.3, 0.7)
     g2 = gaussian_packet(grid, -0.5, -1.1)
     lhs = np.vdot(g2.values, weyl_quantize(sig).apply(f).values) * grid.cell
-    rhs = np.sum(sig.values * wigner(f, g2).values) * sig.phase_grid.cell
+    rhs = np.sum(sig.values * wigner(f, g2).values) * sig.grid.cell * sig.grid.freq_cell
     assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
 
@@ -88,7 +88,7 @@ def test_covariance_quarter_rotation(grid):
 def test_covariance_integer_shear(grid):
     sig = random_symbol(grid, 61)
     # B = 1 maps the square lattice to itself and is free
-    shear = SymplecticBlocks(1, 1.0, 1.0, 0.0, 1.0)
+    shear = SymplecticBlocks(1.0, 1.0, 0.0, 1.0)
     assert symplectic_covariance_residual(sig, shear) < 1e-10
 
 
@@ -110,9 +110,8 @@ def test_covariance_state_level_generic_time(grid):
     coeffs, freqs = phase_fourier_modes(sig)
     lhs = quantize_modes(coeffs, freqs @ s.matrix(), grid).apply(f)
     mu = build_propagator(s, grid, method=QUADRATURE, phase_factor=1.0 + 0.0j)
-    mu_inv = build_propagator(SymplecticBlocks(
-        1, *np.linalg.inv(s.matrix()).ravel()), grid, method=QUADRATURE,
-        phase_factor=1.0 + 0.0j)
+    mu_inv = build_propagator(SymplecticBlocks(*np.linalg.inv(s.matrix()).ravel()),
+                              grid, method=QUADRATURE, phase_factor=1.0 + 0.0j)
     rhs = mu_inv.apply(weyl_quantize(sig).apply(mu.apply(f)))
     rel = np.linalg.norm(lhs.values - rhs.values) / np.linalg.norm(lhs.values)
     assert rel < 5e-2
@@ -135,7 +134,7 @@ def direct_mode_sum(coeffs, freqs, px, pxi):
 
 
 QUARTER = flow(QuadraticHamiltonian.harmonic(1), 0.5 * np.pi)
-SHEAR = SymplecticBlocks(1, 1.0, 0.37, 0.0, 1.0)
+SHEAR = SymplecticBlocks(1.0, 0.37, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("s", [QUARTER, SHEAR], ids=["quarter", "shear"])
@@ -184,7 +183,7 @@ def test_flowed_modes_match_direct_sum(small_grid, s):
 
 def test_conjugate_through_fio_constant_amplitude(grid):
     # sigma = 1 passes through untouched
-    one = SymbolField(PhaseGrid(grid), np.ones((grid.size, grid.size)))
+    one = SymbolField(grid, np.ones((grid.points, grid.points)))
     phi = phase_form(flow(QuadraticHamiltonian.harmonic(1), 0.7))
     amp = conjugate_through_fio(one, phi)
     assert np.max(np.abs(amp.values - 1.0)) < 1e-10
