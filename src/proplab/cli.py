@@ -21,16 +21,16 @@ import tempfile
 import numpy as np
 
 from .errors import ConfigError, EmptyTable, ProplabError
-from .grid import (GridSpec, KernelMatrix, SampledField, SymbolField, dft,
-                   sup_norm_on_compact)
+from .grid import (GridSpec, KernelMatrix, SampledField, SymbolField,
+                   _centered_fft, dft, sup_norm_on_compact)
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, mehler_oracle,
                           propagator_for)
 from .rng import SplitMix64
 from .symplectic import QuadraticHamiltonian, flow, phase_form
 from .tfa import (INF_1, MeasurePotential, StftSpec, default_window,
                   frequency_profile, measure_norm_bound,
-                  measure_potential_field, mod_norm, sjostrand_decompose, stft,
-                  stft_adjoint, wigner)
+                  measure_potential_field, mod_norm, stft, stft_adjoint,
+                  wigner)
 from .trotter import (CHIRP, KERNEL_LATTICE_STEP, TrotterScenario,
                       convergence_report, exceptional_blowup_scan,
                       factor_out_phase, kernel_mod_norm,
@@ -429,9 +429,8 @@ def run_converge(cfg: Config, out: dict):
     sc = _scenario(cfg)
     collapse_tol = cfg.get_float("converge", "collapse_tol", 0.0)
     rep = convergence_report(sc)
-    centers = rep.window_centers
     header = ["n", "sup_error"]
-    header += [f"fl1_z{i}{j}" for i in range(3) for j in range(3)][: len(centers)]
+    header += [f"fl1_z{i}{j}" for i in range(3) for j in range(3)]
     header += ["mod_inf1", "mod_infs"]
     rows = [(r.n, r.sup_error, *r.windowed, r.mod_inf1, r.mod_infs)
             for r in rep.rows]
@@ -449,8 +448,7 @@ def run_converge(cfg: Config, out: dict):
     floor = 5.0 * rep.cauchy_tag
     failures += _check(sup[-1] <= floor, f"final error {sup[-1]:.2e} above 5x "
                        f"Cauchy tag {rep.cauchy_tag:.2e}")
-    for j in range(len(centers)):
-        seq = [r.windowed[j] for r in rep.rows]
+    for j, seq in enumerate(zip(*(r.windowed for r in rep.rows))):
         ok = all(a > b or b <= floor for a, b in zip(seq, seq[1:]))
         failures += _check(ok, f"windowed error at center {j} not decreasing")
     return failures
@@ -507,16 +505,14 @@ def run_perturb(cfg: Config, out: dict):
     failures = []
     results = []
     spec = StftSpec(default_window(sc.grid))
-    for eps in eps_list:
+    for eps, f1, f2, r, rem, bound in perturbation_split_report(sc, eps_list, n):
         if check_decomp == "yes":
-            f1, f2, r = sjostrand_decompose(sc.potential, eps, spec)
             norm2 = mod_norm(f2, spec, INF_1)
             failures += _check(norm2 <= eps, f"||f2|| = {norm2:.4e} exceeds eps {eps}")
             # the low band must stay frequency-localized near the cut radius
             prof = frequency_profile(f1, spec)
             leak = float(np.sum(prof[np.abs(spec.xi_axis()) > r + 2.0]) / np.sum(prof))
             failures += _check(leak <= 1e-6, f"f1 leaks {leak:.2e} beyond the cut")
-        rem, bound = perturbation_split_report(sc, eps, n)
         failures += _check(rem <= bound, f"remainder {rem:.3e} above bound {bound:.3e}")
         results.append((eps, rem))
     slope = float(np.polyfit(np.log([r[0] for r in results]),
@@ -568,8 +564,7 @@ def _random_symbol(rng: SplitMix64, grid: GridSpec):
     c = np.zeros((n, n), dtype=complex)
     c[n // 2 - 6: n // 2 + 7, n // 2 - 3: n // 2 + 4] = (
         rng.normals(13 * 7).reshape(13, 7) + 1j * rng.normals(13 * 7).reshape(13, 7))
-    vals = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(c))) * n * n
-    return SymbolField(grid, vals)
+    return SymbolField(grid, _centered_fft(_centered_fft(c, n, +1, 1), n, +1, 0))
 
 
 def _oracle_battery(cfg: Config, checks, measure_sets: int):

@@ -136,11 +136,9 @@ def _refine_axis(vals: np.ndarray, axis: int) -> np.ndarray:
     """2x trigonometric refinement along one axis by spectral zero padding."""
     n = vals.shape[axis]
     vals = np.moveaxis(vals, axis, 0)
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(vals, axes=0), axis=0), axes=0)
     padded = np.zeros((2 * n,) + vals.shape[1:], dtype=complex)
-    padded[n // 2: n // 2 + n] = spec
-    out = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(padded, axes=0), axis=0), axes=0) * 2.0
-    return np.moveaxis(out, 0, axis)
+    padded[n // 2: n // 2 + n] = _centered_fft(vals, n, -1)
+    return np.moveaxis(_centered_fft(padded, 2 * n, +1) / n, 0, axis)
 
 
 def dft(f: SampledField, sign: int = -1) -> SampledField:
@@ -155,15 +153,10 @@ def dft(f: SampledField, sign: int = -1) -> SampledField:
     return SampledField(g, _centered_fft(f.values, g.points, sign) * scale)
 
 
-def compact_mask(grid: GridSpec, radius: float) -> np.ndarray:
-    """Boolean mask of grid points with |x| <= r."""
-    return np.abs(grid.axis()) <= radius + 1e-12
-
-
 def sup_norm_on_compact(k1: KernelMatrix, k2: KernelMatrix, radius: float) -> float:
     """max |K1 - K2| over entries with |x_i| <= r and |y_j| <= r."""
     if k1.grid != k2.grid:
         raise ValueError("kernel grids do not match")
-    mask = compact_mask(k1.grid, radius)
+    mask = np.abs(k1.grid.axis()) <= radius + 1e-12
     diff = np.abs(k1.entries - k2.entries)
     return float(diff[np.ix_(mask, mask)].max())

@@ -121,17 +121,15 @@ def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:
         raise ProplabError(f"flow at t = {t!r}: {err}")
 
 
-def is_free(s: SymplecticBlocks):
-    """Whether |B| exceeds 1e-8 max(1, |B|); returns (flag, B), B being
-    det B in d = 1."""
-    return abs(s.b) > 1e-8 * max(1.0, abs(s.b)), s.b
+def is_free(s: SymplecticBlocks) -> bool:
+    """Whether |B| exceeds 1e-8 max(1, |B|)."""
+    return abs(s.b) > 1e-8 * max(1.0, abs(s.b))
 
 
 def phase_form(s: SymplecticBlocks) -> PhaseQuadratic:
     """Generating quadratic form of a free symplectic matrix."""
-    free, det_b = is_free(s)
-    if not free:
-        raise NotFree(f"det B = {det_b:.3e} is below tolerance (exceptional time)")
+    if not is_free(s):
+        raise NotFree(f"det B = {s.b:.3e} is below tolerance (exceptional time)")
     b_inv = 1.0 / s.b
     return PhaseQuadratic(s.d * b_inv, b_inv, b_inv * s.a)
 

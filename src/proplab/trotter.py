@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import (GridSpec, KernelMatrix, SampledField, _centered_fft,
-                   compact_mask, sup_norm_on_compact)
+                   sup_norm_on_compact)
 from .metaplectic import propagator_for
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, flow, is_free,
                          phase_form)
@@ -182,14 +182,13 @@ class ReferenceKernel:
 
     kernel: KernelMatrix
     cauchy_tag: float
-    reference_n: int
 
 
 def reference_kernel(sc: TrotterScenario) -> ReferenceKernel:
     k_ref = trotter_kernel(sc, sc.reference_n)
     k_half = trotter_kernel(sc, sc.reference_n // 2)
     tag = sup_norm_on_compact(k_ref, k_half, 0.5 * sc.grid.half_width)
-    return ReferenceKernel(k_ref, tag, sc.reference_n)
+    return ReferenceKernel(k_ref, tag)
 
 
 def factor_out_phase(k: KernelMatrix, phi) -> KernelMatrix:
@@ -238,24 +237,27 @@ class ConvergenceRow:
 class ConvergenceReport:
     rows: list
     cauchy_tag: float
-    window_centers: tuple
 
 
-def _windowed_fl1(diff: np.ndarray, grid: GridSpec, center) -> float:
-    """l1 norm of the 2d spectrum of the kernel difference times the Gaussian
-    bump exp(-pi |(x, y) - center|^2), the centered DFT along both axes."""
+def _windowed_fl1(diff: np.ndarray, grid: GridSpec) -> tuple:
+    """l1 norms of the 2d spectrum of the kernel difference times the Gaussian
+    bumps exp(-pi |(x, y) - z|^2), the centered DFT along both axes, at the
+    nine centers z = (cx, cy) with cx, cy in {-L/4, 0, L/4}, x-major.
+
+    A bump is the outer product of two 1d bumps, so the x-pass for one cx
+    serves all three cy.
+    """
     x = grid.axis()
     n = grid.points
-    bump = np.outer(np.exp(-np.pi * (x - center[0]) ** 2),
-                    np.exp(-np.pi * (x - center[1]) ** 2))
-    spec = _centered_fft(_centered_fft(diff * bump, n, -1, 0), n, -1, 1)
-    return float(np.sum(np.abs(spec * grid.cell**2)) * grid.freq_cell**2)
-
-
-def default_window_centers(grid: GridSpec):
-    """3 x 3 grid of (x, y) bump centers inside the compact window."""
     c = 0.25 * grid.half_width
-    return tuple((cx, cy) for cx in (-c, 0.0, c) for cy in (-c, 0.0, c))
+    bumps = [np.exp(-np.pi * (x - z) ** 2) for z in (-c, 0.0, c)]
+    out = []
+    for bx in bumps:
+        along_x = _centered_fft(diff * bx[:, None], n, -1, 0)
+        for by in bumps:
+            spec = _centered_fft(along_x * by[None, :], n, -1, 1)
+            out.append(float(np.sum(np.abs(spec * grid.cell**2)) * grid.freq_cell**2))
+    return tuple(out)
 
 
 CONVERGENCE_WEIGHT_S = 2.5
@@ -264,61 +266,64 @@ CONVERGENCE_WEIGHT_S = 2.5
 def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
     """Per-n error and boundedness diagnostics against the high-n reference.
 
-    Each row carries the sup error on the compact window, the windowed
-    spectral l1 errors at the default bump centers, and the two modulation
-    norms of the phase-factored kernel (the weighted sup norm with exponent
+    Each row carries the sup error on the compact window, the nine windowed
+    spectral l1 errors of _windowed_fl1, and the two modulation norms of the
+    phase-factored kernel (the weighted sup norm with exponent
     CONVERGENCE_WEIGHT_S).
     """
-    window_centers = default_window_centers(sc.grid)
     ref = reference_kernel(sc)
-    mask = compact_mask(sc.grid, 0.5 * sc.grid.half_width)
-
     rows = []
     for n in sc.n_list:
         k_n = trotter_kernel(sc, n)
-        diff = k_n.entries - ref.kernel.entries
-        sup_err = float(np.abs(diff[np.ix_(mask, mask)]).max())
-        windowed = tuple(_windowed_fl1(diff, sc.grid, z) for z in window_centers)
+        sup_err = sup_norm_on_compact(k_n, ref.kernel, 0.5 * sc.grid.half_width)
+        windowed = _windowed_fl1(k_n.entries - ref.kernel.entries, sc.grid)
         # one lattice STFT of the phase-factored kernel serves both norms
         v, spec = _kernel_lattice_stft(factor_out_phase(k_n, sc.phase))
         rows.append(ConvergenceRow(
             n, sup_err, windowed,
             _lattice_norm(v, spec, INF_1),
             _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
-    return ConvergenceReport(rows, ref.cauchy_tag, window_centers)
+    return ConvergenceReport(rows, ref.cauchy_tag)
 
 
-def perturbation_split_report(sc: TrotterScenario, eps: float, n: int):
+def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
     """Size of the approximant's response to the rough part of the potential.
 
-    V is split V = V1 + V2 with the high-frequency part V2 small in the
-    averaged modulation norm; the remainder operator E_n(V) - E_n(V1) is
-    measured by the coarse-lattice modulation norm of its phase-factored
-    kernel and compared with the shape bound eps * |t| * C * e^{2|t|C},
-    C being the modulation norm of the full potential.
+    For each budget eps, V is split V = f1 + f2 with the high-frequency part
+    f2 small in the averaged modulation norm; the remainder operator
+    E_n(V) - E_n(f1) is measured by the coarse-lattice modulation norm of its
+    phase-factored kernel and compared with the shape bound
+    eps * |t| * C * e^{2|t|C}, C being the modulation norm of the full
+    potential.  E_n(V) and C are computed once for all budgets.  Returns one
+    row (eps, f1, f2, cut radius, remainder norm, bound) per budget.
     """
-    if not 0.0 < eps <= 1.0:
+    if not all(0.0 < eps <= 1.0 for eps in eps_list):
         raise ValueError("eps must lie in (0, 1]")
     spec = StftSpec(default_window(sc.grid))
-    v1, _v2, _r = sjostrand_decompose(sc.potential, eps, spec)
     k_full = trotter_kernel(sc, n)
-    k_low = trotter_kernel(replace(sc, potential=v1), n)
-    remainder = KernelMatrix(sc.grid, k_full.entries - k_low.entries)
-    rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase), INF_1)
     c = mod_norm(sc.potential, spec, INF_1)
-    bound = eps * abs(sc.t) * c * np.exp(2.0 * abs(sc.t) * c)
-    return rem_norm, float(bound)
+    rows = []
+    for eps in eps_list:
+        f1, f2, r = sjostrand_decompose(sc.potential, eps, spec)
+        k_low = trotter_kernel(replace(sc, potential=f1), n)
+        remainder = KernelMatrix(sc.grid, k_full.entries - k_low.entries)
+        rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase), INF_1)
+        bound = eps * abs(sc.t) * c * np.exp(2.0 * abs(sc.t) * c)
+        rows.append((eps, f1, f2, r, rem_norm, float(bound)))
+    return rows
 
 
 def time_slice_free_kernel(v: SampledField, t: float, n: int,
                            grid: GridSpec) -> KernelMatrix:
     """Polygonal-path quadrature for the free-particle product kernel.
 
-    Independent assembly of the same object as trotter_kernel with the free
-    Hamiltonian: iterated products of the analytic one-step factor
-    (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase.
-    Kept at n <= 8: this is the desk-scale cross-check of the path sum, not a
-    production path.
+    The n-th power of the analytic one-step factor
+    (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase,
+    taken by the same _power_step as trotter_kernel; what it checks apart
+    from trotter_kernel(..., CHIRP) is the step, this analytic chirp against
+    the metaplectic chirp quadrature.  The powering's own references are
+    np.linalg.matrix_power and iterated products, in the tests.  Kept at n <= 8: this is the
+    desk-scale cross-check of the path sum, not a production path.
     """
     if not 1 <= n <= 8:
         raise ValueError("n must lie in 1..8 for the direct path quadrature")
@@ -343,10 +348,9 @@ def exceptional_blowup_scan(h: QuadraticHamiltonian, t_star: float, offsets,
     ratio is the constancy check.  Refuses, before any kernel is built, when
     t_star is not exceptional or an offset is not positive.
     """
-    free, det_b = is_free(flow(h, t_star))
-    if free:
-        raise ValueError(
-            f"t = {t_star} is not exceptional (det B = {det_b:.3e})")
+    s = flow(h, t_star)
+    if is_free(s):
+        raise ValueError(f"t = {t_star} is not exceptional (det B = {s.b:.3e})")
     if not all(delta > 0 for delta in offsets):
         raise ValueError(f"offsets must be positive: {list(offsets)}")
     rows = []

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import NotFree
-from .grid import GridSpec, KernelMatrix, SymbolField, _refine_axis
+from .grid import (GridSpec, KernelMatrix, SymbolField, _centered_fft,
+                   _refine_axis)
 from .metaplectic import QUADRATURE, build_propagator
 from .symplectic import PhaseQuadratic, SymplecticBlocks
 
@@ -79,9 +80,9 @@ def phase_fourier_modes(sigma: SymbolField):
     """
     g = sigma.grid
     n = g.points
-    # both axes are centered (0 sits at index N/2), so the shifted FFT is the
-    # exact series transform with no origin-phase correction
-    c = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(sigma.values))) / n**2
+    # both axes are centered (0 sits at index N/2), so the centered DFT is
+    # the exact series transform with no origin-phase correction
+    c = _centered_fft(_centered_fft(sigma.values, n, -1, 1), n, -1, 0) / n**2
     a = np.arange(n) - n // 2
     p = a * g.freq_cell
     q = a * g.cell

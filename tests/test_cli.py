@@ -167,6 +167,28 @@ def test_stft_preset_csv_is_deterministic(tmp_path, command, config):
     assert runs[0] == runs[1]
 
 
+def test_perturb_builds_each_kernel_and_split_once(tmp_path, monkeypatch):
+    # three budgets: E_n(V) once plus one E_n(f1) per budget, one split per
+    # budget; the counters wrap every module-level name a runner can call
+    from proplab import cli, trotter
+
+    calls = {"trotter_kernel": 0, "sjostrand_decompose": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        for module in (cli, trotter):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert main(["perturb", "--config", cfg_path("decomposition-pinned.ini"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert calls == {"trotter_kernel": 4, "sjostrand_decompose": 3}
+
+
 def test_exceptional_preset_csv_schema(tmp_path):
     assert main(["exceptional", "--config", cfg_path("exceptional-harmonic.ini"),
                  "--out", str(tmp_path), "--quiet"]) == 0
