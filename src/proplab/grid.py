@@ -153,10 +153,8 @@ def dft(f: SampledField, sign: int = -1) -> SampledField:
     return SampledField(g, _centered_fft(f.values, g.points, sign) * scale)
 
 
-def sup_norm_on_compact(k1: KernelMatrix, k2: KernelMatrix, radius: float) -> float:
-    """max |K1 - K2| over entries with |x_i| <= r and |y_j| <= r."""
-    if k1.grid != k2.grid:
-        raise ValueError("kernel grids do not match")
-    mask = np.abs(k1.grid.axis()) <= radius + 1e-12
-    diff = np.abs(k1.entries - k2.entries)
-    return float(diff[np.ix_(mask, mask)].max())
+def sup_norm_on_compact(diff: np.ndarray, grid: GridSpec, radius: float) -> float:
+    """max |diff[i, j]| over entries with |x_i| <= r and |y_j| <= r, for the
+    (N, N) difference diff = K1 - K2 of two kernels sampled on grid."""
+    mask = np.abs(grid.axis()) <= radius + 1e-12
+    return float(np.abs(diff[np.ix_(mask, mask)]).max())

@@ -14,7 +14,7 @@ it counts the zeros of B_s (the exceptional times) crossed on the way to t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +44,16 @@ QUADRATURE = "quadrature"
 FAST_CHIRP_FFT = "fast-chirp-fft"
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetaplecticPropagator:
-    """mu(A) realized on a grid; immutable after construction."""
+    """mu(A) realized on a grid; frozen, and holding no kernel matrix: each
+    kernel_entries() call assembles a fresh dense chirp."""
 
     phase: PhaseQuadratic
     abs_det_b: float
     phase_factor: complex
     method: str
     grid: GridSpec
-    _matrix: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if abs(abs(self.phase_factor) - 1.0) > 1e-12:
@@ -96,14 +96,11 @@ class MetaplecticPropagator:
     # -- kernel -----------------------------------------------------------
 
     def kernel_entries(self) -> np.ndarray:
-        if self._matrix is None:
-            x = self.grid.axis()
-            self._matrix = self.scale * _kernels.chirp_kernel(
-                x, x, *self.phase.coefficients())
-        return self._matrix
+        x = self.grid.axis()
+        return self.scale * _kernels.chirp_kernel(x, x, *self.phase.coefficients())
 
     def kernel(self) -> KernelMatrix:
-        return KernelMatrix(self.grid, self.kernel_entries().copy())
+        return KernelMatrix(self.grid, self.kernel_entries())
 
 
 def build_propagator(s: SymplecticBlocks, grid: GridSpec, method: str,

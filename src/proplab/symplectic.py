@@ -94,10 +94,6 @@ class PhaseQuadratic:
         """(Mxx, Mxy, Myy)."""
         return self.m_xx, self.m_xy, self.m_yy
 
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Evaluate Phi on broadcastable arrays of points x, y."""
-        return 0.5 * (x * self.m_xx * x) - y * self.m_xy * x + 0.5 * (y * self.m_yy * y)
-
 
 @np.errstate(over="ignore", invalid="ignore")  # the det = 1 check reports it
 def flow(h: QuadraticHamiltonian, t: float) -> SymplecticBlocks:

@@ -195,20 +195,15 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     profile = np.max(np.abs(mat.values), axis=0)
     radii = np.abs(spec.xi_axis())
     budget = eps / cross_ambiguity_l1(spec)
-    if budget <= 0.0:
+    if not budget > 0.0:
         raise EpsilonTooSmall(f"budget {budget:.3e} is not positive")
 
-    levels = np.unique(radii)
-    chosen = None
-    for r in levels:
-        tail = float(np.sum(profile[radii > r]) * spec.xi_cell)
-        if tail <= budget:
+    # the outermost radius leaves an empty tail, so some radius fits the budget
+    for r in np.unique(radii):
+        tail_beyond = float(np.sum(profile[radii > r]) * spec.xi_cell)
+        if tail_beyond <= budget:
             chosen = float(r)
-            tail_beyond = tail
             break
-    if chosen is None:
-        raise EpsilonTooSmall(
-            f"even the full band leaves tail above the budget {budget:.3e}")
 
     shell = radii == chosen
     shell_mass = float(np.sum(profile[shell]) * spec.xi_cell)

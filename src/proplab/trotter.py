@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import _kernels
+from .errors import ProplabError
 from .grid import (GridSpec, KernelMatrix, SampledField, _centered_fft,
                    sup_norm_on_compact)
 from .metaplectic import propagator_for
@@ -122,29 +124,39 @@ def _kinetic_matrix(sc: TrotterScenario, tau: float, method: str) -> np.ndarray:
     return kinetic_step(sc.hamiltonian, tau, sc.grid)
 
 
-def _power_step(z: np.ndarray, q: np.ndarray, n: int,
+def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
                 symmetric: bool) -> np.ndarray:
-    """(z diag(q^2))^n by binary powering; z is overwritten, and the caller
-    passes a temporary so that no reference keeps it alive.
+    """(z diag(q^2))^n by binary powering, q = exp(-i tau v / 2); z is
+    overwritten, and the caller passes a temporary so that no reference
+    keeps it alive.
 
     With S = diag(q) z diag(q) the step is diag(q)^-1 S diag(q), so its
     n-th power is diag(q)^-1 S^n diag(q).  When z is complex symmetric so
     are S and all its squares, and each squaring is z @ z.T, which numpy
     hands to BLAS zsyrk: it computes one triangle, about 40% less time than
     the general product.
+
+    A result that leaves the float range, with an entry that overflowed
+    (inf or NaN) or with every entry underflowed to zero, is a ProplabError.
     """
-    z *= q[:, None]
-    z *= q[None, :]
-    res = None
-    while True:
-        if n & 1:
-            res = z if res is None else res @ z
-        n >>= 1
-        if not n:
-            break
-        z = z @ (z.T if symmetric else z)
-    res /= q[:, None]
-    res *= q[None, :]
+    steps = n
+    with np.errstate(all="ignore"):  # the range check below reports it
+        q = np.exp(-0.5j * tau * v)
+        z *= q[:, None]
+        z *= q[None, :]
+        res = None
+        while True:
+            if n & 1:
+                res = z if res is None else res @ z
+            n >>= 1
+            if not n:
+                break
+            z = z @ (z.T if symmetric else z)
+        res /= q[:, None]
+        res *= q[None, :]
+    if not (np.isfinite(res).all() and res.any()):
+        raise ProplabError(f"the {steps}-step kernel at tau = {tau!r} "
+                           "leaves the float range")
     return res
 
 
@@ -164,8 +176,8 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     # b = 0, which the chirp step also requires, makes both kinetic matrices
     # complex symmetric: H_grid is real symmetric, and the free chirp is
     # symmetric in x and y
-    m = _power_step(_kinetic_matrix(sc, tau, method),
-                    np.exp(-0.5j * tau * sc.potential.values.ravel()), n,
+    m = _power_step(_kinetic_matrix(sc, tau, method), tau,
+                    sc.potential.values.ravel(), n,
                     symmetric=sc.hamiltonian.b == 0.0)
     m /= sc.grid.cell
     return KernelMatrix(sc.grid, m)
@@ -187,16 +199,19 @@ class ReferenceKernel:
 def reference_kernel(sc: TrotterScenario) -> ReferenceKernel:
     k_ref = trotter_kernel(sc, sc.reference_n)
     k_half = trotter_kernel(sc, sc.reference_n // 2)
-    tag = sup_norm_on_compact(k_ref, k_half, 0.5 * sc.grid.half_width)
+    tag = sup_norm_on_compact(k_ref.entries - k_half.entries, sc.grid,
+                              0.5 * sc.grid.half_width)
     return ReferenceKernel(k_ref, tag)
 
 
-def factor_out_phase(k: KernelMatrix, phi) -> KernelMatrix:
+def factor_out_phase(k: KernelMatrix, phi: PhaseQuadratic) -> KernelMatrix:
     """Entrywise e^{-2 pi i Phi(x_i, y_j)} K[i, j]: removes the chirp carrier,
-    leaving the amplitude (times the constant prefactor)."""
+    leaving the amplitude (times the constant prefactor).  The factor is the
+    grid carrier chirp_kernel of -Phi, whose coefficients are Phi's negated."""
     x = k.grid.axis()
-    phase = phi(x[:, None], x[None, :])
-    return KernelMatrix(k.grid, k.entries * np.exp(-2j * np.pi * phase))
+    m_xx, m_xy, m_yy = phi.coefficients()
+    return KernelMatrix(k.grid,
+                        k.entries * _kernels.chirp_kernel(x, x, -m_xx, -m_xy, -m_yy))
 
 
 KERNEL_LATTICE_STEP = 16
@@ -224,21 +239,6 @@ def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1,
     return _lattice_norm(*_kernel_lattice_stft(k, lattice_step), kind, exponent)
 
 
-@dataclass
-class ConvergenceRow:
-    n: int
-    sup_error: float
-    windowed: tuple
-    mod_inf1: float
-    mod_infs: float
-
-
-@dataclass
-class ConvergenceReport:
-    rows: list
-    cauchy_tag: float
-
-
 def _windowed_fl1(diff: np.ndarray, grid: GridSpec) -> tuple:
     """l1 norms of the 2d spectrum of the kernel difference times the Gaussian
     bumps exp(-pi |(x, y) - z|^2), the centered DFT along both axes, at the
@@ -263,27 +263,28 @@ def _windowed_fl1(diff: np.ndarray, grid: GridSpec) -> tuple:
 CONVERGENCE_WEIGHT_S = 2.5
 
 
-def convergence_report(sc: TrotterScenario) -> ConvergenceReport:
+def convergence_report(sc: TrotterScenario) -> tuple:
     """Per-n error and boundedness diagnostics against the high-n reference.
 
-    Each row carries the sup error on the compact window, the nine windowed
-    spectral l1 errors of _windowed_fl1, and the two modulation norms of the
-    phase-factored kernel (the weighted sup norm with exponent
-    CONVERGENCE_WEIGHT_S).
+    Returns (rows, cauchy_tag), the tag being the reference's.  Each row is
+    (n, sup_error, fl1_z00, ..., fl1_z22, mod_inf1, mod_infs), as in
+    converge.csv: the sup error on the compact window, the nine windowed
+    spectral l1 errors of _windowed_fl1, both from one difference E_n - ref,
+    and the two modulation norms of the phase-factored kernel (the weighted
+    sup norm with exponent CONVERGENCE_WEIGHT_S).
     """
     ref = reference_kernel(sc)
     rows = []
     for n in sc.n_list:
         k_n = trotter_kernel(sc, n)
-        sup_err = sup_norm_on_compact(k_n, ref.kernel, 0.5 * sc.grid.half_width)
-        windowed = _windowed_fl1(k_n.entries - ref.kernel.entries, sc.grid)
+        diff = k_n.entries - ref.kernel.entries
         # one lattice STFT of the phase-factored kernel serves both norms
         v, spec = _kernel_lattice_stft(factor_out_phase(k_n, sc.phase))
-        rows.append(ConvergenceRow(
-            n, sup_err, windowed,
-            _lattice_norm(v, spec, INF_1),
-            _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
-    return ConvergenceReport(rows, ref.cauchy_tag)
+        rows.append((n, sup_norm_on_compact(diff, sc.grid, 0.5 * sc.grid.half_width),
+                     *_windowed_fl1(diff, sc.grid),
+                     _lattice_norm(v, spec, INF_1),
+                     _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
+    return rows, ref.cauchy_tag
 
 
 def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
@@ -308,7 +309,8 @@ def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
         k_low = trotter_kernel(replace(sc, potential=f1), n)
         remainder = KernelMatrix(sc.grid, k_full.entries - k_low.entries)
         rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase), INF_1)
-        bound = eps * abs(sc.t) * c * np.exp(2.0 * abs(sc.t) * c)
+        with np.errstate(over="ignore"):  # past the float range inf is the bound
+            bound = eps * abs(sc.t) * c * np.exp(2.0 * abs(sc.t) * c)
         rows.append((eps, f1, f2, r, rem_norm, float(bound)))
     return rows
 
@@ -335,7 +337,7 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
     total = _power_step(
         np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * tau))
         * (grid.cell / np.sqrt(2j * np.pi * tau)),
-        np.exp(-0.5j * tau * v.values), n, symmetric=True)
+        tau, v.values, n, symmetric=True)
     total /= grid.cell
     return KernelMatrix(grid, total)
 

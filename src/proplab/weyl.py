@@ -118,30 +118,21 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     return SymbolField(g, _kernels.eval_fourier_modes(coeffs, out_freqs, x, x))
 
 
-def fio_matrix(phi: PhaseQuadratic, grid: GridSpec,
-               amplitude: np.ndarray | None = None) -> np.ndarray:
-    """Raw oscillatory matrix e^{2 pi i Phi(x_i, y_j)}, optionally with an
-    amplitude a(x_i, y_j) factor (no normalization prefactors)."""
-    x = grid.axis()
-    chirp = _kernels.chirp_kernel(x, x, *phi.coefficients())
-    if amplitude is not None:
-        chirp = chirp * amplitude
-    return chirp
-
-
 def fio_swap_residual(sigma: SymbolField, phi: PhaseQuadratic) -> float:
     """Relative Frobenius residual of the symbol-through-FIO identity.
 
-    The discrete sigma^w is periodic over the box while the oscillatory
-    matrix is not, so the identity can only hold away from the wrap: the
-    residual is taken over output rows at least N/32 samples from the box
-    edge.  For band-limited symbols the excluded rows carry all of the
+    The discrete sigma^w is periodic over the box while the chirp
+    e^{2 pi i Phi(x_i, y_j)} is not, so the identity can only hold away from
+    the wrap: the residual is taken over output rows at least N/32 samples
+    from the box edge.  For band-limited symbols the excluded rows carry all of the
     mismatch and the interior residual is at rounding level.
     """
     g = sigma.grid
     n = g.points
-    lhs = weyl_quantize(sigma).entries @ fio_matrix(phi, g) * g.cell
-    rhs = fio_matrix(phi, g, conjugate_through_fio(sigma, phi).values)
+    x = g.axis()
+    chirp = _kernels.chirp_kernel(x, x, *phi.coefficients())
+    lhs = weyl_quantize(sigma).entries @ chirp * g.cell
+    rhs = chirp * conjugate_through_fio(sigma, phi).values
     keep = slice(n // 32, n - n // 32)
     return float(np.linalg.norm(lhs[keep] - rhs[keep]) / np.linalg.norm(rhs[keep]))
 

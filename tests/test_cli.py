@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -297,6 +298,67 @@ def test_exceptional_time_exits_1_before_numerics(tmp_path, capsys, command, t):
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("NotFree:")
     assert not out.exists()
+
+
+def run_text(tmp_path, capsys, command, text):
+    """Run command on the config text: (exit code, stderr lines, output dir)."""
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+    return rc, capsys.readouterr().err.strip().splitlines(), out
+
+
+ATOM_10000J = "[potential]\npreset = measure-atoms\natoms = 1.0:10000j\n"
+
+
+@pytest.mark.parametrize("command,body", [
+    pytest.param("converge", GRID + ATOM_10000J, id="converge"),
+    pytest.param("modbound", GRID + ATOM_10000J, id="modbound"),
+    pytest.param("perturb", GRID + ATOM_10000J, id="perturb"),
+    pytest.param("freeslice", GRID + ATOM_10000J, id="freeslice"),
+    pytest.param("freeslice", GRID + "[potential]\npreset = cosine-sum\nterms = 1.0:1.0\n"
+                 "[time]\nt = 1e100\n", id="freeslice-t-1e100"),
+])
+@pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+def test_kernel_out_of_float_range_exits_1_without_files(tmp_path, capsys, command, body):
+    # an imaginary atom of mass 10000 makes |exp(-i tau V)| overflow, and at
+    # t = 1e100 the free step's |t|^{-1/2} underflows its powers to zero: one
+    # error line from the powering, no NaN table
+    rc, lines, out = run_text(tmp_path, capsys, command,
+                              f"[experiment]\nkind = {command}\n" + body)
+    assert rc == 1
+    assert len(lines) == 1
+    assert re.fullmatch(r"ProplabError: the \d+-step kernel at tau = \S+ "
+                        r"leaves the float range", lines[0])
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # the leak ratio was 0/0 at V = 0
+def test_perturb_zero_potential_leaks_nothing(tmp_path, capsys):
+    # V = 0 splits into two zero bands, so the low band leaks nothing and
+    # every remainder is 0; the fit of a constant log remainder has slope
+    # -0.0, which the slope gate still reports
+    rc, lines, out = run_text(tmp_path, capsys, "perturb",
+                              "[experiment]\nkind = perturb\n" + GRID
+                              + "[potential]\npreset = zero\n[time]\nn_list = 4\n"
+                              "[perturb]\ncheck_decomposition = yes\nslope_lo = 0.0\n")
+    assert rc == 1
+    assert lines == ["FAILED: log-log slope -0.000 outside [0.0, 1.2]"]
+    assert "nan" not in (out / "perturb.csv").read_text()
+
+
+@pytest.mark.filterwarnings("error")  # the overflowing bound warned
+def test_perturb_bound_past_float_range_is_inf(tmp_path, capsys):
+    # at t = 400, eps |t| C e^{2|t|C} exceeds the floats: the bound is inf,
+    # which every remainder is within
+    with open(cfg_path("decomposition-pinned.ini")) as handle:
+        text = handle.read()
+    assert "\nt = 1.0\n" in text
+    rc, lines, out = run_text(tmp_path, capsys, "perturb",
+                              text.replace("\nt = 1.0\n", "\nt = 400\n"))
+    assert (rc, lines) == (0, [])
+    assert (out / "perturb.csv").exists()
 
 
 def run_python(*args):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from proplab import (FAST_CHIRP_FFT, QUADRATURE, GridSpec, KernelMatrix,
-                     NotFree, QuadraticHamiltonian, build_propagator, dft,
-                     flow, mehler_oracle, propagator_for, resolve_phase,
+from proplab import (FAST_CHIRP_FFT, QUADRATURE, GridSpec, NotFree,
+                     QuadraticHamiltonian, build_propagator, dft, flow,
+                     mehler_oracle, propagator_for, resolve_phase,
                      sup_norm_on_compact)
 from proplab.trotter import kinetic_step
 
@@ -20,7 +20,7 @@ def test_free_kernel_against_closed_form():
     prop = propagator_for(h, 1.0, grid, method=QUADRATURE)
     ana = analytic_free_kernel(grid, 1.0)
     scale = float(np.max(np.abs(ana)))
-    err = sup_norm_on_compact(prop.kernel(), KernelMatrix(grid, ana), 6.0)
+    err = sup_norm_on_compact(prop.kernel_entries() - ana, grid, 6.0)
     assert err / scale < 1e-3
 
 
@@ -30,7 +30,7 @@ def test_free_kernel_negative_time_phase():
     h = QuadraticHamiltonian.free_particle(1)
     prop = propagator_for(h, -1.0, grid, method=QUADRATURE)
     ana = analytic_free_kernel(grid, -1.0)
-    err = sup_norm_on_compact(prop.kernel(), KernelMatrix(grid, ana), 6.0)
+    err = sup_norm_on_compact(prop.kernel_entries() - ana, grid, 6.0)
     assert err * np.sqrt(2.0 * np.pi) < 1e-3
 
 
@@ -90,7 +90,7 @@ def test_free_kernel_at_long_times(t):
     h = QuadraticHamiltonian.free_particle(1)
     prop = propagator_for(h, t, grid, method=QUADRATURE)
     ana = analytic_free_kernel(grid, t)
-    err = sup_norm_on_compact(prop.kernel(), KernelMatrix(grid, ana), 6.0)
+    err = sup_norm_on_compact(prop.kernel_entries() - ana, grid, 6.0)
     assert err / float(np.max(np.abs(ana))) < 1e-12
 
 

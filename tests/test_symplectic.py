@@ -3,6 +3,7 @@ import pytest
 
 from proplab import (DimensionUnsupported, NotFree, QuadraticHamiltonian,
                      SymplecticBlocks, flow, is_free, phase_form)
+from proplab._kernels import chirp_kernel
 from proplab.rng import SplitMix64
 
 J = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -103,10 +104,10 @@ def test_phase_form_symmetry_and_values():
     assert abs(phi.m_xx - ct / st) < 1e-12
     assert abs(phi.m_xy - 1.0 / st) < 1e-12
     assert abs(phi.m_yy - ct / st) < 1e-12
-    x = np.array([0.4])
-    y = np.array([-1.1])
+    # the grid carrier at (x, y) = (0.4, -1.1) is e^{2 pi i Phi} of that value
     val = (ct * (0.4**2 + 1.1**2) - 2 * 0.4 * (-1.1)) / (2 * st)
-    assert abs(phi(x, y) - val) < 1e-12
+    carrier = chirp_kernel(np.array([0.4]), np.array([-1.1]), *phi.coefficients())
+    assert abs(carrier[0, 0] - np.exp(2j * np.pi * val)) < 1e-12
 
 
 def test_phase_form_refuses_exceptional():
