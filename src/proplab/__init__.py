@@ -8,7 +8,7 @@ and the time-sliced product approximation with rough bounded potentials.
 from .errors import (ConfigError, DimensionUnsupported, EmptyTable,
                      EpsilonTooSmall, NotFree, ProplabError)
 from .grid import (GridSpec, KernelMatrix, SampledField, SymbolField, dft,
-                   field_from_function, sup_norm_on_compact)
+                   sup_norm_on_compact)
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian,
                          SymplecticBlocks, flow, is_free, phase_form)
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, MetaplecticPropagator,

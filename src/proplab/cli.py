@@ -3,10 +3,11 @@
 Subcommands: flow, kernel, converge, modbound, exceptional, perturb,
 freeslice, oracles.  Each reads an INI config (section layout documented in
 the README), runs one scenario, checks the scenario's built-in assertions,
-and writes CSV tables plus self-contained SVG line plots into the output
-directory.  Exit status: 0 on success, 1 on a failed assertion or scenario
-error, 2 on a malformed config.  All outputs are deterministic given the
-seed, and files are only written once the whole scenario has finished.
+and returns its table; main writes the table as <command>.csv plus a
+self-contained SVG line plot <command>.svg into the output directory.  Exit
+status: 0 on success, 1 on a failed assertion or scenario error, 2 on a
+malformed config.  All outputs are deterministic given the seed, and files
+are only written once the whole scenario has finished.
 """
 
 from __future__ import annotations
@@ -77,18 +78,27 @@ def _atomic_write(path: str, text: str):
 
 # -- SVG line plots --------------------------------------------------------
 
-def emit_svg(series, plot_spec) -> str:
-    """Self-contained SVG with one polyline per series.
+def emit_svg(header, rows, plot_spec) -> str:
+    """Self-contained SVG of a table, one polyline per column named in
+    plot_spec["y"].
 
-    series: list of (x, y) pair lists, one per series; plot_spec: dict with
-    title, xlabel, ylabel, optional xlog/ylog flags and series labels.
+    The x values are the column plot_spec["x"] or, without one, the 1-based
+    row number; a log y axis floors its values at 1e-18.  plot_spec also
+    holds title, xlabel, ylabel, optional xlog/ylog flags and series labels.
     """
-    if not any(len(s) for s in series):
+    if not rows:
         raise EmptyTable("no rows to plot")
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
     xlog = plot_spec.get("xlog", False)
     ylog = plot_spec.get("ylog", False)
+
+    def column(name):
+        return [r[header.index(name)] for r in rows]
+
+    xcol = column(plot_spec["x"]) if "x" in plot_spec else range(1, len(rows) + 1)
+    series = [[(x, max(y, 1e-18) if ylog else y) for x, y in zip(xcol, column(name))]
+              for name in plot_spec["y"]]
 
     def tx(v, log):
         return np.log10(v) if log else v
@@ -158,9 +168,13 @@ POSITIVE = (lambda v: v > 0, "positive")
 # Step counts stop at 2^20, far past desk scale; the reference run may take
 # four times that, so its default 4 * max(n_list) always fits.
 MAX_STEPS = 2**20
+# Case counts ([flow] count, [oracles] measure_sets) stop at 2^16: about 6 s
+# of flow cases or 5 min of measure sets.
+MAX_CASES = 2**16
+SEED = (lambda s: 0 <= s < 2**64, "in 0..2^64 - 1")
 
 
-def _steps_upto(cap: int):
+def _count_upto(cap: int):
     return (lambda n: 1 <= n <= cap, f"in 1..{cap}")
 
 
@@ -192,7 +206,9 @@ class Config:
         self.path = path
         self.seed = seed_override
         if self.seed is None:
-            self.seed = self.get_int("experiment", "seed", 1)
+            self.seed = self.get_int("experiment", "seed", 1, SEED)
+        elif not SEED[0](self.seed):
+            raise ConfigError(f"--seed must be {SEED[1]}: {self.seed}")
 
     def get(self, section, key, default=None, domain=None):
         try:
@@ -316,9 +332,9 @@ def _check(ok: bool, message: str) -> list:
     return [] if ok else [message]
 
 
-def run_flow(cfg: Config, out: dict):
+def run_flow(cfg: Config):
     """Random-Hamiltonian flow suite: symplectic, group-law, inverse defects."""
-    count = cfg.get_int("flow", "count", 200, POSITIVE)
+    count = cfg.get_int("flow", "count", 200, _count_upto(MAX_CASES))
     t_lo, t_hi = cfg.get_list("flow", "t_range", "-10,10",
                               domain=(lambda r: len(r) == 2, "two values"))
     tol_sym = cfg.get_float("flow", "symplectic_tol", 1e-10)
@@ -348,13 +364,9 @@ def run_flow(cfg: Config, out: dict):
         failures += _check(sym <= tol_sym, f"symplectic defect {sym:.2e} at case {i}")
         failures += _check(group <= tol_group, f"group-law defect {group:.2e} at case {i}")
         failures += _check(inv <= tol_inv, f"inverse defect {inv:.2e} at case {i}")
-    out["flow.csv"] = render_csv(
-        ("case", "t", "symplectic_defect", "group_defect", "inverse_defect"), rows)
-    out["flow.svg"] = emit_svg(
-        [[(r[0] + 1, max(r[2], 1e-18)) for r in rows]],
-        {"title": "flow defects", "xlabel": "case", "ylabel": "symplectic defect",
-         "ylog": True})
-    return failures
+    return (("case", "t", "symplectic_defect", "group_defect", "inverse_defect"), rows,
+            {"title": "flow defects", "xlabel": "case", "ylabel": "symplectic defect",
+             "ylog": True, "y": ["symplectic_defect"]}, failures)
 
 
 def _free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
@@ -368,18 +380,17 @@ def _free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
     return sup_norm_on_compact(kq - ana, grid, radius) / float(np.max(np.abs(ana)))
 
 
-def _residual_table(name: str, rows, out: dict, title: str):
-    """Write name.csv and name.svg from (check, residual, threshold) rows and
-    return one failure per row whose residual is not within its threshold."""
-    out[f"{name}.csv"] = render_csv(("check", "residual", "threshold"), rows)
-    out[f"{name}.svg"] = emit_svg(
-        [[(i + 1, max(res, 1e-18)) for i, (_, res, _) in enumerate(rows)]],
-        {"title": title, "xlabel": "check #", "ylabel": "residual", "ylog": True})
-    return [f"{name} {check}: {res:.3e} > {thr}" for check, res, thr in rows
-            if not res <= thr]
+def _residual_table(name: str, rows, title: str):
+    """The table of (check, residual, threshold) rows, with one failure per
+    row whose residual is not within its threshold."""
+    return (("check", "residual", "threshold"), rows,
+            {"title": title, "xlabel": "check #", "ylabel": "residual", "ylog": True,
+             "y": ["residual"]},
+            [f"{name} {check}: {res:.3e} > {thr}" for check, res, thr in rows
+             if not res <= thr])
 
 
-def run_kernel(cfg: Config, out: dict):
+def run_kernel(cfg: Config):
     """Propagator kernel oracle comparisons on one grid."""
     preset = cfg.get("hamiltonian", "preset", "harmonic", (
         lambda p: p in ("free", "harmonic"), "free or harmonic for the oracles"))
@@ -401,7 +412,7 @@ def run_kernel(cfg: Config, out: dict):
                 ("fast_vs_quadrature", float(np.max(np.abs(kf - kq))) / scale, tol),
                 ("sup_magnitude", abs(float(np.max(np.abs(kq))) - sup_pred) / sup_pred,
                  tol)]
-    return _residual_table("kernel", rows, out, "kernel oracle residuals")
+    return _residual_table("kernel", rows, "kernel oracle residuals")
 
 
 def _scenario(cfg: Config):
@@ -410,35 +421,34 @@ def _scenario(cfg: Config):
     grid = cfg.grid()
     with _config_errors(f"[grid] points = {grid.points} does not fit "
                         "the kernel norm lattice"):
-        StftSpec(default_window(grid), KERNEL_LATTICE_STEP, KERNEL_LATTICE_STEP)
+        StftSpec(default_window(grid), KERNEL_LATTICE_STEP)
     h = cfg.hamiltonian()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
     n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int, (
         lambda ns: all(1 <= n <= MAX_STEPS for n in ns), f"in 1..{MAX_STEPS}"))
     ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list),
-                        _steps_upto(4 * MAX_STEPS))
+                        _count_upto(4 * MAX_STEPS))
     # an exceptional t is the scenario's NotFree, before any numerics
     with _config_errors("[time]"):
         return TrotterScenario(h, v, t, n_list, grid, ref_n)
 
 
-def run_converge(cfg: Config, out: dict):
+def run_converge(cfg: Config):
     sc = _scenario(cfg)
     collapse_tol = cfg.get_float("converge", "collapse_tol", 0.0)
     rows, cauchy_tag = convergence_report(sc)
     header = ["n", "sup_error"]
     header += [f"fl1_z{i}{j}" for i in range(3) for j in range(3)]
     header += ["mod_inf1", "mod_infs"]
-    out["converge.csv"] = render_csv(header, rows)
-    out["converge.svg"] = emit_svg(
-        [[(r[0], max(r[1], 1e-18)) for r in rows]],
-        {"title": "kernel convergence", "xlabel": "n", "ylabel": "sup error",
-         "xlog": True, "ylog": True, "labels": ["sup error"]})
+    plot = {"title": "kernel convergence", "xlabel": "n", "ylabel": "sup error",
+            "xlog": True, "ylog": True, "labels": ["sup error"], "x": "n",
+            "y": ["sup_error"]}
     sup = [r[1] for r in rows]
     if collapse_tol > 0.0:
-        return _check(max(sup) <= collapse_tol,
-                      f"collapse error {max(sup):.2e} > {collapse_tol}")
+        failures = _check(max(sup) <= collapse_tol,
+                          f"collapse error {max(sup):.2e} > {collapse_tol}")
+        return header, rows, plot, failures
     failures = _check(all(a > b for a, b in zip(sup, sup[1:])),
                       "sup errors are not strictly decreasing")
     floor = 5.0 * cauchy_tag
@@ -447,27 +457,25 @@ def run_converge(cfg: Config, out: dict):
     for j, seq in enumerate(zip(*(r[2:11] for r in rows))):  # the nine fl1 columns
         ok = all(a > b or b <= floor for a, b in zip(seq, seq[1:]))
         failures += _check(ok, f"windowed error at center {j} not decreasing")
-    return failures
+    return header, rows, plot, failures
 
 
-def run_modbound(cfg: Config, out: dict):
+def run_modbound(cfg: Config):
     sc = _scenario(cfg)
     ratio_cap = cfg.get_float("modbound", "ratio_cap", 3.0)
     rows = []
     for n in sc.n_list:
         flat = factor_out_phase(trotter_kernel(sc, n), sc.phase)
-        rows.append((n, kernel_mod_norm(flat, INF_1)))
+        rows.append((n, kernel_mod_norm(flat)))
     norms = [r[1] for r in rows]
     ratio = max(norms) / min(norms)
-    out["modbound.csv"] = render_csv(("n", "mod_inf1"), rows)
-    out["modbound.svg"] = emit_svg(
-        [[(n, v) for n, v in rows]],
-        {"title": "phase-factored mod norm", "xlabel": "n",
-         "ylabel": "Inf1 norm", "xlog": True})
-    return _check(ratio <= ratio_cap, f"mod-norm ratio {ratio:.3f} > {ratio_cap}")
+    return (("n", "mod_inf1"), rows,
+            {"title": "phase-factored mod norm", "xlabel": "n",
+             "ylabel": "Inf1 norm", "xlog": True, "x": "n", "y": ["mod_inf1"]},
+            _check(ratio <= ratio_cap, f"mod-norm ratio {ratio:.3f} > {ratio_cap}"))
 
 
-def run_exceptional(cfg: Config, out: dict):
+def run_exceptional(cfg: Config):
     grid = cfg.grid()
     h = cfg.hamiltonian()
     t_star = cfg.get_float("exceptional", "t_star")
@@ -476,28 +484,28 @@ def run_exceptional(cfg: Config, out: dict):
     # the scan refuses a t_star that is not exceptional and offsets <= 0
     with _config_errors("[exceptional]"):
         rows = exceptional_blowup_scan(h, t_star, offsets, grid)
-    out["exceptional.csv"] = render_csv(
-        ("delta", "sup_kernel", "detB_invsqrt", "ratio"), rows)
-    out["exceptional.svg"] = emit_svg(
-        [[(r[0], r[1]) for r in rows], [(r[0], r[2]) for r in rows]],
-        {"title": "blow-up approaching the exceptional time", "xlabel": "delta",
-         "ylabel": "sup |kernel|", "xlog": True, "ylog": True,
-         "labels": ["measured", "|det B|^-1/2"]})
     ratios = [r[3] for r in rows]
     spread = max(ratios) / min(ratios) - 1.0
-    return _check(spread <= spread_cap, f"ratio spread {spread:.4f} exceeds {spread_cap}")
+    return (("delta", "sup_kernel", "detB_invsqrt", "ratio"), rows,
+            {"title": "blow-up approaching the exceptional time", "xlabel": "delta",
+             "ylabel": "sup |kernel|", "xlog": True, "ylog": True,
+             "labels": ["measured", "|det B|^-1/2"], "x": "delta",
+             "y": ["sup_kernel", "detB_invsqrt"]},
+            _check(spread <= spread_cap,
+                   f"ratio spread {spread:.4f} exceeds {spread_cap}"))
 
 
-def run_perturb(cfg: Config, out: dict):
+def run_perturb(cfg: Config):
     sc = _scenario(cfg)
+    # budgets closer than a relative 1e-6 leave the slope fit ill-conditioned
     eps_list = cfg.get_list("perturb", "eps_list", "0.2,0.1,0.05", domain=(
-        lambda e: all(0.0 < eps <= 1.0 for eps in e) and len(set(e)) >= 2,
-        "two or more distinct values in (0, 1] for the slope fit"))
+        lambda e: all(0.0 < eps <= 1.0 for eps in e) and max(e) >= (1 + 1e-6) * min(e),
+        "values in (0, 1] spanning a factor of 1 + 1e-6 for the slope fit"))
     slope_lo = cfg.get_float("perturb", "slope_lo", 0.8)
     slope_hi = cfg.get_float("perturb", "slope_hi", 1.2)
     check_decomp = cfg.get("perturb", "check_decomposition", "no",
                            (lambda v: v in ("yes", "no"), "yes or no"))
-    n = cfg.get_int("perturb", "n", max(sc.n_list), _steps_upto(MAX_STEPS))
+    n = cfg.get_int("perturb", "n", max(sc.n_list), _count_upto(MAX_STEPS))
     failures = []
     results = []
     spec = StftSpec(default_window(sc.grid))
@@ -515,17 +523,16 @@ def run_perturb(cfg: Config, out: dict):
         results.append((eps, rem))
     slope = float(np.polyfit(np.log([r[0] for r in results]),
                              np.log([max(r[1], 1e-300) for r in results]), 1)[0])
-    rows = [(eps, rem, slope) for eps, rem in results]
-    out["perturb.csv"] = render_csv(("epsilon", "remainder_norm", "linear_fit_slope"), rows)
-    out["perturb.svg"] = emit_svg(
-        [[(eps, max(rem, 1e-18)) for eps, rem in results]],
-        {"title": "remainder vs split budget", "xlabel": "epsilon",
-         "ylabel": "remainder norm", "xlog": True, "ylog": True})
-    return failures + _check(slope_lo <= slope <= slope_hi,
-                             f"log-log slope {slope:.3f} outside [{slope_lo}, {slope_hi}]")
+    failures += _check(slope_lo <= slope <= slope_hi,
+                       f"log-log slope {slope:.3f} outside [{slope_lo}, {slope_hi}]")
+    return (("epsilon", "remainder_norm", "linear_fit_slope"),
+            [(eps, rem, slope) for eps, rem in results],
+            {"title": "remainder vs split budget", "xlabel": "epsilon",
+             "ylabel": "remainder norm", "xlog": True, "ylog": True, "x": "epsilon",
+             "y": ["remainder_norm"]}, failures)
 
 
-def run_freeslice(cfg: Config, out: dict):
+def run_freeslice(cfg: Config):
     grid = cfg.grid()
     v = cfg.potential(grid)
     t = cfg.get_float("time", "t", 1.0)
@@ -544,12 +551,10 @@ def run_freeslice(cfg: Config, out: dict):
         err = float(np.max(np.abs(kt.entries - ks.entries))) / scale
         rows.append((n, err))
         failures += _check(err <= tol, f"slice mismatch {err:.2e} at n={n}")
-    out["freeslice.csv"] = render_csv(("n", "relative_difference"), rows)
-    out["freeslice.svg"] = emit_svg(
-        [[(n, max(e, 1e-18)) for n, e in rows]],
-        {"title": "polygonal slicing vs product kernel", "xlabel": "n",
-         "ylabel": "relative difference", "ylog": True})
-    return failures
+    return (("n", "relative_difference"), rows,
+            {"title": "polygonal slicing vs product kernel", "xlabel": "n",
+             "ylabel": "relative difference", "ylog": True, "x": "n",
+             "y": ["relative_difference"]}, failures)
 
 
 ORACLE_CHECKS = ("free_kernel", "mehler", "stft_inversion", "wigner_duality",
@@ -632,14 +637,14 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
     return rows
 
 
-def run_oracles(cfg: Config, out: dict):
+def run_oracles(cfg: Config):
     raw = cfg.get("oracles", "checks", ",".join(ORACLE_CHECKS))
     checks = [c.strip() for c in raw.split(",") if c.strip()]
     unknown = [c for c in checks if c not in ORACLE_CHECKS]
     if unknown or not checks:
         raise ConfigError(f"[oracles] checks must name some of {ORACLE_CHECKS}: {raw!r}")
-    sets = cfg.get_int("oracles", "measure_sets", 10, POSITIVE)
-    return _residual_table("oracles", _oracle_battery(cfg, checks, sets), out,
+    sets = cfg.get_int("oracles", "measure_sets", 10, _count_upto(MAX_CASES))
+    return _residual_table("oracles", _oracle_battery(cfg, checks, sets),
                            "oracle residuals")
 
 
@@ -671,8 +676,8 @@ def main(argv=None) -> int:
         cfg = Config(args.config, seed_override=args.seed)
         cfg.get("experiment", "kind", args.command,
                 (lambda kind: kind == args.command, f"the command {args.command}"))
-        out_files: dict = {}
-        failures = RUNNERS[args.command](cfg, out_files)
+        header, rows, plot, failures = RUNNERS[args.command](cfg)
+        texts = (render_csv(header, rows), emit_svg(header, rows, plot))
     except (ConfigError, configparser.Error) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -681,10 +686,11 @@ def main(argv=None) -> int:
         return EXIT_ASSERTION
 
     os.makedirs(args.out, exist_ok=True)
-    for name, text in sorted(out_files.items()):
-        _atomic_write(os.path.join(args.out, name), text)
+    for ext, text in zip(("csv", "svg"), texts):
+        path = os.path.join(args.out, f"{args.command}.{ext}")
+        _atomic_write(path, text)
         if not args.quiet:
-            print(f"wrote {os.path.join(args.out, name)}")
+            print(f"wrote {path}")
     if failures:
         for msg in failures:
             print(f"FAILED: {msg}", file=sys.stderr)

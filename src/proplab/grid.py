@@ -62,9 +62,6 @@ class SampledField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
 
-    def copy(self) -> "SampledField":
-        return SampledField(self.grid, self.values.copy())
-
     def norm2(self) -> float:
         """Quadrature L2 norm."""
         return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell))
@@ -99,10 +96,6 @@ class SymbolField:
         self.values = np.asarray(self.values, dtype=complex).reshape(n, n)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("symbol values must be finite")
-
-
-def field_from_function(grid: GridSpec, fn) -> SampledField:
-    return SampledField(grid, np.asarray(fn(grid.axis()), dtype=complex))
 
 
 def _checker(n: int) -> np.ndarray:

@@ -41,9 +41,6 @@ class SplitMix64:
         """Float in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) / float(1 << 53)
 
-    def uniforms(self, count: int) -> np.ndarray:
-        return np.array([self.uniform() for _ in range(count)])
-
     def normals(self, count: int) -> np.ndarray:
         """Standard normal deviates via Box-Muller on uniform pairs."""
         out = np.empty(count)

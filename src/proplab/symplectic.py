@@ -74,13 +74,6 @@ class SymplecticBlocks:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
-    @staticmethod
-    def identity() -> "SymplecticBlocks":
-        return SymplecticBlocks(1.0, 0.0, 0.0, 1.0)
-
-    def compose(self, other: "SymplecticBlocks") -> "SymplecticBlocks":
-        return SymplecticBlocks(*(self.matrix() @ other.matrix()).ravel())
-
 
 @dataclass(frozen=True)
 class PhaseQuadratic:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonTooSmall
-from .grid import (GridSpec, SampledField, SymbolField, _centered_fft,
-                   _refine_axis, field_from_function)
+from .grid import GridSpec, SampledField, SymbolField, _centered_fft, _refine_axis
 
 
 INF_S = "inf-s"
@@ -24,7 +23,7 @@ INF_1 = "inf-1"
 
 def default_window(grid: GridSpec) -> SampledField:
     """Unit-L2 Gaussian window exp(-pi x^2), normalized on the grid."""
-    w = field_from_function(grid, lambda x: np.exp(-np.pi * x**2))
+    w = SampledField(grid, np.exp(-np.pi * grid.axis()**2))
     return SampledField(grid, w.values / w.norm2())
 
 
@@ -32,19 +31,18 @@ def default_window(grid: GridSpec) -> SampledField:
 class StftSpec:
     """Window and lattice for the discrete STFT.
 
-    lattice_step_x / lattice_step_xi are integer strides in grid samples and
-    frequency bins (1 = dense lattice).
+    lattice_step is the one integer stride of the lattice, in grid samples
+    for positions and in frequency bins for frequencies (1 = dense lattice).
     """
 
     window: SampledField
-    lattice_step_x: int = 1
-    lattice_step_xi: int = 1
+    lattice_step: int = 1
 
     def __post_init__(self):
         n = self.grid.points
-        if n % self.lattice_step_x or n % self.lattice_step_xi:
-            raise ValueError("lattice steps must divide the grid extent")
-        if self.lattice_step_xi == n:
+        if n % self.lattice_step:
+            raise ValueError("the lattice step must divide the grid extent")
+        if self.lattice_step == n:
             raise ValueError("the frequency lattice needs at least two points")
         if abs(self.window.norm2() - 1.0) > 1e-10:
             raise ValueError("window must be unit L2-normalized")
@@ -55,14 +53,14 @@ class StftSpec:
 
     @property
     def x_cell(self) -> float:
-        return self.lattice_step_x * self.grid.cell
+        return self.lattice_step * self.grid.cell
 
     @property
     def xi_cell(self) -> float:
-        return self.lattice_step_xi * self.grid.freq_cell
+        return self.lattice_step * self.grid.freq_cell
 
     def xi_axis(self) -> np.ndarray:
-        return self.grid.freq_axis()[:: self.lattice_step_xi]
+        return self.grid.freq_axis()[:: self.lattice_step]
 
 
 @dataclass
@@ -81,18 +79,18 @@ def _lattice_windows(spec: StftSpec) -> np.ndarray:
     below 1e-80 on the default grids.
     """
     n = spec.grid.points
-    pos = np.arange(0, n, spec.lattice_step_x)
+    pos = np.arange(0, n, spec.lattice_step)
     return spec.window.values[(np.arange(n)[None, :] - pos[:, None] + n // 2) % n]
 
 
 def _stft_core(vals: np.ndarray, spec: StftSpec) -> np.ndarray:
     """V_g along axis 0 of vals: (N, ...) -> (positions, frequencies, ...).
 
-    Every windowed product is folded to period N / lattice_step_xi before the
+    Every windowed product is folded to period N / lattice_step before the
     one batched DFT, which then yields exactly the lattice frequencies.
     """
     n = spec.grid.points
-    m = n // spec.lattice_step_xi
+    m = n // spec.lattice_step
     win = np.conj(_lattice_windows(spec))
     folded = np.einsum("ptr,tr...->pr...", win.reshape(len(win), -1, m),
                        vals.reshape((-1, m) + vals.shape[1:]), optimize=True)
@@ -129,7 +127,7 @@ def stft_adjoint(mat: StftMatrix, spec: StftSpec) -> SampledField:
     """
     n = spec.grid.points
     full = np.zeros((mat.values.shape[0], n), dtype=complex)
-    full[:, :: spec.lattice_step_xi] = mat.values
+    full[:, :: spec.lattice_step] = mat.values
     inner = _centered_fft(full, n, +1, axis=1)
     acc = np.sum(inner * _lattice_windows(spec), axis=0)
     return SampledField(spec.grid, acc * spec.x_cell * spec.xi_cell)
@@ -188,9 +186,6 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     tail equals the budget exactly.  The fractional cut keeps the norm of f2
     proportional to eps instead of staircasing with the lattice shells.
     """
-    if np.max(np.abs(f.values)) == 0.0:
-        zero = SampledField(f.grid, np.zeros(f.grid.points))
-        return zero, zero.copy(), 0.0
     mat = stft(f, spec)
     profile = np.max(np.abs(mat.values), axis=0)
     radii = np.abs(spec.xi_axis())

@@ -217,26 +217,26 @@ def factor_out_phase(k: KernelMatrix, phi: PhaseQuadratic) -> KernelMatrix:
 KERNEL_LATTICE_STEP = 16
 
 
-def _kernel_lattice_stft(k: KernelMatrix, lattice_step: int = KERNEL_LATTICE_STEP):
-    """(values, spec): the kernel's 2d lattice STFT with axes (x positions,
-    y positions, x freqs, y freqs), as _lattice_norm reads it."""
-    spec = StftSpec(default_window(k.grid), lattice_step, lattice_step)
+def _kernel_lattice_stft(k: KernelMatrix):
+    """(values, spec): the kernel's 2d lattice STFT at stride
+    KERNEL_LATTICE_STEP with axes (x positions, y positions, x freqs,
+    y freqs), as _lattice_norm reads it."""
+    spec = StftSpec(default_window(k.grid), KERNEL_LATTICE_STEP)
     along_x = _stft_core(k.entries, spec)  # (x positions, x freqs, y)
     v = _stft_core(np.moveaxis(along_x, 2, 0), spec)  # (y pos, y freqs, x pos, x freqs)
     return v.transpose(2, 0, 3, 1), spec
 
 
-def kernel_mod_norm(k: KernelMatrix, kind: str = INF_1,
-                    lattice_step: int = KERNEL_LATTICE_STEP,
-                    exponent: float = 0.0) -> float:
-    """Modulation-type norm of a kernel viewed as a function on the 2d plane.
+def kernel_mod_norm(k: KernelMatrix) -> float:
+    """M^{infty,1} norm of a kernel viewed as a function on the 2d plane.
 
     The 2d Gaussian window is the outer product of two 1d windows, so the 2d
     STFT is the 1d STFT applied along x and then along y; the lattice is
-    coarse (stride lattice_step in both position and frequency) to keep the
-    cost at desk scale, which changes the estimator by a bounded factor only.
+    coarse (stride KERNEL_LATTICE_STEP in both position and frequency) to
+    keep the cost at desk scale, which changes the estimator by a bounded
+    factor only.
     """
-    return _lattice_norm(*_kernel_lattice_stft(k, lattice_step), kind, exponent)
+    return _lattice_norm(*_kernel_lattice_stft(k), INF_1)
 
 
 def _windowed_fl1(diff: np.ndarray, grid: GridSpec) -> tuple:
@@ -308,7 +308,7 @@ def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
         f1, f2, r = sjostrand_decompose(sc.potential, eps, spec)
         k_low = trotter_kernel(replace(sc, potential=f1), n)
         remainder = KernelMatrix(sc.grid, k_full.entries - k_low.entries)
-        rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase), INF_1)
+        rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase))
         with np.errstate(over="ignore"):  # past the float range inf is the bound
             bound = eps * abs(sc.t) * c * np.exp(2.0 * abs(sc.t) * c)
         rows.append((eps, f1, f2, r, rem_norm, float(bound)))

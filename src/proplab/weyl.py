@@ -154,12 +154,8 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     # sigma(Sz) has modes at S^T q, generally off-lattice; quantize from the
     # modes directly to avoid re-expansion leakage
     lhs = quantize_modes(coeffs, freqs @ s.matrix(), g).entries
-    if np.max(np.abs(s.matrix() - np.eye(2))) < 1e-9:
-        # composite flows that collapse to the identity are not free
-        mu_op = np.eye(g.points, dtype=complex)
-    else:
-        # the unit phase cancels between mu and mu^{-1}, so fix it to 1
-        mu_op = build_propagator(s, g, QUADRATURE, 1.0).kernel_entries() * h
+    # the unit phase cancels between mu and mu^{-1}, so fix it to 1
+    mu_op = build_propagator(s, g, QUADRATURE, 1.0).kernel_entries() * h
     inner = weyl_quantize(sigma).entries * h @ mu_op
     rhs = np.linalg.solve(mu_op, inner) / h
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))

@@ -15,14 +15,13 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 def run_preset(name, kind, budget=None):
     cfg = Config(os.path.join(CONFIG_DIR, name))
-    out = {}
     t0 = time.perf_counter()
-    failures = RUNNERS[kind](cfg, out)
+    header, rows, plot, failures = RUNNERS[kind](cfg)
     elapsed = time.perf_counter() - t0
     assert failures == [], f"{name}: " + "; ".join(failures)
+    assert set(plot["y"]) <= set(header), f"{name}: plots {plot['y']} of {header}"
     if budget is not None:
         assert elapsed < budget, f"{name} took {elapsed:.1f}s (budget {budget}s)"
-    return out
 
 
 def test_criterion_01_symplectic_suite():

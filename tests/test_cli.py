@@ -29,16 +29,26 @@ def test_render_csv_layout():
 
 
 def test_emit_svg_is_self_contained():
-    svg = emit_svg([[(1, 1.0), (2, 0.5)]], {"title": "t", "xlabel": "x",
-                                            "ylabel": "y", "ylog": True})
+    svg = emit_svg(("n", "err"), [(1, 1.0), (2, 0.5)],
+                   {"title": "t", "xlabel": "x", "ylabel": "y", "ylog": True,
+                    "x": "n", "y": ["err"]})
     assert svg.startswith("<svg")
     assert "polyline" in svg
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
+def test_emit_svg_row_numbers_and_log_floor():
+    # without an x column the x values are the row numbers 1, 2, 3, and the
+    # log axis floors the zero residual at 1e-18
+    svg = emit_svg(("check", "residual"), [("a", 0.0), ("b", 1e-9), ("c", 1.0)],
+                   {"ylog": True, "y": ["residual"]})
+    assert '<polyline points="70.00,370.00 345.00,205.00 620.00,40.00"' in svg
+    assert ">1e-18.00<" in svg and ">1<" in svg and ">3<" in svg
+
+
 def test_emit_svg_empty_table_raises():
     with pytest.raises(EmptyTable):
-        emit_svg([[]], {"title": "t"})
+        emit_svg(("n",), [], {"title": "t", "y": ["n"]})
 
 
 def test_config_parsing_and_seed_override():
@@ -126,8 +136,18 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
     pytest.param("flow", "[experiment]\nkind = converge\n" + GRID, id="kind-converge-for-flow"),
     pytest.param("oracles", "[experiment]\nkind = flow\n[flow]\ncount = 20\n",
                  id="kind-flow-for-oracles"),
+    pytest.param("oracles", "[experiment]\nkind = oracles\nseed = 18446744073709551617\n"
+                 "[oracles]\nchecks = measure_bound\n", id="seed-2-64-plus-1"),
+    pytest.param("oracles", "[experiment]\nkind = oracles\nseed = -1\n"
+                 "[oracles]\nchecks = measure_bound\n", id="seed-negative"),
+    pytest.param("flow", "[flow]\ncount = 65537\n", id="flow-count-above-2-16"),
+    pytest.param("oracles", "[oracles]\nchecks = measure_bound\nmeasure_sets = 65537\n",
+                 id="measure-sets-above-2-16"),
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\n"
+                 "eps_list = 0.5,0.5000000000000001\n", id="eps-list-too-close"),
 ])
-def test_malformed_config_exits_2_without_files(tmp_path, command, body):
+@pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
+def test_malformed_config_exits_2_without_files(tmp_path, capsys, command, body):
     bad = tmp_path / "bad.ini"
     header = "" if body.startswith("[experiment]") else f"[experiment]\nkind = {command}\n"
     bad.write_text(header + body)
@@ -135,7 +155,21 @@ def test_malformed_config_exits_2_without_files(tmp_path, command, body):
     out.mkdir()
     rc = main([command, "--config", str(bad), "--out", str(out), "--quiet"])
     assert rc == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_option_outside_u64_exits_2_without_files(tmp_path, capsys, seed):
+    cfg = tmp_path / "oracles.ini"
+    cfg.write_text("[experiment]\nkind = oracles\n[oracles]\nchecks = measure_bound\n")
+    out = tmp_path / "out"
+    rc = main(["oracles", "--config", str(cfg), "--out", str(out), f"--seed={seed}",
+               "--quiet"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert lines == [f"config error: --seed must be in 0..2^64 - 1: {seed}"]
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):

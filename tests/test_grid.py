@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from proplab import (GridSpec, SampledField, dft, field_from_function,
-                     sup_norm_on_compact)
+from proplab import GridSpec, SampledField, dft, sup_norm_on_compact
 
 
 def test_grid_validation():
@@ -36,7 +35,7 @@ def test_dft_parseval(grid, packet):
 
 def test_dft_gaussian_fixed_point(grid):
     # exp(-pi x^2) is its own transform in these conventions
-    f = field_from_function(grid, lambda x: np.exp(-np.pi * x**2))
+    f = SampledField(grid, np.exp(-np.pi * grid.axis()**2))
     spec = dft(f, -1)
     # compare on the shared part of the axes
     xi = grid.freq_axis()

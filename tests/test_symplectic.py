@@ -122,13 +122,14 @@ def test_only_one_dimension_is_accepted():
 
 
 def test_is_free_reports_det():
-    assert not is_free(SymplecticBlocks.identity())
+    assert not is_free(SymplecticBlocks(1.0, 0.0, 0.0, 1.0))
 
 
 def test_compose_blocks():
+    # the group law A_0.3 A_0.4 = A_0.7 on the block matrices
     h = QuadraticHamiltonian.harmonic(1)
-    s = flow(h, 0.3).compose(flow(h, 0.4))
-    assert np.allclose(s.matrix(), flow(h, 0.7).matrix(), atol=1e-13)
+    s = flow(h, 0.3).matrix() @ flow(h, 0.4).matrix()
+    assert np.allclose(s, flow(h, 0.7).matrix(), atol=1e-13)
 
 
 def test_symplectic_check_scales_with_entries():

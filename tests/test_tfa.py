@@ -3,10 +3,11 @@ import pytest
 
 from proplab import (EpsilonTooSmall, INF_1, INF_S, GridSpec,
                      KernelMatrix, MeasurePotential, SampledField, StftSpec,
-                     default_window, dft, field_from_function, kernel_mod_norm,
-                     measure_norm_bound, measure_potential_field, mod_norm,
-                     sjostrand_decompose, stft, stft_adjoint, wigner)
-from proplab.tfa import cross_ambiguity_l1, frequency_profile
+                     default_window, dft, kernel_mod_norm, measure_norm_bound,
+                     measure_potential_field, mod_norm, sjostrand_decompose, stft,
+                     stft_adjoint, wigner)
+from proplab.tfa import _lattice_norm, cross_ambiguity_l1, frequency_profile
+from proplab.trotter import KERNEL_LATTICE_STEP, _kernel_lattice_stft
 from proplab.rng import SplitMix64
 
 
@@ -37,11 +38,11 @@ def test_stft_inversion(grid, spec):
 
 def test_stft_inversion_coarse_lattice(grid):
     # lattice density only rescales the frame constant, inversion survives
-    coarse = StftSpec(default_window(grid), lattice_step_x=2)
+    coarse = StftSpec(default_window(grid), 2)
     f = band_limited(grid, 3, 10)
     rec = stft_adjoint(stft(f, coarse), coarse)
     ratio = rec.values[60:196] / f.values[60:196]
-    # stride-2 lattice halves the frame sum; the adjoint is off by that factor
+    # the adjoint is off by one constant, the stride-2 lattice's frame constant
     assert np.max(np.abs(ratio - ratio[0])) < 1e-8
 
 
@@ -69,7 +70,7 @@ def test_inf1_dominates_sup(grid, spec):
 
 
 def wide_window(grid):
-    w2 = field_from_function(grid, lambda x: np.exp(-np.pi * (x / 1.4) ** 2))
+    w2 = SampledField(grid, np.exp(-np.pi * (grid.axis() / 1.4) ** 2))
     return SampledField(grid, w2.values / w2.norm2())
 
 
@@ -80,10 +81,10 @@ def direct_stft(f, spec):
     g = spec.grid
     n = g.points
     x = g.axis()
-    xi = g.freq_axis()[:: spec.lattice_step_xi]
+    xi = g.freq_axis()[:: spec.lattice_step]
     expo = np.exp(-2j * np.pi * np.outer(x, xi))
     rows = [(f.values * np.conj(np.roll(spec.window.values, p - n // 2))) @ expo
-            for p in range(0, n, spec.lattice_step_x)]
+            for p in range(0, n, spec.lattice_step)]
     return np.array(rows) * g.cell
 
 
@@ -92,12 +93,14 @@ def rel_err(a, b):
                  / np.max(np.abs(np.asarray(b))))
 
 
-@pytest.mark.parametrize("steps,wide", [((1, 1), False), ((2, 1), False),
-                                        ((1, 4), False), ((4, 8), False),
-                                        ((2, 4), True)])
-def test_stft_matches_direct_sum(grid, steps, wide):
+STFT_CASES = [(1, False), (2, False), (4, False), (8, False), (4, True)]
+STFT_IDS = [f"steps{i}-{wide}" for i, (_, wide) in enumerate(STFT_CASES)]
+
+
+@pytest.mark.parametrize("step,wide", STFT_CASES, ids=STFT_IDS)
+def test_stft_matches_direct_sum(grid, step, wide):
     window = wide_window(grid) if wide else default_window(grid)
-    spec = StftSpec(window, *steps)
+    spec = StftSpec(window, step)
     f = band_limited(grid, 30, 40)
     ref = direct_stft(f, spec)
     assert rel_err(stft(f, spec).values, ref) < 1e-12
@@ -116,7 +119,7 @@ def test_stft_matches_direct_sum(grid, steps, wide):
     n = grid.points
     synth = ref @ np.exp(2j * np.pi * np.outer(xi, grid.axis()))
     wins = np.array([np.roll(window.values, p - n // 2)
-                     for p in range(0, n, spec.lattice_step_x)])
+                     for p in range(0, n, spec.lattice_step)])
     adj = np.sum(synth * wins, axis=0) * spec.x_cell * spec.xi_cell
     assert rel_err(stft_adjoint(stft(f, spec), spec).values, adj) < 1e-12
 
@@ -124,8 +127,8 @@ def test_stft_matches_direct_sum(grid, steps, wide):
 def test_kernel_mod_norm_matches_direct_2d_sum():
     # the separable two-pass estimator against the 2d STFT summed directly
     # with the 2d Gaussian window exp(-pi (x^2 + y^2))
-    g = GridSpec(1, 4.0, 32)
-    n, step = 32, 4
+    g = GridSpec(1, 4.0, 64)
+    n, step = 64, KERNEL_LATTICE_STEP
     rng = SplitMix64(31)
     entries = (rng.normals(n * n) + 1j * rng.normals(n * n)).reshape(n, n)
     x = g.axis()
@@ -142,15 +145,15 @@ def test_kernel_mod_norm_matches_direct_2d_sum():
     cell = (step * g.freq_cell) ** 2
     radii = np.sqrt(xi[:, None] ** 2 + xi[None, :] ** 2)
     k = KernelMatrix(g, entries)
-    assert kernel_mod_norm(k, INF_1, step) == pytest.approx(
+    assert kernel_mod_norm(k) == pytest.approx(
         np.sum(np.max(mag, axis=(0, 1))) * cell, rel=1e-12)
-    assert kernel_mod_norm(k, INF_S, step, exponent=2.5) == pytest.approx(
+    assert _lattice_norm(*_kernel_lattice_stft(k), INF_S, 2.5) == pytest.approx(
         np.max(mag * (1.0 + radii) ** 2.5), rel=1e-12)
 
 
 def test_stft_spec_rejects_single_frequency(grid):
     with pytest.raises(ValueError):
-        StftSpec(default_window(grid), lattice_step_xi=grid.points)
+        StftSpec(default_window(grid), grid.points)
 
 
 def test_window_comparability(grid):

@@ -92,13 +92,6 @@ def test_covariance_integer_shear(grid):
     assert symplectic_covariance_residual(sig, shear) < 1e-10
 
 
-def test_covariance_composite_identity(grid):
-    sig = random_symbol(grid, 62)
-    h = QuadraticHamiltonian.harmonic(1)
-    s = flow(h, 0.5 * np.pi).compose(flow(h, -0.5 * np.pi))
-    assert symplectic_covariance_residual(sig, s) < 1e-10
-
-
 def test_covariance_state_level_generic_time(grid):
     # generic rotations do not preserve the lattice, so the matrix identity
     # degrades; on concentrated states conjugation still tracks composition
