@@ -5,8 +5,8 @@ calculus on periodic grids, short-time-Fourier (modulation norm) analysis,
 and the time-sliced product approximation with rough bounded potentials.
 """
 
-from .errors import (ConfigError, DimensionUnsupported, EmptyTable,
-                     EpsilonTooSmall, NotFree, ProplabError)
+from .errors import (ConfigError, EmptyTable, EpsilonTooSmall, NotFree,
+                     ProplabError)
 from .grid import (GridSpec, KernelMatrix, SampledField, SymbolField, dft,
                    sup_norm_on_compact)
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian,
@@ -14,9 +14,9 @@ from .symplectic import (PhaseQuadratic, QuadraticHamiltonian,
 from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, MetaplecticPropagator,
                           build_propagator, mehler_oracle, propagator_for,
                           resolve_phase)
-from .tfa import (INF_1, INF_S, MeasurePotential, StftSpec, default_window,
-                  measure_norm_bound, measure_potential_field, mod_norm,
-                  sjostrand_decompose, stft, stft_adjoint, wigner)
+from .tfa import (INF_1, INF_S, StftSpec, default_window, measure_norm_bound,
+                  measure_potential_field, mod_norm, sjostrand_decompose, stft,
+                  stft_adjoint, wigner)
 from .weyl import (conjugate_through_fio, fio_swap_residual,
                    phase_fourier_modes, quantize_modes,
                    symplectic_covariance_residual, weyl_quantize)

@@ -28,10 +28,9 @@ from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, mehler_oracle,
                           propagator_for)
 from .rng import SplitMix64
 from .symplectic import QuadraticHamiltonian, flow, phase_form
-from .tfa import (INF_1, MeasurePotential, StftSpec, default_window,
-                  frequency_profile, measure_norm_bound,
-                  measure_potential_field, mod_norm, stft, stft_adjoint,
-                  wigner)
+from .tfa import (INF_1, StftSpec, default_window, frequency_profile,
+                  measure_norm_bound, measure_potential_field, mod_norm, stft,
+                  stft_adjoint, wigner)
 from .trotter import (CHIRP, KERNEL_LATTICE_STEP, TrotterScenario,
                       convergence_report, exceptional_blowup_scan,
                       factor_out_phase, kernel_mod_norm,
@@ -309,7 +308,7 @@ class Config:
                 return SampledField(grid, amp * bump)
             if preset == "measure-atoms":
                 atoms = self.get_pairs("potential", "atoms", complex)
-                return measure_potential_field(MeasurePotential(tuple(atoms)), grid)
+                return measure_potential_field(atoms, grid)
             if preset == "random-band-limited":
                 n = grid.points
                 band = self.get_int("potential", "band", 5, (
@@ -415,9 +414,12 @@ def run_kernel(cfg: Config):
     return _residual_table("kernel", rows, "kernel oracle residuals")
 
 
-def _scenario(cfg: Config):
+def _scenario(cfg: Config, reference: bool = False):
     """The [grid]/[hamiltonian]/[potential]/[time] scenario of the runners
-    that take kernel modulation norms."""
+    that take kernel modulation norms.
+
+    Only converge builds a reference kernel, so only it (reference = True)
+    reads [time] reference_n; the others take 4 * max(n_list)."""
     grid = cfg.grid()
     with _config_errors(f"[grid] points = {grid.points} does not fit "
                         "the kernel norm lattice"):
@@ -427,15 +429,16 @@ def _scenario(cfg: Config):
     t = cfg.get_float("time", "t", 1.0)
     n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int, (
         lambda ns: all(1 <= n <= MAX_STEPS for n in ns), f"in 1..{MAX_STEPS}"))
-    ref_n = cfg.get_int("time", "reference_n", 4 * max(n_list),
-                        _count_upto(4 * MAX_STEPS))
+    ref_n = 4 * max(n_list)
+    if reference:
+        ref_n = cfg.get_int("time", "reference_n", ref_n, _count_upto(4 * MAX_STEPS))
     # an exceptional t is the scenario's NotFree, before any numerics
     with _config_errors("[time]"):
         return TrotterScenario(h, v, t, n_list, grid, ref_n)
 
 
 def run_converge(cfg: Config):
-    sc = _scenario(cfg)
+    sc = _scenario(cfg, reference=True)
     collapse_tol = cfg.get_float("converge", "collapse_tol", 0.0)
     rows, cauchy_tag = convergence_report(sc)
     header = ["n", "sup_error"]
@@ -630,7 +633,7 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
             atoms = tuple((round(float(rng.uniform() * 4 - 2) * 16) / 16,
                            complex(rng.normals(1)[0], rng.normals(1)[0]))
                           for _ in range(count))
-            lhs_v, rhs_v = measure_norm_bound(MeasurePotential(atoms), sspec)
+            lhs_v, rhs_v = measure_norm_bound(atoms, sspec)
             if rhs_v > 0:
                 worst = max(worst, lhs_v / rhs_v)
         rows.append(("measure_bound", worst, 1.05))

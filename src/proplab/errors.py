@@ -14,10 +14,6 @@ class EpsilonTooSmall(ProplabError):
     """The requested decomposition budget is below the grid truncation floor."""
 
 
-class DimensionUnsupported(ProplabError):
-    """Operation restricted to lower dimension than requested."""
-
-
 class EmptyTable(ProplabError):
     """Plot emitter received no rows."""
 

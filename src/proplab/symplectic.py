@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionUnsupported, NotFree, ProplabError
+from .errors import NotFree, ProplabError
 
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """Scalar coefficients of a real quadratic phase-space symbol; hashable."""
+    """Scalar coefficients of a real quadratic phase-space symbol; hashable;
+    dim must be 1."""
 
     dim: int
     a: float
@@ -34,7 +35,7 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         if self.dim != 1:
-            raise DimensionUnsupported("only d = 1 Hamiltonians are supported")
+            raise ValueError("only d = 1 is supported")
         for name in ("a", "b", "c"):
             value = float(getattr(self, name))
             if not np.isfinite(value):

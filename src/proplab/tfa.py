@@ -65,10 +65,10 @@ class StftSpec:
 
 @dataclass
 class StftMatrix:
-    """V_g f sampled on the lattice; axes are (x positions, frequencies)."""
+    """V_g f sampled on the lattice; axes are (x positions, frequencies).
+    The lattice is not stored: stft_adjoint takes the spec it was made with."""
 
     values: np.ndarray
-    spec: StftSpec
 
 
 def _lattice_windows(spec: StftSpec) -> np.ndarray:
@@ -116,7 +116,7 @@ def _lattice_norm(v: np.ndarray, spec: StftSpec, kind: str,
 def stft(f: SampledField, spec: StftSpec) -> StftMatrix:
     if f.grid != spec.grid:
         raise ValueError("field and window grids do not match")
-    return StftMatrix(_stft_core(f.values, spec), spec)
+    return StftMatrix(_stft_core(f.values, spec))
 
 
 def stft_adjoint(mat: StftMatrix, spec: StftSpec) -> SampledField:
@@ -133,13 +133,13 @@ def stft_adjoint(mat: StftMatrix, spec: StftSpec) -> SampledField:
     return SampledField(spec.grid, acc * spec.x_cell * spec.xi_cell)
 
 
-def mod_norm(f: SampledField, spec: StftSpec, kind: str, exponent: float = 0.0) -> float:
-    """Lattice estimator of the M^infty_s and M^{infty,1} norms.
+def mod_norm(f: SampledField, spec: StftSpec, kind: str) -> float:
+    """Lattice estimator of the M^infty and M^{infty,1} norms.
 
-    inf-s: sup |V_g f| (1+|xi|)^s with s = exponent;
-    inf-1: sum_xi sup_x |V_g f| * cell.
+    inf-s: sup |V_g f|, unweighted (a (1+|xi|)^s weight is _lattice_norm's
+    exponent); inf-1: sum_xi sup_x |V_g f| * cell.
     """
-    return _lattice_norm(stft(f, spec).values, spec, kind, exponent)
+    return _lattice_norm(stft(f, spec).values, spec, kind)
 
 
 def frequency_profile(f: SampledField, spec: StftSpec) -> np.ndarray:
@@ -211,34 +211,25 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     clipped = mat.values.copy()
     clipped[..., radii > chosen] = 0.0
     clipped[..., shell] *= 1.0 - into_f2
-    f1 = stft_adjoint(StftMatrix(clipped, spec), spec)
+    f1 = stft_adjoint(StftMatrix(clipped), spec)
     f2 = SampledField(f.grid, f.values - f1.values)
     return f1, f2, chosen
 
 
-@dataclass(frozen=True)
-class MeasurePotential:
-    """V(x) = sum_j c_j exp(2 pi i k_j x), the transform of an atomic measure."""
-
-    atoms: tuple
-
-    @property
-    def total_variation(self) -> float:
-        return float(sum(abs(c) for _, c in self.atoms))
-
-
-def measure_potential_field(p: MeasurePotential, grid: GridSpec) -> SampledField:
+def measure_potential_field(atoms, grid: GridSpec) -> SampledField:
+    """V(x) = sum_j c_j exp(2 pi i k_j x), the transform of the atomic measure
+    with (frequency k_j, mass c_j) pairs atoms."""
     vals = np.zeros(grid.points, dtype=complex)
     x = grid.axis()
-    for k, c in p.atoms:
+    for k, c in atoms:
         vals = vals + c * np.exp(2j * np.pi * (x * k))
     return SampledField(grid, vals)
 
 
-def measure_norm_bound(p: MeasurePotential, spec: StftSpec):
-    """(lhs, rhs) with lhs the Sjostrand-norm estimate of the potential and
-    rhs = |g|_{L1} * total variation of the measure."""
-    field = measure_potential_field(p, spec.grid)
-    lhs = mod_norm(field, spec, INF_1)
+def measure_norm_bound(atoms, spec: StftSpec):
+    """(lhs, rhs) with lhs the Sjostrand-norm estimate of the potential of the
+    (frequency, mass) pairs atoms and rhs = |g|_{L1} * sum_j |c_j|, the
+    total variation of the measure."""
+    lhs = mod_norm(measure_potential_field(atoms, spec.grid), spec, INF_1)
     g_l1 = float(np.sum(np.abs(spec.window.values)) * spec.grid.cell)
-    return lhs, g_l1 * p.total_variation
+    return lhs, g_l1 * sum(abs(c) for _, c in atoms)

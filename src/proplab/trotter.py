@@ -163,14 +163,15 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step.
 
-    With V identically zero one full-time step is taken for any n: SPECTRAL
-    returns the grid step kinetic_step(h, t), by the group law the n-th power
-    of the t/n step, so the kernel stays continuous in V at V = 0; CHIRP the
-    full-time chirp quadrature, because powered chirp quadratures do not
-    compose.  method = CHIRP needs a free-particle H0 (ValueError otherwise).
+    With V identically zero, SPECTRAL takes one full-time step for any n:
+    the grid step kinetic_step(h, t) is, by the group law, the n-th power of
+    the t/n step.  CHIRP has no group law (powered chirp quadratures do not
+    compose), so it powers the t/n quadrature at V = 0 as for any V; either
+    way the kernel is continuous in V at V = 0.  method = CHIRP needs a
+    free-particle H0 (ValueError otherwise).
     """
     _require_method(sc.hamiltonian, method)
-    if not np.any(sc.potential.values):
+    if method == SPECTRAL and not np.any(sc.potential.values):
         n = 1
     tau = sc.t / n
     # b = 0, which the chirp step also requires, makes both kinetic matrices

@@ -395,6 +395,38 @@ def test_perturb_bound_past_float_range_is_inf(tmp_path, capsys):
     assert (out / "perturb.csv").exists()
 
 
+def test_freeslice_zero_potential_passes(tmp_path, capsys):
+    # at V = 0 the chirp product kernel powers the t/n quadrature, as for any
+    # V, so it matches the n-slice path quadrature
+    with open(cfg_path("freeslice-cos.ini")) as handle:
+        text = handle.read()
+    assert "preset = cosine-sum" in text
+    rc, lines, _ = run_text(tmp_path, capsys, "freeslice",
+                            text.replace("preset = cosine-sum", "preset = zero"))
+    assert (rc, lines) == (0, [])
+
+
+@pytest.mark.parametrize("command,config", [
+    ("modbound", "modbound-harmonic-cos.ini"),
+    ("perturb", "decomposition-pinned.ini"),
+])
+def test_reference_n_is_read_by_converge_only(tmp_path, command, config):
+    # neither command builds a reference kernel: a reference_n below
+    # 4 * max(n_list), or not a number, leaves their files as without the key
+    with open(cfg_path(config)) as handle:
+        text = handle.read()
+    key = re.search(r"\nreference_n = \d+\n", text).group(0)
+    outputs = []
+    for value in (None, "16", "oops"):
+        cfg = tmp_path / f"{value}.ini"
+        cfg.write_text(text.replace(key, "\n" if value is None
+                                    else f"\nreference_n = {value}\n"))
+        out = tmp_path / f"out-{value}"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        outputs.append([(out / f"{command}.{ext}").read_bytes() for ext in ("csv", "svg")])
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def run_python(*args):
     """A fresh interpreter that imports proplab from this checkout."""
     paths = [SRC_DIR, os.environ.get("PYTHONPATH", "")]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from proplab import (DimensionUnsupported, NotFree, QuadraticHamiltonian,
-                     SymplecticBlocks, flow, is_free, phase_form)
+from proplab import (NotFree, QuadraticHamiltonian, SymplecticBlocks, flow,
+                     is_free, phase_form)
 from proplab._kernels import chirp_kernel
 from proplab.rng import SplitMix64
 
@@ -117,7 +117,7 @@ def test_phase_form_refuses_exceptional():
 
 
 def test_only_one_dimension_is_accepted():
-    with pytest.raises(DimensionUnsupported):
+    with pytest.raises(ValueError):
         QuadraticHamiltonian.harmonic(2)
 
 

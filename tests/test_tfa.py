@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from proplab import (EpsilonTooSmall, INF_1, INF_S, GridSpec,
-                     KernelMatrix, MeasurePotential, SampledField, StftSpec,
-                     default_window, dft, kernel_mod_norm, measure_norm_bound,
-                     measure_potential_field, mod_norm, sjostrand_decompose, stft,
-                     stft_adjoint, wigner)
+from proplab import (EpsilonTooSmall, INF_1, INF_S, GridSpec, KernelMatrix,
+                     SampledField, StftSpec, default_window, dft, kernel_mod_norm,
+                     measure_norm_bound, measure_potential_field, mod_norm,
+                     sjostrand_decompose, stft, stft_adjoint, wigner)
 from proplab.tfa import _lattice_norm, cross_ambiguity_l1, frequency_profile
 from proplab.trotter import KERNEL_LATTICE_STEP, _kernel_lattice_stft
 from proplab.rng import SplitMix64
@@ -110,7 +109,7 @@ def test_stft_matches_direct_sum(grid, step, wide):
     assert rel_err(frequency_profile(f, spec), profile) < 1e-12
     assert mod_norm(f, spec, INF_1) == pytest.approx(
         np.sum(profile) * spec.xi_cell, rel=1e-12)
-    assert mod_norm(f, spec, INF_S, exponent=1.5) == pytest.approx(
+    assert _lattice_norm(stft(f, spec).values, spec, INF_S, 1.5) == pytest.approx(
         np.max(mag * (1.0 + np.abs(xi)) ** 1.5), rel=1e-12)
     assert cross_ambiguity_l1(spec) == pytest.approx(
         np.sum(np.abs(direct_stft(window, spec))) * spec.x_cell * spec.xi_cell,
@@ -238,14 +237,15 @@ def test_measure_potential_bound_random_sets(grid, spec):
         atoms = tuple((round(float(rng.uniform() * 4 - 2) * 16) / 16,
                        complex(rng.normals(1)[0], rng.normals(1)[0]))
                       for _ in range(count))
-        p = MeasurePotential(atoms)
-        lhs, rhs = measure_norm_bound(p, spec)
+        lhs, rhs = measure_norm_bound(atoms, spec)
+        g_l1 = float(np.sum(np.abs(spec.window.values)) * grid.cell)
+        assert rhs == pytest.approx(g_l1 * sum(abs(c) for _, c in atoms), rel=1e-15)
         assert lhs <= rhs * 1.05
 
 
 def test_measure_potential_field_values(grid):
-    p = MeasurePotential(((1.0, 1.0 + 0.0j), (-1.0, 1.0 + 0.0j)))
-    f = measure_potential_field(p, grid)
+    atoms = ((1.0, 1.0 + 0.0j), (-1.0, 1.0 + 0.0j))
+    f = measure_potential_field(atoms, grid)
     x = grid.axis()
     assert np.max(np.abs(f.values - 2.0 * np.cos(2.0 * np.pi * x))) < 1e-12
-    assert p.total_variation == pytest.approx(2.0)
+    assert sum(abs(c) for _, c in atoms) == pytest.approx(2.0)
