@@ -21,6 +21,7 @@ import tempfile
 
 import numpy as np
 
+from ._kernels import free_chirp
 from .errors import ConfigError, EmptyTable, ProplabError
 from .grid import (GridSpec, SampledField, SymbolField, _centered_fft, dft,
                    sup_norm_on_compact)
@@ -373,9 +374,7 @@ def _free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
     the free propagator and the analytic chirp, relative to the chirp's sup."""
     kq = propagator_for(QuadraticHamiltonian.free_particle(1), t, grid,
                         method=QUADRATURE).kernel_entries()
-    x = grid.axis()
-    ana = np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * t)) \
-        / np.sqrt(2j * np.pi * t)
+    ana = free_chirp(grid.axis(), t)
     return sup_norm_on_compact(kq - ana, grid, radius) / float(np.max(np.abs(ana)))
 
 

@@ -4,9 +4,12 @@ For a free symplectic matrix the operator is the quadratic Fourier transform
 
     mu(A) f(x) = c |det B|^(-1/2) Integral exp(2*pi*i*Phi_A(x,y)) f(y) dy,
 
-realized either by direct quadrature (dense chirp matrix) or by the factored
-fast path  chirp -> Fourier transform resampled at B^(-1) x via a Bluestein
-chirp-Z transform -> chirp.  Both paths evaluate the identical discrete sum.
+realized either by direct quadrature or by the factored fast path  chirp ->
+Fourier transform resampled at B^(-1) x via a Bluestein chirp-Z transform ->
+chirp.  Both paths evaluate the identical discrete sum.  The quadrature's
+dense carrier e^{2 pi i Phi} is a row chirp times a Toeplitz chirp in x - y
+times a column chirp (_kernels.chirp_kernel), 3N - 1 exponentials for N^2
+entries.
 
 The unit phase c is fixed by continuity of the metaplectic lift from t = 0:
 it counts the zeros of B_s (the exceptional times) crossed on the way to t.
@@ -47,7 +50,8 @@ FAST_CHIRP_FFT = "fast-chirp-fft"
 @dataclass(frozen=True)
 class MetaplecticPropagator:
     """mu(A) realized on a grid; frozen, and holding no kernel matrix: each
-    kernel_entries() call assembles a fresh dense chirp."""
+    kernel_entries() call assembles a fresh dense carrier from its three
+    chirp factors."""
 
     phase: PhaseQuadratic
     abs_det_b: float
@@ -118,15 +122,24 @@ def propagator_for(h: QuadraticHamiltonian, t: float, grid: GridSpec,
     return build_propagator(s, grid, method, resolve_phase(h, t))
 
 
+def mehler_phase(t: float) -> complex:
+    """Mehler's unit phase c(t), counted apart from resolve_phase: exp(-i pi/4)
+    times exp(-i pi/2) = -i for each multiple of pi that |t| has passed,
+    conjugated for t < 0."""
+    c = np.exp(-0.25j * np.pi) * (1.0, -1j, -1.0, 1j)[int(abs(t) // np.pi) % 4]
+    return np.conj(c) if t < 0 else c
+
+
 def mehler_oracle(t: float, grid: GridSpec) -> KernelMatrix:
-    """Exact harmonic-oscillator kernel, assembled from the closed form.
+    """Exact harmonic-oscillator kernel, the closed form evaluated entry by
+    entry: N^2 exponentials, written apart from the carrier it checks.
 
     K(x,y) = c(t) |sin t|^(-1/2) exp(2*pi*i (cos t (x^2+y^2) - 2xy) / (2 sin t)).
     """
     st = np.sin(t)
     if abs(st) <= 1e-8:
         raise NotFree(f"harmonic kernel degenerates at t = {t}")
-    c = resolve_phase(QuadraticHamiltonian.harmonic(), t)
+    c = mehler_phase(t)
     x = grid.axis()
     sq = x**2
     phase = (np.cos(t) * (sq[:, None] + sq[None, :]) - 2.0 * np.outer(x, x)) / (2.0 * st)

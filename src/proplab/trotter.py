@@ -333,12 +333,9 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
     if v.grid != grid:
         raise ValueError("potential grid does not match")
     tau = t / n
-    x = grid.axis()
     # the chirp depends on (x - y)^2 only, so it is exactly symmetric
-    total = _power_step(
-        np.exp(1j * (x[:, None] - x[None, :]) ** 2 / (2.0 * tau))
-        * (grid.cell / np.sqrt(2j * np.pi * tau)),
-        tau, v.values, n, symmetric=True)
+    total = _power_step(_kernels.free_chirp(grid.axis(), tau) * grid.cell,
+                        tau, v.values, n, symmetric=True)
     total /= grid.cell
     return KernelMatrix(grid, total)
 

@@ -5,6 +5,7 @@ from proplab import (FAST_CHIRP_FFT, QUADRATURE, GridSpec, NotFree,
                      QuadraticHamiltonian, build_propagator, dft, flow,
                      mehler_oracle, propagator_for, resolve_phase,
                      sup_norm_on_compact)
+from proplab.metaplectic import mehler_phase
 from proplab.trotter import kinetic_step
 
 
@@ -82,6 +83,31 @@ def test_phase_matches_spectral_step_across_exceptional_times(grid, packet, h, k
     spectral = kinetic_step(h, t, grid) @ packet.values
     chirp = propagator_for(h, t, grid).apply(packet).values
     assert np.max(np.abs(spectral - chirp)) < 1e-8
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3, 7])
+def test_mehler_phase_matches_resolve_phase(k):
+    # the times of the test above, for the harmonic H0; the two counts are
+    # written apart, so this checks each against the other
+    t = 0.8 + k * np.pi
+    c = resolve_phase(QuadraticHamiltonian.harmonic(1), t)
+    assert abs(mehler_phase(t) - c) < 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("half_width, points", [(16.0, 1024), (5.0, 256)])
+@pytest.mark.parametrize("tau", [0.125, 1.0])
+def test_free_carrier_equals_its_transpose(half_width, points, tau):
+    # _power_step squares this step as z @ z.T, and BLAS zsyrk reads one
+    # triangle only: an asymmetric carrier would be silently symmetrized
+    grid = GridSpec(1, half_width, points)
+    k = propagator_for(QuadraticHamiltonian.free_particle(1), tau, grid).kernel_entries()
+    assert np.array_equal(k, k.T)
+
+
+def test_harmonic_carrier_is_symmetric_to_rounding():
+    grid = GridSpec(1, 16.0, 1024)
+    k = propagator_for(QuadraticHamiltonian.harmonic(1), 1.0, grid).kernel_entries()
+    assert np.max(np.abs(k - k.T)) <= 1e-15
 
 
 @pytest.mark.parametrize("t", [6.0, 10.0, -8.0])
