@@ -119,10 +119,12 @@ def _centered_fft(vals: np.ndarray, n: int, sign: int, axis: int = 0) -> np.ndar
     if sign == -1:
         out = np.fft.fft(vals * pre, axis=axis)
     elif sign == +1:
-        out = np.fft.ifft(vals * pre, axis=axis) * m
+        out = np.fft.ifft(vals * pre, axis=axis)
+        out *= m
     else:
         raise ValueError("sign must be +1 or -1")
-    return out * post
+    out *= post
+    return out
 
 
 def _refine_axis(vals: np.ndarray, axis: int) -> np.ndarray:

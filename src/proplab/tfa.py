@@ -94,7 +94,9 @@ def _stft_core(vals: np.ndarray, spec: StftSpec) -> np.ndarray:
     win = np.conj(_lattice_windows(spec))
     folded = np.einsum("ptr,tr...->pr...", win.reshape(len(win), -1, m),
                        vals.reshape((-1, m) + vals.shape[1:]), optimize=True)
-    return _centered_fft(folded, n, -1, axis=1) * spec.grid.cell
+    out = _centered_fft(folded, n, -1, axis=1)
+    out *= spec.grid.cell
+    return out
 
 
 def _lattice_norm(v: np.ndarray, spec: StftSpec, kind: str,
