@@ -25,8 +25,7 @@ from ._kernels import free_chirp
 from .errors import ConfigError, EmptyTable, ProplabError
 from .grid import (GridSpec, SampledField, SymbolField, _centered_fft, dft,
                    sup_norm_on_compact)
-from .metaplectic import (FAST_CHIRP_FFT, QUADRATURE, mehler_oracle,
-                          propagator_for)
+from .metaplectic import mehler_oracle, propagator_for
 from .rng import SplitMix64
 from .symplectic import QuadraticHamiltonian, flow, phase_form
 from .tfa import (INF_1, StftSpec, default_window, frequency_profile,
@@ -318,8 +317,7 @@ class Config:
                 spec = np.zeros(n, dtype=complex)
                 coeffs = rng.normals(2 * band + 1) + 1j * rng.normals(2 * band + 1)
                 spec[n // 2 - band: n // 2 + band + 1] = coeffs
-                # hermitian symmetry keeps the potential real
-                spec = 0.5 * (spec + np.conj(spec[::-1].copy()))
+                # V is the real part, whose spectrum stays on |k| <= band
                 field = dft(SampledField(grid, spec), +1)
                 return SampledField(grid, field.values.real)
         raise ConfigError(f"unknown potential preset: {preset}")
@@ -372,8 +370,7 @@ def run_flow(cfg: Config):
 def _free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
     """Sup difference on |x|, |y| <= radius between the quadrature kernel of
     the free propagator and the analytic chirp, relative to the chirp's sup."""
-    kq = propagator_for(QuadraticHamiltonian.free_particle(1), t, grid,
-                        method=QUADRATURE).kernel_entries()
+    kq = propagator_for(QuadraticHamiltonian.free_particle(1), t, grid).kernel_entries()
     ana = free_chirp(grid.axis(), t)
     return sup_norm_on_compact(kq - ana, grid, radius) / float(np.max(np.abs(ana)))
 
@@ -400,11 +397,11 @@ def run_kernel(cfg: Config):
     if preset == "free":
         rows = [("free_vs_analytic", _free_kernel_residual(t, grid, radius), tol)]
     else:
-        kq = propagator_for(h, t, grid, method=QUADRATURE).kernel_entries()
+        kq = propagator_for(h, t, grid).kernel_entries()
         ko = mehler_oracle(t, grid).entries
         scale = float(np.max(np.abs(ko)))
         cols = np.eye(grid.points, dtype=complex) / grid.cell
-        kf = propagator_for(h, t, grid, method=FAST_CHIRP_FFT).apply_columns(cols)
+        kf = propagator_for(h, t, grid).apply_columns(cols)
         sup_pred = abs(np.sin(t)) ** -0.5
         rows = [("quadrature_vs_mehler", float(np.max(np.abs(kq - ko))) / scale, tol),
                 ("fast_vs_quadrature", float(np.max(np.abs(kf - kq))) / scale, tol),
@@ -586,7 +583,7 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
 
     if "mehler" in checks:
         ko = mehler_oracle(1.0, grid)
-        kq = propagator_for(harm, 1.0, grid, method=QUADRATURE).kernel_entries()
+        kq = propagator_for(harm, 1.0, grid).kernel_entries()
         rows.append(("mehler", float(np.max(np.abs(ko.entries - kq)))
                      / float(np.max(np.abs(ko.entries))), 1e-6))
 

@@ -60,9 +60,10 @@ class MetaplecticPropagator:
     grid: GridSpec
 
     def __post_init__(self):
-        if abs(abs(self.phase_factor) - 1.0) > 1e-12:
+        # written so that NaN fails them
+        if not abs(abs(self.phase_factor) - 1.0) <= 1e-12:
             raise ValueError("phase factor must have unit modulus")
-        if self.abs_det_b <= 0:
+        if not self.abs_det_b > 0:
             raise ValueError("|det B| must be positive")
 
     @property

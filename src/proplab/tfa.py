@@ -40,8 +40,9 @@ class StftSpec:
 
     def __post_init__(self):
         n = self.grid.points
-        if n % self.lattice_step:
-            raise ValueError("the lattice step must divide the grid extent")
+        if self.lattice_step <= 0 or n % self.lattice_step:
+            raise ValueError(f"lattice step {self.lattice_step} is not a positive "
+                             f"divisor of N = {n}")
         if self.lattice_step == n:
             raise ValueError("the frequency lattice needs at least two points")
         if abs(self.window.norm2() - 1.0) > 1e-10:

@@ -117,24 +117,6 @@ def kinetic_step(h: QuadraticHamiltonian, tau: float, grid: GridSpec) -> np.ndar
     return out
 
 
-def _require_method(h: QuadraticHamiltonian, method: str):
-    """Reject a step method the Hamiltonian cannot use.  The chirp step is the
-    quadrature of the one-step metaplectic kernel; its powers stay bounded
-    only for a free particle (a = b = 0), while for a harmonic H0 they blow
-    up (sup 7.5e108 at n = 64 on N = 256, L = 8)."""
-    if method not in (SPECTRAL, CHIRP):
-        raise ValueError(f"unknown step method: {method}")
-    if method == CHIRP and (h.a != 0.0 or h.b != 0.0):
-        raise ValueError("the chirp step needs a free-particle H0 (a = b = 0)")
-
-
-def _kinetic_matrix(sc: TrotterScenario, tau: float, method: str) -> np.ndarray:
-    if method == CHIRP:
-        return propagator_for(sc.hamiltonian, tau, sc.grid).kernel_entries() \
-            * sc.grid.cell
-    return kinetic_step(sc.hamiltonian, tau, sc.grid)
-
-
 def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
                 symmetric: bool) -> np.ndarray:
     """(z diag(q^2))^n by binary powering, q = exp(-i tau v / 2); z is
@@ -172,25 +154,34 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
 
 
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
-    """Kernel matrix of E_n(t), by binary powering of the symmetrized step.
+    """Kernel matrix of E_n(t), by binary powering of the symmetrized step;
+    the one place where the step is chosen, checked and built.
 
-    With V identically zero, SPECTRAL takes one full-time step for any n:
-    the grid step kinetic_step(h, t) is, by the group law, the n-th power of
-    the t/n step.  CHIRP has no group law (powered chirp quadratures do not
-    compose), so it powers the t/n quadrature at V = 0 as for any V; either
-    way the kernel is continuous in V at V = 0.  method = CHIRP needs a
-    free-particle H0 (ValueError otherwise).
+    SPECTRAL steps with kinetic_step(h, t/n).  CHIRP steps with the
+    quadrature of the one-step metaplectic kernel, whose powers stay bounded
+    only for a free particle (a = b = 0; for a harmonic H0 the sup reaches
+    7.5e108 at n = 64 on N = 256, L = 8), so CHIRP with any other H0 is a
+    ValueError, as is an unknown method.  With V identically zero, SPECTRAL
+    takes one full-time step for any n, kinetic_step(h, t) being the n-th
+    power of the t/n step by the group law; CHIRP has no group law (powered
+    chirp quadratures do not compose), so it powers the t/n quadrature at
+    V = 0 as for any V.  Either way the kernel is continuous in V at V = 0.
     """
-    _require_method(sc.hamiltonian, method)
-    if method == SPECTRAL and not np.any(sc.potential.values):
+    h = sc.hamiltonian
+    if method == CHIRP:
+        if h.a != 0.0 or h.b != 0.0:
+            raise ValueError("the chirp step needs a free-particle H0 (a = b = 0)")
+    elif method != SPECTRAL:
+        raise ValueError(f"unknown step method: {method}")
+    elif not np.any(sc.potential.values):
         n = 1
     tau = sc.t / n
-    # b = 0, which the chirp step also requires, makes both kinetic matrices
-    # complex symmetric: H_grid is real symmetric, and the free chirp is
-    # symmetric in x and y
-    m = _power_step(_kinetic_matrix(sc, tau, method), tau,
-                    sc.potential.values.ravel(), n,
-                    symmetric=sc.hamiltonian.b == 0.0)
+    # b = 0, which CHIRP also requires, makes either step complex symmetric
+    # (H_grid real symmetric, the free chirp symmetric in x and y); the step
+    # is a temporary, as _power_step overwrites it
+    m = _power_step(propagator_for(h, tau, sc.grid).kernel_entries() * sc.grid.cell
+                    if method == CHIRP else kinetic_step(h, tau, sc.grid),
+                    tau, sc.potential.values, n, symmetric=h.b == 0.0)
     m /= sc.grid.cell
     return KernelMatrix(sc.grid, m)
 

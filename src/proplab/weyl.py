@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import NotFree
 from .grid import (GridSpec, KernelMatrix, SymbolField, _centered_fft,
-                   _refine_axis)
+                   _checker, _refine_axis)
 from .metaplectic import QUADRATURE, build_propagator
 from .symplectic import PhaseQuadratic, SymplecticBlocks
 
@@ -41,7 +41,7 @@ def _lag_quantize(ref2: np.ndarray, g: GridSpec) -> KernelMatrix:
     """
     n = g.points
     lag = np.fft.ifft(ref2, axis=1) * n * g.freq_cell
-    lag = lag * (-1.0) ** np.arange(2 * n)[None, :]
+    lag = lag * _checker(2 * n)[None, :]
     i = np.arange(n)
     s = i[:, None] + i[None, :]
     d = i[:, None] - i[None, :]

@@ -3,9 +3,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from proplab import EmptyTable
+from proplab import EmptyTable, GridSpec
 from proplab.cli import Config, emit_svg, format_number, main, render_csv
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -56,6 +57,22 @@ def test_config_parsing_and_seed_override():
     assert cfg.seed == 1
     cfg2 = Config(cfg_path("flow-random-suite.ini"), seed_override=9)
     assert cfg2.seed == 9
+
+
+@pytest.mark.parametrize("band", [0, 5])
+def test_random_band_limited_potential_keeps_its_band(tmp_path, band):
+    # V is real and its spectrum lies on |k| <= band: band 0 is a constant
+    path = tmp_path / "band.ini"
+    path.write_text("[experiment]\nseed = 3\n[potential]\npreset = random-band-limited\n"
+                    f"band = {band}\n")
+    cfg = Config(str(path))
+    grid = GridSpec(1, 8.0, 64)
+    v = cfg.potential(grid).values
+    mag = np.abs(np.fft.fft(v))
+    k = np.abs(np.fft.fftfreq(grid.points, 1.0 / grid.points))
+    assert not np.any(v.imag)
+    assert mag[k <= band].max() > 1.0
+    assert mag[k > band].max() < 1e-12 * mag.max()
 
 
 GRID = "[grid]\nhalf_width = 8.0\npoints = 64\n"

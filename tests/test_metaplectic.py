@@ -3,9 +3,9 @@ import pytest
 
 from proplab import (FAST_CHIRP_FFT, QUADRATURE, GridSpec, NotFree,
                      QuadraticHamiltonian, build_propagator, dft, flow,
-                     mehler_oracle, propagator_for, resolve_phase,
+                     mehler_oracle, phase_form, propagator_for, resolve_phase,
                      sup_norm_on_compact)
-from proplab.metaplectic import mehler_phase
+from proplab.metaplectic import MetaplecticPropagator, mehler_phase
 from proplab.trotter import kinetic_step
 
 
@@ -140,6 +140,15 @@ def test_build_propagator_rejects_exceptional(grid):
     h = QuadraticHamiltonian.harmonic(1)
     with pytest.raises(NotFree):
         build_propagator(flow(h, np.pi), grid, QUADRATURE, 1.0)
+
+
+def test_propagator_rejects_nan_phase_and_determinant(grid):
+    # NaN fails every comparison, so the checks must be written to fail on it
+    s = flow(QuadraticHamiltonian.harmonic(1), 1.0)
+    with pytest.raises(ValueError, match="unit modulus"):
+        build_propagator(s, grid, QUADRATURE, complex("nan"))
+    with pytest.raises(ValueError, match="det B"):
+        MetaplecticPropagator(phase_form(s), float("nan"), 1.0, QUADRATURE, grid)
 
 
 def test_mehler_oracle_rejects_degenerate(grid):

@@ -155,6 +155,13 @@ def test_stft_spec_rejects_single_frequency(grid):
         StftSpec(default_window(grid), grid.points)
 
 
+@pytest.mark.parametrize("step", [0, -16])
+def test_stft_spec_rejects_non_positive_step(grid, step):
+    # 0 would divide by zero, and -16 passes a modulo test: 256 % -16 == 0
+    with pytest.raises(ValueError, match="positive divisor"):
+        StftSpec(default_window(grid), step)
+
+
 def test_window_comparability(grid):
     # two admissible windows give equivalent Inf1 norms on a small corpus
     w2 = wide_window(grid)

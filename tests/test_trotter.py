@@ -391,6 +391,11 @@ def test_chirp_step_refuses_harmonic_hamiltonian(scenario):
         trotter_kernel(scenario, 4, method=CHIRP)
 
 
+def test_unknown_step_method_is_refused(scenario):
+    with pytest.raises(ValueError, match="unknown step method"):
+        trotter_kernel(scenario, 4, method="bogus")
+
+
 def test_free_slice_single_step_is_analytic_chirp(grid):
     # one step with V = 0 is the analytic free kernel itself; more steps add
     # Fresnel box-truncation fringes, which is why the n > 1 cross-check runs
