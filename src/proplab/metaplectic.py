@@ -51,7 +51,7 @@ FAST_CHIRP_FFT = "fast-chirp-fft"
 class MetaplecticPropagator:
     """mu(A) realized on a grid; frozen, and holding no kernel matrix: each
     kernel_entries() call assembles a fresh dense carrier from its three
-    chirp factors."""
+    chirp factors and scales it in place, one N x N array in all."""
 
     phase: PhaseQuadratic
     abs_det_b: float
@@ -63,8 +63,8 @@ class MetaplecticPropagator:
         # written so that NaN fails them
         if not abs(abs(self.phase_factor) - 1.0) <= 1e-12:
             raise ValueError("phase factor must have unit modulus")
-        if not self.abs_det_b > 0:
-            raise ValueError("|det B| must be positive")
+        if not 0 < self.abs_det_b < np.inf:
+            raise ValueError("|det B| must be positive and finite")
 
     @property
     def scale(self) -> complex:
@@ -102,7 +102,9 @@ class MetaplecticPropagator:
 
     def kernel_entries(self) -> np.ndarray:
         x = self.grid.axis()
-        return self.scale * _kernels.chirp_kernel(x, x, *self.phase.coefficients())
+        carrier = _kernels.chirp_kernel(x, x, *self.phase.coefficients())
+        # scale * carrier, in place; carrier *= scale rounds differently
+        return np.multiply(self.scale, carrier, out=carrier)
 
     def kernel(self) -> KernelMatrix:
         return KernelMatrix(self.grid, self.kernel_entries())
@@ -136,6 +138,10 @@ def mehler_oracle(t: float, grid: GridSpec) -> KernelMatrix:
     entry: N^2 exponentials, written apart from the carrier it checks.
 
     K(x,y) = c(t) |sin t|^(-1/2) exp(2*pi*i (cos t (x^2+y^2) - 2xy) / (2 sin t)).
+
+    The phase is built in one real N x N buffer and the entries in one
+    complex one, in the operand order of the formula, so they round as it
+    does.
     """
     st = np.sin(t)
     if abs(st) <= 1e-8:
@@ -143,6 +149,10 @@ def mehler_oracle(t: float, grid: GridSpec) -> KernelMatrix:
     c = mehler_phase(t)
     x = grid.axis()
     sq = x**2
-    phase = (np.cos(t) * (sq[:, None] + sq[None, :]) - 2.0 * np.outer(x, x)) / (2.0 * st)
-    entries = c * abs(st) ** -0.5 * np.exp(2j * np.pi * phase)
-    return KernelMatrix(grid, entries)
+    phase = np.add.outer(sq, sq)
+    phase *= np.cos(t)
+    phase -= 2.0 * np.outer(x, x)
+    phase /= 2.0 * st
+    entries = np.multiply(2j * np.pi, phase, out=np.empty(phase.shape, dtype=complex))
+    np.exp(entries, out=entries)
+    return KernelMatrix(grid, np.multiply(c * abs(st) ** -0.5, entries, out=entries))

@@ -40,6 +40,10 @@ class StftSpec:
 
     def __post_init__(self):
         n = self.grid.points
+        # a float step passes the divisor test and then fails as an index
+        if (isinstance(self.lattice_step, bool)
+                or not isinstance(self.lattice_step, (int, np.integer))):
+            raise ValueError(f"lattice step {self.lattice_step!r} is not an integer")
         if self.lattice_step <= 0 or n % self.lattice_step:
             raise ValueError(f"lattice step {self.lattice_step} is not a positive "
                              f"divisor of N = {n}")

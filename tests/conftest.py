@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,3 +23,16 @@ def packet(grid):
     x = grid.axis()
     vals = np.exp(-np.pi * (x - 0.3) ** 2) * np.exp(2j * np.pi * 0.7 * x)
     return SampledField(grid, vals)
+
+
+@pytest.fixture
+def traced_peak():
+    """The peak of the memory numpy and python trace while fn() runs, in MiB."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -162,6 +162,14 @@ def test_stft_spec_rejects_non_positive_step(grid, step):
         StftSpec(default_window(grid), step)
 
 
+@pytest.mark.parametrize("step", [2.0, True])
+def test_stft_spec_rejects_non_integer_step(grid, step):
+    # both pass the divisor test (256 % 2.0 == 0, 256 % True == 0), and a
+    # float step then failed inside the STFT core as an index
+    with pytest.raises(ValueError, match="not an integer"):
+        StftSpec(default_window(grid), step)
+
+
 def test_window_comparability(grid):
     # two admissible windows give equivalent Inf1 norms on a small corpus
     w2 = wide_window(grid)

@@ -385,6 +385,15 @@ def test_powering_memory_stays_small():
         assert peak < 3 * 16 * 2**20
 
 
+def test_exceptional_scan_memory_stays_small(traced_peak):
+    # one scaled kernel (16 MiB at N = 1024) and its moduli (8 MiB) per
+    # offset: measured 24.0 MiB, 32.0 MiB with an unscaled carrier alive
+    grid = GridSpec(1, 16.0, 1024)
+    peak = traced_peak(lambda: exceptional_blowup_scan(
+        QuadraticHamiltonian.harmonic(1), np.pi, (0.2, 0.1, 0.05, 0.025), grid))
+    assert peak < 26
+
+
 def test_chirp_step_refuses_harmonic_hamiltonian(scenario):
     # powering the harmonic chirp quadrature diverges (sup 7.5e108 at n = 64)
     with pytest.raises(ValueError, match="free-particle"):
