@@ -2,10 +2,10 @@
 discrete Fourier transform with the e^{-2*pi*i*x*xi} convention.
 
 Grids are centered: x = 0 and xi = 0 are always sample points (N even), with
-x_j = -L + j*h, h = 2L/N, and xi_k = (k - N/2)/(2L).  On a GridSpec,
-`points` is N, `cell` is h and `freq_cell` is 1/(2L); the phase-space cell
-is cell * freq_cell = 1/N.  Kernel matrices carry rectangle-rule quadrature
-semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h.
+x_j = (j - N/2) h = -L + j h, h = 2L/N, and xi_k = (k - N/2)/(2L).  On a
+GridSpec, `points` is N, `cell` is h and `freq_cell` is 1/(2L); the
+phase-space cell is cell * freq_cell = 1/N.  Kernel matrices carry
+rectangle-rule quadrature semantics: (K f)(x_i) ~ sum_j K[i,j] f(y_j) h.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ class GridSpec:
         return 1.0 / (2.0 * self.half_width)
 
     def axis(self) -> np.ndarray:
-        return -self.half_width + self.cell * np.arange(self.points)
+        """x_j = (j - N/2) h: an integer times h, so x_{N-j} = -x_j bit for
+        bit and an even function samples to an even array."""
+        n = self.points
+        return (np.arange(n) - n // 2) * self.cell
 
     def freq_axis(self) -> np.ndarray:
         n = self.points

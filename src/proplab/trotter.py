@@ -9,6 +9,10 @@ Strang-conjugated step diag(q) K diag(q), q = exp(-i(t/n)V/2), which equals
 the n-fold product of K diag(q^2) once the outer factors of q are undone.
 That step is complex symmetric whenever the kinetic matrix K is, as it is
 for a symbol with no cross term, so every squaring is a z @ z.T product.
+Without a cross term the grid H0 also commutes with the reflection
+x_j -> -x_j, so its eigendecomposition and K come in an even and an odd
+block; when V is even as well, the step is powered block by block, two
+half-size matrices instead of one N x N.
 A high-n run stands in for the limit kernel, carrying its own Cauchy
 self-distance so the surrogate error stays visible in every report.
 """
@@ -93,28 +97,95 @@ def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
     return c[(i[:, None] - i[None, :] + n // 2) % n]
 
 
-@functools.lru_cache(maxsize=1)
-def _eig(h: QuadraticHamiltonian, grid: GridSpec):
-    """Eigendecomposition of the grid Hamiltonian; one entry suffices, since a
-    run steps a single (H0, grid)."""
-    return np.linalg.eigh(hamiltonian_matrix(h, grid))
+def _fold(mat: np.ndarray) -> tuple:
+    """(even, odd): the blocks of a matrix that commutes with the grid
+    reflection R, j -> -j mod N (x_j -> -x_j), in R's orthonormal eigenbasis.
 
-
-def kinetic_step(h: QuadraticHamiltonian, tau: float, grid: GridSpec) -> np.ndarray:
-    """Unitary matrix exp(-i tau H_grid) via the cached eigendecomposition.
-
-    With real eigenvectors U (b = 0) the real and imaginary parts are the
-    real products (U cos(tau w)) U^T and -(U sin(tau w)) U^T, half the flops
-    of the complex product, which would first copy U^T to complex; a cross
-    term makes U complex and keeps the complex product.
+    The even basis is e_0, e_{N/2} and (e_j + e_{N-j})/sqrt 2 for
+    0 < j < N/2, indexed by j in 0..N/2; the odd basis is
+    (e_j - e_{N-j})/sqrt 2, indexed by j in 1..N/2-1.  Each block entry sums
+    the matrix over the R-orbits of its row and column, which also drops
+    whatever even/odd coupling the matrix has.
     """
-    w, u = _eig(h, grid)
+    n = len(mat)
+    m = n // 2
+    j = np.arange(n)
+    r = (-j) % n
+    e, o = j[:m + 1], j[1:m]
+    d = np.full(m + 1, np.sqrt(0.5))
+    d[[0, m]] = 0.5  # the fixed points 0 and N/2 are counted twice below
+    plus = mat[e] + mat[r[e]]
+    minus = mat[o] - mat[r[o]]
+    return ((plus[:, e] + plus[:, r[e]]) * np.outer(d, d),
+            0.5 * (minus[:, o] - minus[:, r[o]]))
+
+
+def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The N x N matrix whose _fold is (even, odd), written block by block
+    from slices; even and odd are scaled in place.
+
+    Row or column j <= N/2 holds the reflection's representative j, and
+    N - j its mirror; the odd block enters with the sign of each side.
+    """
+    m = even.shape[0] - 1
+    c = np.full(m + 1, np.sqrt(0.5))
+    c[[0, m]] = 1.0
+    even *= c[:, None]
+    even *= c[None, :]
+    odd *= 0.5
+    out = np.empty((2 * m, 2 * m), dtype=np.result_type(even, odd))
+    mirror = slice(m - 1, 0, -1)  # representatives m-1..1, at m+1..N-1
+    out[:m + 1, :m + 1] = even
+    out[:m + 1, m + 1:] = even[:, mirror]
+    out[m + 1:, :m + 1] = even[mirror, :]
+    out[m + 1:, m + 1:] = even[mirror, mirror]
+    out[1:m, 1:m] += odd
+    out[1:m, m + 1:] -= odd[:, ::-1]
+    out[m + 1:, 1:m] -= odd[::-1, :]
+    out[m + 1:, m + 1:] += odd[::-1, ::-1]
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _eig(h: QuadraticHamiltonian, grid: GridSpec) -> tuple:
+    """Eigenpairs (w, u) of the grid Hamiltonian, one pair per block; one
+    cache entry suffices, since a run steps a single (H0, grid).
+
+    With b = 0 the grid Hamiltonian commutes with the reflection R (x^2 and
+    the xi^2 multiplier are even, bit for bit), so there are two blocks, the
+    even and the odd one of _fold, and each eigh costs about an eighth of the
+    full one.  The grid cross term does not commute with R: x_0 = -L has no
+    mirror and the Nyquist mode of xi is not odd, which couples the two
+    parities by about 8% of max |H|; with b != 0 the one block is the full
+    matrix.
+    """
+    mat = hamiltonian_matrix(h, grid)
+    return tuple(np.linalg.eigh(block)
+                 for block in (_fold(mat) if h.b == 0.0 else (mat,)))
+
+
+def _block_step(w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
+    """u exp(-i tau w) u^H.
+
+    With real eigenvectors u (b = 0) the real and imaginary parts are the
+    real products (u cos(tau w)) u^T and -(u sin(tau w)) u^T, half the flops
+    of the complex product, which would first copy u^T to complex; a cross
+    term makes u complex and keeps the complex product.
+    """
     if np.iscomplexobj(u):
         return (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
     out = np.empty(u.shape, dtype=complex)
     out.real = (u * np.cos(tau * w)[None, :]) @ u.T
     out.imag = (u * -np.sin(tau * w)[None, :]) @ u.T
     return out
+
+
+def kinetic_step(h: QuadraticHamiltonian, tau: float, grid: GridSpec) -> np.ndarray:
+    """Unitary matrix exp(-i tau H_grid) from the cached eigenpairs of _eig:
+    with b = 0 the even and odd block steps, unfolded into the N x N matrix
+    in O(N^2); with a cross term the one full step."""
+    steps = [_block_step(w, u, tau) for w, u in _eig(h, grid)]
+    return steps[0] if len(steps) == 1 else _unfold(*steps)
 
 
 def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
@@ -157,31 +228,46 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step;
     the one place where the step is chosen, checked and built.
 
-    SPECTRAL steps with kinetic_step(h, t/n).  CHIRP steps with the
-    quadrature of the one-step metaplectic kernel, whose powers stay bounded
-    only for a free particle (a = b = 0; for a harmonic H0 the sup reaches
-    7.5e108 at n = 64 on N = 256, L = 8), so CHIRP with any other H0 is a
-    ValueError, as is an unknown method.  With V identically zero, SPECTRAL
-    takes one full-time step for any n, kinetic_step(h, t) being the n-th
-    power of the t/n step by the group law; CHIRP has no group law (powered
-    chirp quadratures do not compose), so it powers the t/n quadrature at
-    V = 0 as for any V.  Either way the kernel is continuous in V at V = 0.
+    SPECTRAL steps with kinetic_step(h, t/n).  When _eig splits H_grid into
+    its even and odd blocks (b = 0) and V is even bit for bit,
+    V[j] == V[-j mod N], the potential phase commutes with the reflection
+    too, so the Strang step is block diagonal: the two blocks, of sizes
+    N/2 + 1 and N/2 - 1, are powered apart and unfolded once, at about a
+    quarter of the flops.  Any V with an odd part, however small, powers the
+    full step.  CHIRP steps with the quadrature of the one-step metaplectic
+    kernel, whose powers stay bounded only for a free particle (a = b = 0;
+    for a harmonic H0 the sup reaches 7.5e108 at n = 64 on N = 256, L = 8),
+    so CHIRP with any other H0 is a ValueError, as is an unknown method.
+    With V identically zero, SPECTRAL takes one full-time step for any n,
+    kinetic_step(h, t) being the n-th power of the t/n step by the group
+    law; CHIRP has no group law (powered chirp quadratures do not compose),
+    so it powers the t/n quadrature at V = 0 as for any V.  Either way the
+    kernel is continuous in V at V = 0.
     """
     h = sc.hamiltonian
+    v = sc.potential.values
     if method == CHIRP:
         if h.a != 0.0 or h.b != 0.0:
             raise ValueError("the chirp step needs a free-particle H0 (a = b = 0)")
     elif method != SPECTRAL:
         raise ValueError(f"unknown step method: {method}")
-    elif not np.any(sc.potential.values):
+    elif not np.any(v):
         n = 1
     tau = sc.t / n
-    # b = 0, which CHIRP also requires, makes either step complex symmetric
-    # (H_grid real symmetric, the free chirp symmetric in x and y); the step
-    # is a temporary, as _power_step overwrites it
-    m = _power_step(propagator_for(h, tau, sc.grid).kernel_entries() * sc.grid.cell
-                    if method == CHIRP else kinetic_step(h, tau, sc.grid),
-                    tau, sc.potential.values, n, symmetric=h.b == 0.0)
+    # b = 0, which CHIRP also requires, makes every step complex symmetric
+    # (H_grid and its blocks real symmetric, the free chirp symmetric in x
+    # and y); each step is a temporary, as _power_step overwrites it
+    if method == CHIRP:
+        m = _power_step(propagator_for(h, tau, sc.grid).kernel_entries() * sc.grid.cell,
+                        tau, v, n, symmetric=True)
+    elif len(_eig(h, sc.grid)) == 2 and np.array_equal(v, v[-np.arange(len(v))]):
+        half = len(v) // 2
+        m = _unfold(*[_power_step(_block_step(w, u, tau), tau, part, n, symmetric=True)
+                      for (w, u), part in zip(_eig(h, sc.grid),
+                                              (v[:half + 1], v[1:half]))])
+    else:
+        m = _power_step(kinetic_step(h, tau, sc.grid), tau, v, n,
+                        symmetric=h.b == 0.0)
     m /= sc.grid.cell
     return KernelMatrix(sc.grid, m)
 

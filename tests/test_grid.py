@@ -21,6 +21,19 @@ def test_axis_and_cells(grid):
     assert abs(grid.cell * grid.freq_cell * grid.points - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("half_width", [8.0, 7.3, 0.1])
+def test_axis_is_odd_bitwise(half_width):
+    # x_{N-j} = -x_j exactly, so cos(2 pi x) samples to an even array; with
+    # -L + j h that fails at L = 7.3, N = 256
+    grid = GridSpec(1, half_width, 256)
+    x = grid.axis()
+    j = np.arange(1, 256)
+    assert x[0] == -half_width and x[128] == 0.0
+    assert np.array_equal(x[256 - j], -x[j])
+    v = np.cos(2.0 * np.pi * x)
+    assert np.array_equal(v, v[(-np.arange(256)) % 256])
+
+
 def test_dft_inverts(grid, packet):
     back = dft(dft(packet, -1), +1)
     assert np.max(np.abs(back.values - packet.values)) < 1e-12

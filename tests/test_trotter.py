@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,11 @@ from proplab import (CHIRP, SPECTRAL, GridSpec, NotFree, QuadraticHamiltonian,
                      kernel_mod_norm, perturbation_split_report, phase_form,
                      propagator_for, reference_kernel, time_slice_free_kernel,
                      trotter_kernel)
+from proplab.cli import Config
 from proplab.grid import _centered_fft, sup_norm_on_compact
-from proplab.trotter import _eig, _windowed_fl1, hamiltonian_matrix, kinetic_step
+from proplab import trotter
+from proplab.trotter import (_eig, _fold, _unfold, _windowed_fl1, hamiltonian_matrix,
+                             kinetic_step)
 
 
 def cosine_potential(grid, amp=1.0, freq=1.0):
@@ -55,18 +59,89 @@ def spectral_step(mat, tau):
     return (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
 
 
+def parity_basis(n):
+    """Dense orthonormal eigenbases (even, odd) of the grid reflection
+    j -> -j mod N, in the column order of _fold, built apart from it."""
+    m = n // 2
+    even = np.zeros((n, m + 1))
+    odd = np.zeros((n, m - 1))
+    for j in range(m + 1):
+        even[j, j] = even[-j % n, j] = 1.0
+    even /= np.linalg.norm(even, axis=0)
+    for j in range(1, m):
+        odd[j, j - 1], odd[n - j, j - 1] = np.sqrt(0.5), -np.sqrt(0.5)
+    return even, odd
+
+
+def block_steps(h, grid, tau):
+    """exp(-i tau H_grid) as the complex product u exp(-i tau w) u^H of each
+    block of _eig, unfolded."""
+    steps = [(u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T for w, u in _eig(h, grid)]
+    return steps[0] if len(steps) == 1 else _unfold(*steps)
+
+
 @pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
                                QuadraticHamiltonian.free_particle(1), CROSS_TERM],
                          ids=["harmonic", "free", "cross-term"])
 def test_hamiltonian_matrix_is_real_without_cross_term(grid, h):
     mat = hamiltonian_matrix(h, grid)
-    w, u = _eig(h, grid)
-    assert np.isrealobj(mat) == (h.b == 0.0) == np.isrealobj(u)
+    blocks = _eig(h, grid)
+    assert len(blocks) == (2 if h.b == 0.0 else 1)
+    assert np.isrealobj(mat) == (h.b == 0.0) == all(np.isrealobj(u) for _, u in blocks)
     assert np.array_equal(mat, mat.conj().T)
     dense = complex_hamiltonian(h, grid)
     assert np.max(np.abs(mat - dense)) < 1e-12 * np.max(np.abs(dense))
+    w = np.sort(np.concatenate([w for w, _ in blocks]))
     w_old = np.linalg.eigvalsh(dense)
     assert np.max(np.abs(w - w_old)) < 1e-12 * np.max(np.abs(w_old))
+
+
+@pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
+                               QuadraticHamiltonian.free_particle(1)],
+                         ids=["harmonic", "free"])
+@pytest.mark.parametrize("half_width,points", [(8.0, 256), (7.3, 256), (6.0, 128)])
+def test_parity_blocks_of_hamiltonian_matrix(h, half_width, points):
+    # the blocks drop the even/odd coupling, which is below 1e-13 max |H|
+    # (measured 0: x^2 and the xi^2 multiplier are even bit for bit), and
+    # _fold is the dense change of basis
+    grid = GridSpec(1, half_width, points)
+    mat = hamiltonian_matrix(h, grid)
+    even, odd = parity_basis(points)
+    scale = np.max(np.abs(mat))
+    assert np.max(np.abs(even.T @ mat @ odd)) <= 1e-13 * scale
+    got_e, got_o = _fold(mat)
+    assert np.max(np.abs(got_e - even.T @ mat @ even)) < 1e-13 * scale
+    assert np.max(np.abs(got_o - odd.T @ mat @ odd)) < 1e-13 * scale
+
+
+def test_cross_term_couples_the_parities(grid):
+    # x_0 = -L has no mirror and the Nyquist mode of xi is not odd, so the
+    # grid cross term is not reflection-invariant: _eig keeps it whole
+    mat = hamiltonian_matrix(CROSS_TERM, grid)
+    even, odd = parity_basis(grid.points)
+    assert np.max(np.abs(even.T @ mat @ odd)) > 1e-2 * np.max(np.abs(mat))
+
+
+@pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
+                               QuadraticHamiltonian.free_particle(1)],
+                         ids=["harmonic", "free"])
+def test_block_eigenpairs_rebuild_hamiltonian(grid, h):
+    mat = hamiltonian_matrix(h, grid)
+    rebuilt = _unfold(*[(u * w[None, :]) @ u.T for w, u in _eig(h, grid)])
+    assert np.max(np.abs(rebuilt - mat)) < 1e-12 * np.max(np.abs(mat))
+
+
+def test_unfold_is_the_dense_change_of_basis():
+    rng = np.random.default_rng(5)
+    n = 16
+    even, odd = parity_basis(n)
+    a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    b = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    ref = even @ a @ even.T + odd @ b @ odd.T
+    assert np.max(np.abs(_unfold(a.copy(), b.copy()) - ref)) < 1e-14
+    folded = _fold(ref)
+    assert np.max(np.abs(folded[0] - a)) < 1e-14
+    assert np.max(np.abs(folded[1] - b)) < 1e-14
 
 
 def test_kinetic_step_unitary_semigroup(grid):
@@ -90,8 +165,7 @@ def test_kinetic_step_matches_complex_exponential(grid, h, tau):
     got = kinetic_step(h, tau, grid)
     ref = spectral_step(complex_hamiltonian(h, grid), tau)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
-    w, u = _eig(h, grid)
-    same = (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
+    same = block_steps(h, grid, tau)
     assert np.max(np.abs(got - same)) < 1e-14 * np.max(np.abs(same))
 
 
@@ -328,6 +402,8 @@ def matrix_power_kernel(sc, n, method):
     pytest.param(CROSS_TERM, "cos", "spectral", (3, 8), id="cross-term"),
     pytest.param(QuadraticHamiltonian.harmonic(1), "complex", "spectral", (8,),
                  id="complex-potential"),
+    pytest.param(QuadraticHamiltonian.harmonic(1), "complex-even", "spectral", (3, 8),
+                 id="complex-even-potential"),
     pytest.param(QuadraticHamiltonian.free_particle(1), "cos", CHIRP, (1, 3, 8),
                  id="chirp"),
 ])
@@ -335,17 +411,83 @@ def test_powering_matches_matrix_power(grid, h, potential, method, n_values):
     # np.linalg.matrix_power of the unsymmetrized step is the reference of
     # _power_step, which trotter_kernel and time_slice_free_kernel share
     # odd n reach the res @ z multiply; b != 0 squares with the general
-    # product; a complex V makes |q| != 1 in the symmetrized step
+    # product; a complex V makes |q| != 1 in the symmetrized step; a cosine
+    # V with b = 0 takes the parity blocks, the sine's odd part does not
     x = grid.axis()
     values = np.cos(2.0 * np.pi * x)
     if potential == "complex":
         values = values + 0.3j * np.sin(2.0 * np.pi * x)
+    elif potential == "complex-even":
+        values = values + 0.3j * np.cos(4.0 * np.pi * x)
     v = SampledField(grid, values)
     for n in n_values:
         sc = TrotterScenario(h, v, 1.0, (n,), grid, 4 * n)
         ref = matrix_power_kernel(sc, n, method)
         got = trotter_kernel(sc, n, method=method).entries
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def powered_shapes(monkeypatch):
+    """The shapes of the steps _power_step is handed, recorded as it runs."""
+    shapes = []
+    power = trotter._power_step
+
+    def spy(z, *args, **kwargs):
+        shapes.append(z.shape)
+        return power(z, *args, **kwargs)
+
+    monkeypatch.setattr(trotter, "_power_step", spy)
+    return shapes
+
+
+def test_even_potential_kernel_is_reflection_invariant(grid, monkeypatch):
+    shapes = powered_shapes(monkeypatch)
+    r = (-np.arange(grid.points)) % grid.points
+    for n in (1, 5, 16):
+        sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), cosine_potential(grid),
+                             1.0, (n,), grid, 4 * n)
+        k = trotter_kernel(sc, n).entries
+        assert np.array_equal(k, k[np.ix_(r, r)])
+    half = grid.points // 2
+    assert shapes == [(half + 1, half + 1), (half - 1, half - 1)] * 3
+
+
+def test_one_ulp_odd_part_takes_the_full_step(grid, monkeypatch):
+    # an odd part of one ulp at one index is enough to leave the blocks,
+    # and the full step agrees with the blocks of the even part to rounding
+    even = cosine_potential(grid)
+    values = even.values.copy()
+    values[3] = np.nextafter(values[3].real, np.inf)
+    h = QuadraticHamiltonian.harmonic(1)
+    shapes = powered_shapes(monkeypatch)
+    full = trotter_kernel(TrotterScenario(h, SampledField(grid, values), 1.0, (8,),
+                                          grid, 32), 8).entries
+    blocks = trotter_kernel(TrotterScenario(h, even, 1.0, (8,), grid, 32), 8).entries
+    n = grid.points
+    assert shapes == [(n, n), (n // 2 + 1, n // 2 + 1), (n // 2 - 1, n // 2 - 1)]
+    assert np.max(np.abs(full - blocks)) < 1e-12 * np.max(np.abs(blocks))
+
+
+@pytest.mark.parametrize("name", ["harmonic-cos-t1.ini", "modbound-harmonic-cos.ini",
+                                  "perturb-geometric.ini"])
+def test_preset_potentials_are_even(name):
+    # the presets' cosine sums sample to bitwise even arrays, so their
+    # spectral kernels take the parity blocks
+    cfg = Config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    grid = cfg.grid()
+    v = cfg.potential(grid).values
+    assert np.array_equal(v, v[(-np.arange(grid.points)) % grid.points])
+
+
+def test_spectral_powering_memory_stays_small(traced_peak):
+    # the blocks power at a quarter of the N x N size (4 MiB each at
+    # N = 1024) and are unfolded into one 16 MiB kernel: measured 24.4 MiB
+    # warm; the full step with one square was 32.0 MiB
+    grid = GridSpec(1, 16.0, 1024)
+    sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), cosine_potential(grid),
+                         1.0, (8,), grid, 32)
+    trotter_kernel(sc, 8)
+    assert traced_peak(lambda: trotter_kernel(sc, 8)) < 26
 
 
 def test_free_slice_matches_iterated_product(grid):
