@@ -161,6 +161,38 @@ def emit_svg(header, rows, plot_spec) -> str:
 
 # -- config parsing --------------------------------------------------------
 
+def _finite(value):
+    if not np.all(np.isfinite(value)):
+        raise ValueError(value)
+    return value
+
+
+def _list(item):
+    """Comma-separated items, empty ones skipped; no item at all is an error."""
+    def parse(text):
+        values = [item(v.strip()) for v in text.split(",") if v.strip()]
+        if not values:
+            raise ValueError(text)
+        return values
+    return parse
+
+
+def _pair(second):
+    def parse(text):
+        first, other = text.split(":")
+        return _finite((float(first), second(other)))
+    return parse
+
+
+TEXT = (str, "text")
+INT = (int, "an integer")
+REAL = (lambda text: _finite(float(text)), "a finite number")
+INTS = (_list(int), "a non-empty list of integers")
+REALS = (_list(REAL[0]), "a non-empty list of finite numbers")
+TERMS = (_list(_pair(float)), "a non-empty list of finite amplitude:frequency")
+ATOMS = (_list(_pair(complex)), "a non-empty list of finite position:mass")
+NAMES = (_list(str), "a non-empty list of names")
+
 # A domain is (predicate, rule): a value the predicate rejects is a config
 # error that names the key and states the rule.
 POSITIVE = (lambda v: v > 0, "positive")
@@ -177,10 +209,73 @@ def _count_upto(cap: int):
     return (lambda n: 1 <= n <= cap, f"in 1..{cap}")
 
 
-def _in_domain(section, key, value, domain):
-    if domain is not None and not domain[0](value):
-        raise ConfigError(f"[{section}] {key} must be {domain[1]}: {value}")
-    return value
+def _one_of(*choices):
+    return (lambda v: v in choices, " | ".join(choices))
+
+
+ORACLE_CHECKS = ("free_kernel", "mehler", "stft_inversion", "wigner_duality",
+                 "covariance", "fio_swap", "measure_bound")
+
+# (section, key) -> ((parse, noun), default as raw text or None for a required
+# key, domain or None); parse raises ValueError on text that is not the noun.
+# A (command, section, key) row is that command's own reading of the key.  The
+# runners pass the defaults that depend on other keys ([kernel] radius, [time]
+# reference_n, [perturb] n), and potential() checks [potential] band.
+KEYS = {
+    ("experiment", "seed"): (INT, "1", SEED),
+    ("experiment", "kind"): (TEXT, None, None),  # names the command: Config checks it
+    ("grid", "dim"): (INT, "1", None),
+    # far outside this box the diagnostics' squared cells overflow the floats
+    ("grid", "half_width"): (REAL, None, (lambda v: 1e-6 <= v <= 1e6, "in [1e-6, 1e6]")),
+    # desk scale: a dense N x N kernel stays at 16 MiB
+    ("grid", "points"): (INT, None, (lambda n: n <= 1024, "at most 1024")),
+    ("hamiltonian", "preset"): (TEXT, "harmonic", _one_of("harmonic", "free", "explicit")),
+    ("kernel", "hamiltonian", "preset"): (TEXT, "harmonic", _one_of("free", "harmonic")),
+    ("hamiltonian", "a"): (REAL, None, None),
+    ("hamiltonian", "b"): (REAL, None, None),
+    ("hamiltonian", "c"): (REAL, None, None),
+    ("potential", "preset"): (TEXT, "zero", _one_of(
+        "zero", "cosine-sum", "gaussian-bump", "measure-atoms", "random-band-limited")),
+    ("potential", "terms"): (TERMS, None, None),
+    ("potential", "amplitude"): (REAL, "1.0", None),
+    ("potential", "width"): (REAL, "1.0", POSITIVE),
+    ("potential", "center"): (REAL, "0.0", None),
+    ("potential", "atoms"): (ATOMS, None, None),
+    ("potential", "band"): (INT, "5", None),
+    ("time", "t"): (REAL, "1.0", None),
+    ("time", "n_list"): (INTS, "4,8,16,32,64,128,256", (
+        lambda ns: all(1 <= n <= MAX_STEPS for n in ns), f"in 1..{MAX_STEPS}")),
+    ("freeslice", "time", "n_list"): (INTS, "1,2,4,8", (
+        lambda ns: all(1 <= n <= 8 for n in ns), "in 1..8 for the path quadrature")),
+    ("time", "reference_n"): (INT, None, _count_upto(4 * MAX_STEPS)),
+    ("flow", "count"): (INT, "200", _count_upto(MAX_CASES)),
+    ("flow", "t_range"): (REALS, "-10,10", (
+        lambda r: len(r) == 2 and np.isfinite(r[1] - r[0]),
+        "two values whose difference is finite")),
+    ("flow", "symplectic_tol"): (REAL, "1e-10", None),
+    ("flow", "group_tol"): (REAL, "1e-8", None),
+    ("flow", "inverse_tol"): (REAL, "1e-10", None),
+    ("kernel", "radius"): (REAL, None, POSITIVE),
+    ("kernel", "tolerance"): (REAL, "1e-3", None),
+    ("converge", "collapse_tol"): (REAL, "0.0", None),
+    ("modbound", "ratio_cap"): (REAL, "3.0", None),
+    ("exceptional", "t_star"): (REAL, None, None),
+    ("exceptional", "offsets"): (REALS, "0.2,0.1,0.05,0.025", None),
+    ("exceptional", "ratio_spread"): (REAL, "0.01", None),
+    # budgets closer than a relative 1e-6 leave the slope fit ill-conditioned
+    ("perturb", "eps_list"): (REALS, "0.2,0.1,0.05", (
+        lambda e: all(0.0 < eps <= 1.0 for eps in e) and max(e) / min(e) >= 1 + 1e-6,
+        "values in (0, 1] spanning a factor of 1 + 1e-6 for the slope fit")),
+    ("perturb", "slope_lo"): (REAL, "0.8", None),
+    ("perturb", "slope_hi"): (REAL, "1.2", None),
+    ("perturb", "check_decomposition"): (TEXT, "no", _one_of("yes", "no")),
+    ("perturb", "n"): (INT, None, _count_upto(MAX_STEPS)),
+    ("freeslice", "tolerance"): (REAL, "1e-8", None),
+    ("oracles", "checks"): (NAMES, ",".join(ORACLE_CHECKS), (
+        lambda cs: set(cs) <= set(ORACLE_CHECKS), "some of " + ", ".join(ORACLE_CHECKS))),
+    ("oracles", "measure_sets"): (INT, "10", _count_upto(MAX_CASES)),
+}
+DECLARED = {row[-2:] for row in KEYS}
 
 
 @contextlib.contextmanager
@@ -194,102 +289,63 @@ def _config_errors(where: str):
 
 
 class Config:
-    """Validated view over the INI file."""
+    """The INI file of one command (by default its [experiment] kind), read
+    one key at a time through the key's row of KEYS.  A section or key that
+    no row declares, or any key under [DEFAULT], is a config error at once."""
 
-    def __init__(self, path: str, seed_override=None):
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+    def __init__(self, path: str, seed_override=None, command=None):
+        parser = configparser.ConfigParser(interpolation=None)
+        if not parser.read(path):
             raise ConfigError(f"cannot read config file: {path}")
-        self.parser = parser
-        self.path = path
+        if parser.defaults():
+            raise ConfigError(f"[DEFAULT] holds keys: {', '.join(parser.defaults())}")
+        for section in parser.sections():
+            unknown = [key for key in parser[section] if (section, key) not in DECLARED]
+            if unknown or section not in {s for s, _ in DECLARED}:
+                raise ConfigError(f"undeclared [{section}] {' '.join(unknown)}".rstrip())
+        self.parser, self.path, self.command = parser, path, command
+        if parser.has_option("experiment", "kind"):
+            kind = self.get("experiment", "kind")
+            if command not in (None, kind):
+                raise ConfigError(f"[experiment] kind {kind} is not the command {command}")
+            self.command = kind
         self.seed = seed_override
         if self.seed is None:
-            self.seed = self.get_int("experiment", "seed", 1, SEED)
+            self.seed = self.get("experiment", "seed")
         elif not SEED[0](self.seed):
             raise ConfigError(f"--seed must be {SEED[1]}: {self.seed}")
 
-    def get(self, section, key, default=None, domain=None):
+    def get(self, section, key, default=None):
+        """[section] key, read through the command's row of KEYS or the shared one."""
+        (parse, noun), fallback, domain = (KEYS.get((self.command, section, key))
+                                           or KEYS[section, key])
+        raw = self.parser.get(section, key,
+                              fallback=fallback if default is None else str(default))
+        if raw is None:
+            raise ConfigError(f"missing [{section}] {key} in {self.path}")
         try:
-            value = self.parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            if default is None:
-                raise ConfigError(f"missing [{section}] {key} in {self.path}")
-            value = default
-        return _in_domain(section, key, value, domain)
-
-    def get_float(self, section, key, default=None, domain=None):
-        raw = self.get(section, key, None if default is None else str(default))
-        try:
-            value = float(raw)
+            value = parse(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a number: {raw!r}")
-        if not np.isfinite(value):
-            raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
-        return _in_domain(section, key, value, domain)
-
-    def get_int(self, section, key, default=None, domain=None):
-        raw = self.get(section, key, None if default is None else str(default))
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}")
-        return _in_domain(section, key, value, domain)
-
-    def get_list(self, section, key, default, kind=float, domain=None):
-        """Non-empty comma-separated list of numbers of type kind (floats finite)."""
-        raw = self.get(section, key, default)
-        try:
-            values = [kind(v.strip()) for v in raw.split(",") if v.strip()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: not a list of numbers: {raw!r}")
-        if not values:
-            raise ConfigError(f"[{section}] {key} is empty")
-        if kind is float and not np.all(np.isfinite(values)):
-            raise ConfigError(f"[{section}] {key}: not finite: {raw!r}")
-        return _in_domain(section, key, values, domain)
-
-    def get_pairs(self, section, key, second=float):
-        """Comma-separated `first:second` items, both finite; first is a float."""
-        pairs = []
-        for item in self.get(section, key).split(","):
-            if not item.strip():
-                continue
-            try:
-                first, other = item.split(":")
-                pair = (float(first), second(other))
-            except ValueError:
-                raise ConfigError(f"[{section}] {key}: bad item {item!r}")
-            if not np.all(np.isfinite(pair)):
-                raise ConfigError(f"[{section}] {key}: not finite: {item!r}")
-            pairs.append(pair)
-        return pairs
+            raise ConfigError(f"[{section}] {key}: not {noun}: {raw!r}") from None
+        if domain is not None and not domain[0](value):
+            raise ConfigError(f"[{section}] {key} must be {domain[1]}: {value}")
+        return value
 
     def grid(self) -> GridSpec:
-        d = self.get_int("grid", "dim", 1)
-        # far outside this box the diagnostics' squared cells overflow the floats
-        half = self.get_float("grid", "half_width", domain=(
-            lambda v: 1e-6 <= v <= 1e6, "in [1e-6, 1e6]"))
-        # desk scale: a dense N x N kernel stays at 16 MiB
-        pts = self.get_int("grid", "points", domain=(lambda n: n <= 1024, "at most 1024"))
+        values = [self.get("grid", key) for key in ("dim", "half_width", "points")]
         with _config_errors("[grid]"):
-            return GridSpec(d, half, pts)
+            return GridSpec(*values)
 
     def hamiltonian(self) -> QuadraticHamiltonian:
-        preset = self.get("hamiltonian", "preset", "harmonic")
+        preset = self.get("hamiltonian", "preset")
         if preset == "harmonic":
             return QuadraticHamiltonian.harmonic(1)
         if preset == "free":
             return QuadraticHamiltonian.free_particle(1)
-        if preset == "explicit":
-            a = self.get_float("hamiltonian", "a")
-            b = self.get_float("hamiltonian", "b")
-            c = self.get_float("hamiltonian", "c")
-            return QuadraticHamiltonian(1, a, b, c)
-        raise ConfigError(f"unknown hamiltonian preset: {preset}")
+        return QuadraticHamiltonian(1, *(self.get("hamiltonian", k) for k in "abc"))
 
     def potential(self, grid: GridSpec) -> SampledField:
-        preset = self.get("potential", "preset", "zero")
+        preset = self.get("potential", "preset")
         x = grid.axis()
         # values that overflow the float range are the field's ValueError
         with _config_errors("[potential]"), np.errstate(over="ignore", invalid="ignore"):
@@ -297,30 +353,29 @@ class Config:
                 return SampledField(grid, np.zeros(grid.points))
             if preset == "cosine-sum":
                 vals = np.zeros(grid.points)
-                for amp, freq in self.get_pairs("potential", "terms"):
+                for amp, freq in self.get("potential", "terms"):
                     vals = vals + amp * np.cos(2.0 * np.pi * freq * x)
                 return SampledField(grid, vals)
             if preset == "gaussian-bump":
-                amp = self.get_float("potential", "amplitude", 1.0)
-                width = self.get_float("potential", "width", 1.0, POSITIVE)
-                center = self.get_float("potential", "center", 0.0)
+                amp, width, center = (self.get("potential", key)
+                                      for key in ("amplitude", "width", "center"))
                 bump = np.exp(-np.pi * ((x - center) / width) ** 2)
                 return SampledField(grid, amp * bump)
             if preset == "measure-atoms":
-                atoms = self.get_pairs("potential", "atoms", complex)
-                return measure_potential_field(atoms, grid)
-            if preset == "random-band-limited":
-                n = grid.points
-                band = self.get_int("potential", "band", 5, (
-                    lambda b: 0 <= b < n // 2, f"in 0..{n // 2 - 1} for points = {n}"))
-                rng = SplitMix64(self.seed)
-                spec = np.zeros(n, dtype=complex)
-                coeffs = rng.normals(2 * band + 1) + 1j * rng.normals(2 * band + 1)
-                spec[n // 2 - band: n // 2 + band + 1] = coeffs
-                # V is the real part, whose spectrum stays on |k| <= band
-                field = dft(SampledField(grid, spec), +1)
-                return SampledField(grid, field.values.real)
-        raise ConfigError(f"unknown potential preset: {preset}")
+                return measure_potential_field(self.get("potential", "atoms"), grid)
+            # random-band-limited
+            n = grid.points
+            band = self.get("potential", "band")
+            if not 0 <= band < n // 2:
+                raise ConfigError(f"[potential] band must be in 0..{n // 2 - 1} "
+                                  f"for points = {n}: {band}")
+            rng = SplitMix64(self.seed)
+            spec = np.zeros(n, dtype=complex)
+            coeffs = rng.normals(2 * band + 1) + 1j * rng.normals(2 * band + 1)
+            spec[n // 2 - band: n // 2 + band + 1] = coeffs
+            # V is the real part, whose spectrum stays on |k| <= band
+            field = dft(SampledField(grid, spec), +1)
+            return SampledField(grid, field.values.real)
 
 
 # -- scenario runners ------------------------------------------------------
@@ -332,12 +387,11 @@ def _check(ok: bool, message: str) -> list:
 
 def run_flow(cfg: Config):
     """Random-Hamiltonian flow suite: symplectic, group-law, inverse defects."""
-    count = cfg.get_int("flow", "count", 200, _count_upto(MAX_CASES))
-    t_lo, t_hi = cfg.get_list("flow", "t_range", "-10,10",
-                              domain=(lambda r: len(r) == 2, "two values"))
-    tol_sym = cfg.get_float("flow", "symplectic_tol", 1e-10)
-    tol_group = cfg.get_float("flow", "group_tol", 1e-8)
-    tol_inv = cfg.get_float("flow", "inverse_tol", 1e-10)
+    count = cfg.get("flow", "count")
+    t_lo, t_hi = cfg.get("flow", "t_range")
+    tol_sym = cfg.get("flow", "symplectic_tol")
+    tol_group = cfg.get("flow", "group_tol")
+    tol_inv = cfg.get("flow", "inverse_tol")
     rng = SplitMix64(cfg.seed)
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
     rows = []
@@ -388,17 +442,15 @@ def _residual_table(name: str, rows, title: str):
 
 def run_kernel(cfg: Config):
     """Propagator kernel oracle comparisons on one grid."""
-    preset = cfg.get("hamiltonian", "preset", "harmonic", (
-        lambda p: p in ("free", "harmonic"), "free or harmonic for the oracles"))
+    preset = cfg.get("hamiltonian", "preset")
     grid = cfg.grid()
-    h = cfg.hamiltonian()
-    t = cfg.get_float("time", "t", 1.0)
-    radius = cfg.get_float("kernel", "radius", 0.5 * grid.half_width, POSITIVE)
-    tol = cfg.get_float("kernel", "tolerance", 1e-3)
+    t = cfg.get("time", "t")
+    radius = cfg.get("kernel", "radius", 0.5 * grid.half_width)
+    tol = cfg.get("kernel", "tolerance")
     if preset == "free":
         rows = [("free_vs_analytic", _free_kernel_residual(t, grid, radius), tol)]
     else:
-        prop = propagator_for(h, t, grid)
+        prop = propagator_for(QuadraticHamiltonian.harmonic(1), t, grid)
         kq = prop.kernel_entries()
         ko = mehler_oracle(t, grid).entries
         scale = float(np.max(np.abs(ko)))
@@ -442,12 +494,11 @@ def _scenario(cfg: Config, reference: bool = False):
         StftSpec(default_window(grid), KERNEL_LATTICE_STEP)
     h = cfg.hamiltonian()
     v = cfg.potential(grid)
-    t = cfg.get_float("time", "t", 1.0)
-    n_list = cfg.get_list("time", "n_list", "4,8,16,32,64,128,256", int, (
-        lambda ns: all(1 <= n <= MAX_STEPS for n in ns), f"in 1..{MAX_STEPS}"))
+    t = cfg.get("time", "t")
+    n_list = cfg.get("time", "n_list")
     ref_n = 4 * max(n_list)
     if reference:
-        ref_n = cfg.get_int("time", "reference_n", ref_n, _count_upto(4 * MAX_STEPS))
+        ref_n = cfg.get("time", "reference_n", ref_n)
     # an exceptional t is the scenario's NotFree, before any numerics
     with _config_errors("[time]"):
         return TrotterScenario(h, v, t, n_list, grid, ref_n)
@@ -455,7 +506,7 @@ def _scenario(cfg: Config, reference: bool = False):
 
 def run_converge(cfg: Config):
     sc = _scenario(cfg, reference=True)
-    collapse_tol = cfg.get_float("converge", "collapse_tol", 0.0)
+    collapse_tol = cfg.get("converge", "collapse_tol")
     rows, cauchy_tag = convergence_report(sc)
     header = ["n", "sup_error"]
     header += [f"fl1_z{i}{j}" for i in range(3) for j in range(3)]
@@ -481,7 +532,7 @@ def run_converge(cfg: Config):
 
 def run_modbound(cfg: Config):
     sc = _scenario(cfg)
-    ratio_cap = cfg.get_float("modbound", "ratio_cap", 3.0)
+    ratio_cap = cfg.get("modbound", "ratio_cap")
     rows = []
     for n in sc.n_list:
         flat = factor_out_phase(trotter_kernel(sc, n), sc.phase)
@@ -497,9 +548,9 @@ def run_modbound(cfg: Config):
 def run_exceptional(cfg: Config):
     grid = cfg.grid()
     h = cfg.hamiltonian()
-    t_star = cfg.get_float("exceptional", "t_star")
-    offsets = cfg.get_list("exceptional", "offsets", "0.2,0.1,0.05,0.025")
-    spread_cap = cfg.get_float("exceptional", "ratio_spread", 0.01)
+    t_star = cfg.get("exceptional", "t_star")
+    offsets = cfg.get("exceptional", "offsets")
+    spread_cap = cfg.get("exceptional", "ratio_spread")
     # the scan refuses a t_star that is not exceptional and offsets <= 0
     with _config_errors("[exceptional]"):
         rows = exceptional_blowup_scan(h, t_star, offsets, grid)
@@ -516,15 +567,10 @@ def run_exceptional(cfg: Config):
 
 def run_perturb(cfg: Config):
     sc = _scenario(cfg)
-    # budgets closer than a relative 1e-6 leave the slope fit ill-conditioned
-    eps_list = cfg.get_list("perturb", "eps_list", "0.2,0.1,0.05", domain=(
-        lambda e: all(0.0 < eps <= 1.0 for eps in e) and max(e) >= (1 + 1e-6) * min(e),
-        "values in (0, 1] spanning a factor of 1 + 1e-6 for the slope fit"))
-    slope_lo = cfg.get_float("perturb", "slope_lo", 0.8)
-    slope_hi = cfg.get_float("perturb", "slope_hi", 1.2)
-    check_decomp = cfg.get("perturb", "check_decomposition", "no",
-                           (lambda v: v in ("yes", "no"), "yes or no"))
-    n = cfg.get_int("perturb", "n", max(sc.n_list), _count_upto(MAX_STEPS))
+    eps_list = cfg.get("perturb", "eps_list")
+    slope_lo, slope_hi = cfg.get("perturb", "slope_lo"), cfg.get("perturb", "slope_hi")
+    check_decomp = cfg.get("perturb", "check_decomposition")
+    n = cfg.get("perturb", "n", max(sc.n_list))
     failures = []
     results = []
     spec = StftSpec(default_window(sc.grid))
@@ -554,10 +600,9 @@ def run_perturb(cfg: Config):
 def run_freeslice(cfg: Config):
     grid = cfg.grid()
     v = cfg.potential(grid)
-    t = cfg.get_float("time", "t", 1.0)
-    n_list = cfg.get_list("time", "n_list", "1,2,4,8", int, (
-        lambda ns: all(1 <= n <= 8 for n in ns), "in 1..8 for the path quadrature"))
-    tol = cfg.get_float("freeslice", "tolerance", 1e-8)
+    t = cfg.get("time", "t")
+    n_list = cfg.get("time", "n_list")
+    tol = cfg.get("freeslice", "tolerance")
     with _config_errors("[time]"):
         sc = TrotterScenario(QuadraticHamiltonian.free_particle(1), v, t, n_list,
                              grid, 4 * max(n_list))
@@ -580,10 +625,6 @@ def _slice_mismatch(sc: TrotterScenario, n: int) -> float:
     ks = time_slice_free_kernel(sc.potential, sc.t, n, sc.grid).entries
     scale = float(np.max(np.abs(kt)))
     return float(np.max(np.abs(np.subtract(kt, ks, out=ks)))) / scale
-
-
-ORACLE_CHECKS = ("free_kernel", "mehler", "stft_inversion", "wigner_duality",
-                 "covariance", "fio_swap", "measure_bound")
 
 
 def _random_symbol(rng: SplitMix64, grid: GridSpec):
@@ -663,12 +704,8 @@ def _oracle_battery(cfg: Config, checks, measure_sets: int):
 
 
 def run_oracles(cfg: Config):
-    raw = cfg.get("oracles", "checks", ",".join(ORACLE_CHECKS))
-    checks = [c.strip() for c in raw.split(",") if c.strip()]
-    unknown = [c for c in checks if c not in ORACLE_CHECKS]
-    if unknown or not checks:
-        raise ConfigError(f"[oracles] checks must name some of {ORACLE_CHECKS}: {raw!r}")
-    sets = cfg.get_int("oracles", "measure_sets", 10, _count_upto(MAX_CASES))
+    checks = cfg.get("oracles", "checks")
+    sets = cfg.get("oracles", "measure_sets")
     return _residual_table("oracles", _oracle_battery(cfg, checks, sets),
                            "oracle residuals")
 
@@ -698,9 +735,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = Config(args.config, seed_override=args.seed)
-        cfg.get("experiment", "kind", args.command,
-                (lambda kind: kind == args.command, f"the command {args.command}"))
+        cfg = Config(args.config, seed_override=args.seed, command=args.command)
         header, rows, plot, failures = RUNNERS[args.command](cfg)
         texts = (render_csv(header, rows), emit_svg(header, rows, plot))
     except (ConfigError, configparser.Error) as err:

@@ -76,15 +76,21 @@ def hamiltonian_matrix(h: QuadraticHamiltonian, grid: GridSpec) -> np.ndarray:
     the exact Weyl correspondence for polynomial symbols, realized with the
     grid's unitary Fourier transform.  The multiplier is real (its symbol is
     even and the unpaired Nyquist mode is real), so with B = 0 the matrix is
-    real symmetric; the cross term makes it complex Hermitian.
+    real symmetric; the cross term makes it complex Hermitian.  A matrix
+    that leaves the float range is a ProplabError.
     """
     x = grid.axis()
     xi = grid.freq_axis()
-    mat = 0.5 * h.a * np.diag(x**2) + _multiplier(0.5 * h.c * xi**2, grid).real
-    if h.b != 0.0:
-        xd = x[:, None] * _multiplier(xi, grid)
-        mat = mat + 0.5 * h.b * (xd + xd.conj().T)
-    return 0.5 * (mat + mat.conj().T)
+    with np.errstate(over="ignore", invalid="ignore"):  # the range check below reports it
+        mat = 0.5 * h.a * np.diag(x**2) + _multiplier(0.5 * h.c * xi**2, grid).real
+        if h.b != 0.0:
+            xd = x[:, None] * _multiplier(xi, grid)
+            mat = mat + 0.5 * h.b * (xd + xd.conj().T)
+        mat = 0.5 * (mat + mat.conj().T)
+    if not np.all(np.isfinite(mat)):
+        raise ProplabError(f"the grid Hamiltonian of a = {h.a!r}, b = {h.b!r}, "
+                           f"c = {h.c!r} leaves the float range")
+    return mat
 
 
 def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:

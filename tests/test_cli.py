@@ -2,15 +2,18 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from proplab import EmptyTable, GridSpec, QuadraticHamiltonian, propagator_for
-from proplab.cli import (Config, _fast_vs_quadrature, _free_kernel_residual, emit_svg,
-                         format_number, main, render_csv, run_freeslice, run_kernel)
+from proplab import ConfigError, EmptyTable, GridSpec, QuadraticHamiltonian, propagator_for
+from proplab.cli import (KEYS, Config, _fast_vs_quadrature, _free_kernel_residual,
+                         emit_svg, format_number, main, render_csv, run_freeslice,
+                         run_kernel)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 SRC_DIR = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -78,6 +81,14 @@ def test_random_band_limited_potential_keeps_its_band(tmp_path, band):
 
 GRID = "[grid]\nhalf_width = 8.0\npoints = 64\n"
 GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
+
+
+def preset_with(name, old, new):
+    """The preset's text with one edit; the preset keeps its [experiment]."""
+    with open(cfg_path(name)) as handle:
+        text = handle.read()
+    assert old in text
+    return text.replace(old, new)
 
 
 @pytest.mark.parametrize("command,body", [
@@ -163,11 +174,30 @@ GRID_2D = "[grid]\ndim = 2\nhalf_width = 8.0\npoints = 64\n"
                  id="measure-sets-above-2-16"),
     pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\n"
                  "eps_list = 0.5,0.5000000000000001\n", id="eps-list-too-close"),
+    # an undeclared section or key, which a reader would take as absent
+    pytest.param("freeslice", preset_with("freeslice-cos.ini", "[potential]", "[potentail]"),
+                 id="section-potentail"),
+    pytest.param("kernel", preset_with("harmonic-kernel.ini", "tolerance = 1e-6",
+                                       "tolerence = 1e-30"), id="key-tolerence"),
+    pytest.param("converge", preset_with("harmonic-cos-t1.ini", "n_list =", "n_lsit ="),
+                 id="key-n-lsit"),
+    pytest.param("kernel", "[DEFAULT]\ntolerance = 1e-30\n" + GRID + "[kernel]\nradius = 4.0\n",
+                 id="default-with-kernel"),
+    pytest.param("flow", "[DEFAULT]\ntolerance = 1e-30\n[flow]\ncount = 20\n",
+                 id="default-without-kernel"),
+    pytest.param("converge", GRID + "[potential]\npreset = cosine-sum\nterms =\n"
+                 "[time]\nn_list = 4,8\n", id="cosine-terms-empty"),
+    pytest.param("converge", GRID + "[potential]\npreset = measure-atoms\natoms = ,\n"
+                 "[time]\nn_list = 4,8\n", id="measure-atoms-empty"),
+    pytest.param("flow", "[flow]\nt_range = -1e308,1e308\n", id="flow-t-range-overflow"),
+    # (1 + 1e-6) * 1e-320 rounds to 1e-320: one subnormal budget passed as two
+    pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 1e-320\n",
+                 id="eps-list-subnormal"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
 def test_malformed_config_exits_2_without_files(tmp_path, capsys, command, body):
     bad = tmp_path / "bad.ini"
-    header = "" if body.startswith("[experiment]") else f"[experiment]\nkind = {command}\n"
+    header = "" if "[experiment]" in body else f"[experiment]\nkind = {command}\n"
     bad.write_text(header + body)
     out = tmp_path / "out"
     out.mkdir()
@@ -175,6 +205,61 @@ def test_malformed_config_exits_2_without_files(tmp_path, capsys, command, body)
     assert rc == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert list(out.iterdir()) == []
+
+
+HOSTILE = ("nan", "inf", "-inf", "0", "-1", "1e30", str(2**20 + 1), "", "garbage",
+           "1:2:3", "1:1e400j", "(1+2j)", "5%", "%(seed)s")
+
+
+def numbers(value):
+    """The numbers in a value read from a config, lists and pairs flattened."""
+    if isinstance(value, (list, tuple)):
+        return [x for item in value for x in numbers(item)]
+    return [] if isinstance(value, str) else [value]
+
+
+def test_hostile_values_read_within_their_rule_or_raise_config_error(tmp_path):
+    # each row of the key table, alone in a config with each hostile value:
+    # Config reads a value of finite numbers that the row's rule accepts, or
+    # raises ConfigError, and nothing else
+    start = time.perf_counter()
+    path = tmp_path / "hostile.ini"
+    for row, (_, _, domain) in KEYS.items():
+        command, section, key = row if len(row) == 3 else (None, *row)
+        for value in HOSTILE:
+            path.write_text(f"[{section}]\n{key} = {value}\n")
+            try:
+                read = Config(str(path), command=command).get(section, key)
+            except ConfigError:
+                continue
+            assert domain is None or domain[0](read), (row, value)
+            assert all(np.isfinite(x) for x in numbers(read)), (row, value)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_readme_key_table_matches_the_code():
+    # the README's config table has one row per row of KEYS, and a command's
+    # own row names that command alone
+    with open(README) as handle:
+        cells = [[c.strip().strip("`") for c in line.split("|")[1:6]]
+                 for line in handle if line.startswith("| `[")]
+    documented = sorted((section.strip("[]"), key) for section, key, *_ in cells)
+    assert documented == sorted(row[-2:] for row in KEYS)
+    rows = {(commands, section.strip("[]"), key) for section, key, _, _, commands in cells}
+    assert {row for row in KEYS if len(row) == 3} <= rows
+
+
+def test_readme_example_config_reads(tmp_path):
+    # its comments are lines of their own, as a comment after a value would
+    # be part of the value; every key it shows reads as converge reads it
+    with open(README) as handle:
+        example = re.search(r"```ini\n(.*?)```", handle.read(), re.S).group(1)
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    cfg = Config(str(path), command="converge")
+    values = [cfg.get(section, key) for section in cfg.parser.sections()
+              for key in cfg.parser[section]]
+    assert values[:2] == ["converge", 1] and len(values) == 11
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -402,6 +487,19 @@ def run_text(tmp_path, capsys, command, text):
     out = tmp_path / "out"
     rc = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
     return rc, capsys.readouterr().err.strip().splitlines(), out
+
+
+@pytest.mark.filterwarnings("error")  # numpy warned from the multiplier's FFT
+def test_nonfinite_grid_hamiltonian_exits_1_without_files(tmp_path, capsys):
+    # c = 1e308 overflows the xi^2 multiplier: one error line, no files
+    rc, lines, out = run_text(tmp_path, capsys, "converge",
+                              "[experiment]\nkind = converge\n" + GRID
+                              + "[hamiltonian]\npreset = explicit\na = 1.0\nb = 0.0\n"
+                              "c = 1e308\n[time]\nn_list = 4,8\n")
+    assert rc == 1
+    assert len(lines) == 1
+    assert lines[0].startswith("ProplabError: the grid Hamiltonian of a = 1.0, b = 0.0")
+    assert not out.exists()
 
 
 ATOM_10000J = "[potential]\npreset = measure-atoms\natoms = 1.0:10000j\n"

@@ -164,3 +164,21 @@ def test_every_benchmark_call_binds():
         except TypeError as exc:
             unbound.append(f"{name}:{line} {source}: {exc}")
     assert unbound == []
+
+
+def test_benchmark_cli_configs_are_declared(tmp_path):
+    # each CLI operation writes its config and constructs a Config, as the
+    # benchmark's set-up does: a key no row of the table declares fails here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = {name: op for name, op in workloads.OPERATIONS.items()
+           if issubclass(op, workloads.CliOperation)}
+    assert set(ops) == {"converge", "perturb", "kernel", "exceptional", "freeslice",
+                        "oracles"}
+    for seed in range(1, 6):
+        for name, op in ops.items():
+            out = tmp_path / f"{name}-{seed}"
+            out.mkdir()
+            assert op(workloads.params(name, seed, 0), str(out)).cfg.command == name

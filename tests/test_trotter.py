@@ -4,10 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proplab import (CHIRP, SPECTRAL, GridSpec, NotFree, QuadraticHamiltonian,
-                     SampledField, TrotterScenario, convergence_report,
-                     exceptional_blowup_scan, factor_out_phase, flow,
-                     kernel_mod_norm, perturbation_split_report, phase_form,
+from proplab import (CHIRP, SPECTRAL, GridSpec, NotFree, ProplabError,
+                     QuadraticHamiltonian, SampledField, TrotterScenario,
+                     convergence_report, exceptional_blowup_scan, factor_out_phase,
+                     flow, kernel_mod_norm, perturbation_split_report, phase_form,
                      propagator_for, reference_kernel, time_slice_free_kernel,
                      trotter_kernel)
 from proplab.cli import Config
@@ -94,6 +94,15 @@ def test_hamiltonian_matrix_is_real_without_cross_term(grid, h):
     w = np.sort(np.concatenate([w for w, _ in blocks]))
     w_old = np.linalg.eigvalsh(dense)
     assert np.max(np.abs(w - w_old)) < 1e-12 * np.max(np.abs(w_old))
+
+
+@pytest.mark.parametrize("h", [QuadraticHamiltonian(1, 1.0, 0.0, 1e308),
+                               QuadraticHamiltonian(1, 1.0, 1e308, 1.0)],
+                         ids=["xi-squared", "cross-term"])
+def test_nonfinite_hamiltonian_matrix_raises(grid, h):
+    # the multiplier's entries overflow: one ProplabError, no numpy warning
+    with pytest.raises(ProplabError, match="leaves the float range"):
+        hamiltonian_matrix(h, grid)
 
 
 @pytest.mark.parametrize("h", [QuadraticHamiltonian.harmonic(1),
