@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import ctypes
 import os
 import sys
 import tempfile
@@ -722,6 +723,42 @@ RUNNERS = {
 }
 
 
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS (the scipy-openblas build in numpy.libs) with
+    its thread-count calls declared, or None when numpy carries no such
+    library or it lacks those calls."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = next(f for f in os.listdir(libs) if f.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(libs, name))
+        get_threads = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return lib
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, and restore its count on
+    exit.  How OpenBLAS splits a product's sums depends on its thread count,
+    and with it the last bits of the outputs; with one thread they do not
+    depend on OPENBLAS_NUM_THREADS.  Without the library the run is
+    unpinned."""
+    lib = _bundled_openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="proplab", description="product-formula propagator experiments")
@@ -736,7 +773,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = Config(args.config, seed_override=args.seed, command=args.command)
-        header, rows, plot, failures = RUNNERS[args.command](cfg)
+        with _one_blas_thread():
+            header, rows, plot, failures = RUNNERS[args.command](cfg)
         texts = (render_csv(header, rows), emit_svg(header, rows, plot))
     except (ConfigError, configparser.Error) as err:
         print(f"config error: {err}", file=sys.stderr)

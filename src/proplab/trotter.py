@@ -12,7 +12,10 @@ for a symbol with no cross term, so every squaring is a z @ z.T product.
 Without a cross term the grid H0 also commutes with the reflection
 x_j -> -x_j, so its eigendecomposition and K come in an even and an odd
 block; when V is even as well, the step is powered block by block, two
-half-size matrices instead of one N x N.
+half-size matrices instead of one N x N.  The free chirp steps commute with
+the reflection except in row and column 0, as x_0 = -L has no mirror; with
+an even V they are powered as the blocks of their reflection-invariant part
+plus an exact rank-2 edge term.
 A high-n run stands in for the limit kernel, carrying its own Cauchy
 self-distance so the surrogate error stays visible in every report.
 """
@@ -103,32 +106,55 @@ def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
     return c[(i[:, None] - i[None, :] + n // 2) % n]
 
 
-def _fold(mat: np.ndarray) -> tuple:
+ROW_CHUNK = 64  # rows per pass where a step's buffer is read or written in chunks
+
+
+def _fold(mat: np.ndarray, out=None) -> tuple:
     """(even, odd): the blocks of a matrix that commutes with the grid
-    reflection R, j -> -j mod N (x_j -> -x_j), in R's orthonormal eigenbasis.
+    reflection R, j -> -j mod N (x_j -> -x_j), in R's orthonormal eigenbasis,
+    written into out = (even, odd) when given.
 
     The even basis is e_0, e_{N/2} and (e_j + e_{N-j})/sqrt 2 for
     0 < j < N/2, indexed by j in 0..N/2; the odd basis is
     (e_j - e_{N-j})/sqrt 2, indexed by j in 1..N/2-1.  Each block entry sums
     the matrix over the R-orbits of its row and column, which also drops
-    whatever even/odd coupling the matrix has.
+    whatever even/odd coupling the matrix has.  Rows j and N - j are paired
+    by slices, ROW_CHUNK at a time, so the work space is one chunk of rows.
     """
     n = len(mat)
     m = n // 2
-    j = np.arange(n)
-    r = (-j) % n
-    e, o = j[:m + 1], j[1:m]
+    if out is None:
+        out = (np.empty((m + 1, m + 1), dtype=mat.dtype),
+               np.empty((m - 1, m - 1), dtype=mat.dtype))
+    even, odd = out
     d = np.full(m + 1, np.sqrt(0.5))
     d[[0, m]] = 0.5  # the fixed points 0 and N/2 are counted twice below
-    plus = mat[e] + mat[r[e]]
-    minus = mat[o] - mat[r[o]]
-    return ((plus[:, e] + plus[:, r[e]]) * np.outer(d, d),
-            0.5 * (minus[:, o] - minus[:, r[o]]))
+    chunk = np.empty((min(ROW_CHUNK, m + 1), n), dtype=mat.dtype)
+    for lo in range(0, m + 1, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, m + 1)
+        # rows lo..hi-1 plus their mirrors; row 0 is its own mirror
+        s = max(lo, 1)
+        plus = chunk[:hi - lo]
+        if lo == 0:
+            np.add(mat[0], mat[0], out=plus[0])
+        np.add(mat[s:hi], mat[n - s:n - hi:-1], out=plus[s - lo:])
+        rows = even[lo:hi]
+        np.add(plus[:, :1], plus[:, :1], out=rows[:, :1])
+        np.add(plus[:, 1:m + 1], plus[:, n - 1:m - 1:-1], out=rows[:, 1:])
+        np.multiply(rows, d[lo:hi, None] * d[None, :], out=rows)
+        top = min(hi, m)  # odd rows are 1..N/2-1
+        if s < top:
+            minus = chunk[:top - s]
+            np.subtract(mat[s:top], mat[n - s:n - top:-1], out=minus)
+            rows = odd[s - 1:top - 1]
+            np.subtract(minus[:, 1:m], minus[:, n - 1:m:-1], out=rows)
+            np.multiply(0.5, rows, out=rows)
+    return even, odd
 
 
-def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
     """The N x N matrix whose _fold is (even, odd), written block by block
-    from slices; even and odd are scaled in place.
+    from slices, into out when given; even and odd are scaled in place.
 
     Row or column j <= N/2 holds the reflection's representative j, and
     N - j its mirror; the odd block enters with the sign of each side.
@@ -139,7 +165,8 @@ def _unfold(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
     even *= c[:, None]
     even *= c[None, :]
     odd *= 0.5
-    out = np.empty((2 * m, 2 * m), dtype=np.result_type(even, odd))
+    if out is None:
+        out = np.empty((2 * m, 2 * m), dtype=np.result_type(even, odd))
     mirror = slice(m - 1, 0, -1)  # representatives m-1..1, at m+1..N-1
     out[:m + 1, :m + 1] = even
     out[:m + 1, m + 1:] = even[:, mirror]
@@ -195,7 +222,7 @@ def kinetic_step(h: QuadraticHamiltonian, tau: float, grid: GridSpec) -> np.ndar
 
 
 def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
-                symmetric: bool) -> np.ndarray:
+                symmetric: bool, spare: np.ndarray | None = None) -> np.ndarray:
     """(z diag(q^2))^n by binary powering, q = exp(-i tau v / 2); z is
     overwritten, and the caller passes a temporary so that no reference
     keeps it alive.
@@ -206,10 +233,26 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
     hands to BLAS zsyrk: it computes one triangle, about 40% less time than
     the general product.
 
+    Without spare each square and product is a new array.  spare, an array
+    with room for two more matrices of z's size, takes them instead, each
+    into a buffer that the previous ones have released, and the result is
+    copied back into z, so the powering allocates no matrix.
+
     A result that leaves the float range, with an entry that overflowed
     (inf or NaN) or with every entry underflowed to zero, is a ProplabError.
     """
     steps = n
+    # with spare, z's buffer stays held to take the result back
+    home, free = (None, None) if spare is None else (z, [
+        spare.reshape(-1)[k * z.size:(k + 1) * z.size].reshape(z.shape) for k in (0, 1)])
+
+    def product(a, b, done):
+        # a @ b into a free buffer; done, the operand it replaces, is freed
+        out = np.matmul(a, b, out=free.pop() if free else None)
+        if free is not None and done is not None:
+            free.append(done)
+        return out
+
     with np.errstate(all="ignore"):  # the range check below reports it
         q = np.exp(-0.5j * tau * v)
         z *= q[:, None]
@@ -217,17 +260,92 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
         res = None
         while True:
             if n & 1:
-                res = z if res is None else res @ z
+                res = z if res is None else product(res, z, res)
             n >>= 1
             if not n:
                 break
-            z = z @ (z.T if symmetric else z)
+            z = product(z, z.T if symmetric else z, None if z is res else z)
+        if home is not None and res is not home:
+            home[...] = res
+            res = home
         res /= q[:, None]
         res *= q[None, :]
+    _check_range(res, steps, tau)
+    return res
+
+
+def _check_range(res: np.ndarray, steps: int, tau: float) -> None:
+    """A ProplabError unless res is finite and not all zero."""
     if not (np.isfinite(res).all() and res.any()):
         raise ProplabError(f"the {steps}-step kernel at tau = {tau!r} "
                            "leaves the float range")
-    return res
+
+
+def _is_even(v: np.ndarray) -> bool:
+    """V[j] == V[-j mod N] bit for bit: diag(V) commutes with R."""
+    return np.array_equal(v, v[-np.arange(len(v))])
+
+
+def _power_free(step: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarray:
+    """(step diag(q^2))^n, q = exp(-i tau v / 2), for a free-chirp step: a
+    symmetric Toeplitz matrix, overwritten by the result.
+
+    The step depends on i - j only, with equal entries on the diagonals
+    +-(i - j), so it commutes with R except in row and column 0, as x_0 = -L
+    has no mirror.  With V even bit for bit, let S = diag(q) step diag(q),
+    A be S with the off-diagonal entries of row and column 0 set to zero,
+    and r = S[0, :] with r_0 = 0.  Then S = A + e_0 r^T + r e_0^T, A commutes
+    with R, A e_0 = S_00 e_0, and
+
+        S^n = A^n + sum_{j<n} (S^j e_0)(A^{n-1-j} r)^T + S_00^{n-1-j} (S^j r) e_0^T.
+
+    A^n is powered as the parity blocks of _fold(step), whose even block has
+    row and column 0 zeroed off the diagonal, at about a quarter of the
+    flops of the N x N powering.  The sum is a rank-n product added in row
+    chunks plus a column-0 update, built from 3(n - 1) products of S with a
+    vector, A x = S x - x_0 r - (r . x) e_0.  The blocks share one buffer of
+    (N/2 + 1)^2 + (N/2 - 1)^2 entries; the step's own buffer is their
+    spare, and then holds the result.  n = 1, and any V with an odd part,
+    power the full step.
+    """
+    if n < 2 or not _is_even(v):
+        return _power_step(step, tau, v, n, symmetric=True)
+    size = len(v)
+    m = size // 2
+    with np.errstate(all="ignore"):  # the range checks report it
+        q = np.exp(-0.5j * tau * v)
+        r = step[0] * (q[0] * q)
+        r[0] = 0.0
+        s00 = q[0] * step[0, 0] * q[0]
+        # seq[j] holds S^j e_0, S^j r and A^j r as its columns
+        seq = np.zeros((n, size, 3), dtype=complex)
+        seq[0, 0, 0] = 1.0
+        seq[0, :, 1] = seq[0, :, 2] = r
+        for j in range(1, n):
+            x, y = seq[j - 1], seq[j]
+            np.matmul(step, x * q[:, None], out=y)
+            y *= q[:, None]
+            y[:, 2] -= x[0, 2] * r
+            y[0, 2] -= r @ x[:, 2]
+        blocks = np.empty((m + 1) ** 2 + (m - 1) ** 2, dtype=complex)
+        even, odd = _fold(step, out=(blocks[:(m + 1) ** 2].reshape(m + 1, m + 1),
+                                     blocks[(m + 1) ** 2:].reshape(m - 1, m - 1)))
+        even[0, 1:] = 0.0
+        even[1:, 0] = 0.0
+        even = _power_step(even, tau, v[:m + 1], n, symmetric=True, spare=step)
+        odd = _power_step(odd, tau, v[1:m], n, symmetric=True, spare=step)
+        out = _unfold(even, odd, out=step)
+        # the edge terms, conjugated by diag(q) as the blocks are
+        left = seq[:, :, 0].T / q[:, None]
+        right = seq[::-1, :, 2] * q
+        for lo in range(0, size, ROW_CHUNK):
+            out[lo:lo + ROW_CHUNK] += left[lo:lo + ROW_CHUNK] @ right
+        col = seq[0, :, 1]
+        for j in range(1, n):
+            col = col * s00 + seq[j, :, 1]
+        out[:, 0] += col * (q[0] / q)
+    _check_range(out, n, tau)
+    return out
 
 
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
@@ -244,11 +362,13 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     kernel, whose powers stay bounded only for a free particle (a = b = 0;
     for a harmonic H0 the sup reaches 7.5e108 at n = 64 on N = 256, L = 8),
     so CHIRP with any other H0 is a ValueError, as is an unknown method.
-    With V identically zero, SPECTRAL takes one full-time step for any n,
-    kinetic_step(h, t) being the n-th power of the t/n step by the group
-    law; CHIRP has no group law (powered chirp quadratures do not compose),
-    so it powers the t/n quadrature at V = 0 as for any V.  Either way the
-    kernel is continuous in V at V = 0.
+    The CHIRP step is powered by _power_free: from n = 2 on with a bitwise
+    even V, as the parity blocks of its reflection-invariant part plus the
+    rank-2 edge of row and column 0.  With V identically zero, SPECTRAL
+    takes one full-time step for any n, kinetic_step(h, t) being the n-th
+    power of the t/n step by the group law; CHIRP has no group law (powered
+    chirp quadratures do not compose), so it powers the t/n quadrature at
+    V = 0 as for any V.  Either way the kernel is continuous in V at V = 0.
     """
     h = sc.hamiltonian
     v = sc.potential.values
@@ -262,11 +382,11 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     tau = sc.t / n
     # b = 0, which CHIRP also requires, makes every step complex symmetric
     # (H_grid and its blocks real symmetric, the free chirp symmetric in x
-    # and y); each step is a temporary, as _power_step overwrites it
+    # and y); each step is a temporary, as the powering overwrites it
     if method == CHIRP:
-        m = _power_step(propagator_for(h, tau, sc.grid).kernel_entries() * sc.grid.cell,
-                        tau, v, n, symmetric=True)
-    elif len(_eig(h, sc.grid)) == 2 and np.array_equal(v, v[-np.arange(len(v))]):
+        step = propagator_for(h, tau, sc.grid).kernel_entries()
+        m = _power_free(np.multiply(step, sc.grid.cell, out=step), tau, v, n)
+    elif len(_eig(h, sc.grid)) == 2 and _is_even(v):
         half = len(v) // 2
         m = _unfold(*[_power_step(_block_step(w, u, tau), tau, part, n, symmetric=True)
                       for (w, u), part in zip(_eig(h, sc.grid),
@@ -426,20 +546,24 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
 
     The n-th power of the analytic one-step factor
     (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase,
-    taken by the same _power_step as trotter_kernel; what it checks apart
-    from trotter_kernel(..., CHIRP) is the step, this analytic chirp against
-    the metaplectic chirp quadrature.  The powering's own references are
-    np.linalg.matrix_power and iterated products, in the tests.  Kept at n <= 8: this is the
-    desk-scale cross-check of the path sum, not a production path.
+    taken by the same _power_free as trotter_kernel(..., CHIRP): the parity
+    blocks plus the rank-2 edge from n = 2 on with a bitwise even V, the
+    full step otherwise.  What it checks apart from trotter_kernel(...,
+    CHIRP) is the step, this analytic chirp against the metaplectic chirp
+    quadrature; as both share the powering, its own references are
+    np.linalg.matrix_power and iterated products, in the tests.  Kept at
+    n <= 8: this is the desk-scale cross-check of the path sum, not a
+    production path.
     """
     if not 1 <= n <= 8:
         raise ValueError("n must lie in 1..8 for the direct path quadrature")
     if v.grid != grid:
         raise ValueError("potential grid does not match")
     tau = t / n
-    # the chirp depends on (x - y)^2 only, so it is exactly symmetric
-    total = _power_step(_kernels.free_chirp(grid.axis(), tau) * grid.cell,
-                        tau, v.values, n, symmetric=True)
+    # the chirp depends on (x - y)^2 only, so it is symmetric Toeplitz bit
+    # for bit
+    total = _power_free(_kernels.free_chirp(grid.axis(), tau) * grid.cell,
+                        tau, v.values, n)
     total /= grid.cell
     return KernelMatrix(grid, total)
 

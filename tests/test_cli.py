@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from proplab import ConfigError, EmptyTable, GridSpec, QuadraticHamiltonian, propagator_for
-from proplab.cli import (KEYS, Config, _fast_vs_quadrature, _free_kernel_residual,
-                         emit_svg, format_number, main, render_csv, run_freeslice,
-                         run_kernel)
+from proplab.cli import (KEYS, RUNNERS, Config, _bundled_openblas, _fast_vs_quadrature,
+                         _free_kernel_residual, emit_svg, format_number, main, render_csv,
+                         run_freeslice, run_kernel)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -586,12 +586,50 @@ def test_reference_n_is_read_by_converge_only(tmp_path, command, config):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
-def run_python(*args):
-    """A fresh interpreter that imports proplab from this checkout."""
+def run_python(*args, **env_vars):
+    """A fresh interpreter that imports proplab from this checkout, with
+    env_vars added to its environment."""
     paths = [SRC_DIR, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p), **env_vars)
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS sums a product by thread count: without the pin, two threads
+    # change 74 of this preset's 91 values in their last bits
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = run_python("-m", "proplab.cli", "converge", "--config",
+                          cfg_path("harmonic-cos-t1.ini"), "--out", str(out), "--quiet",
+                          OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / f"converge.{ext}").read_bytes() for ext in ("csv", "svg")])
+    assert outputs[0] == outputs[1]
+
+
+def test_blas_pin_holds_one_thread_and_restores_the_count(tmp_path, monkeypatch):
+    lib = _bundled_openblas()
+    assert lib is not None  # numpy's wheels bundle scipy-openblas
+    seen = []
+    flow = RUNNERS["flow"]
+
+    def runner(cfg):
+        seen.append(lib.scipy_openblas_get_num_threads64_())
+        return flow(cfg)
+
+    monkeypatch.setitem(RUNNERS, "flow", runner)
+    old = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    try:
+        path = tmp_path / "flow.ini"
+        path.write_text("[experiment]\nkind = flow\n[flow]\ncount = 2\n")
+        assert main(["flow", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        assert lib.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads64_(old)
+    assert seen == [1]
 
 
 def test_cli_import_loads_no_scipy():

@@ -166,13 +166,18 @@ def test_every_benchmark_call_binds():
     assert unbound == []
 
 
-def test_benchmark_cli_configs_are_declared(tmp_path):
-    # each CLI operation writes its config and constructs a Config, as the
-    # benchmark's set-up does: a key no row of the table declares fails here
+def perfbench_workloads():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(PERFBENCH, "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_cli_configs_are_declared(tmp_path):
+    # each CLI operation writes its config and constructs a Config, as the
+    # benchmark's set-up does: a key no row of the table declares fails here
+    workloads = perfbench_workloads()
     ops = {name: op for name, op in workloads.OPERATIONS.items()
            if issubclass(op, workloads.CliOperation)}
     assert set(ops) == {"converge", "perturb", "kernel", "exceptional", "freeslice",
@@ -182,3 +187,18 @@ def test_benchmark_cli_configs_are_declared(tmp_path):
             out = tmp_path / f"{name}-{seed}"
             out.mkdir()
             assert op(workloads.params(name, seed, 0), str(out)).cfg.command == name
+
+
+def test_benchmark_freeslice_takes_the_parity_blocks(tmp_path):
+    # the kernels workload's freeslice configs, as the benchmark builds them:
+    # each V samples to a bitwise even array and each n_list has n >= 2, so
+    # both chirp steps take the parity blocks with the edge terms
+    workloads = perfbench_workloads()
+    from proplab.trotter import _is_even
+
+    for seed in range(1, 6):
+        out = tmp_path / str(seed)
+        out.mkdir()
+        cfg = workloads.Freeslice(workloads.params("freeslice", seed, 0), str(out)).cfg
+        assert _is_even(cfg.potential(cfg.grid()).values)
+        assert max(cfg.get("time", "n_list")) >= 2

@@ -12,7 +12,7 @@ from proplab import (CHIRP, SPECTRAL, GridSpec, NotFree, ProplabError,
                      trotter_kernel)
 from proplab.cli import Config
 from proplab.grid import _centered_fft, sup_norm_on_compact
-from proplab import trotter
+from proplab import _kernels, trotter
 from proplab.trotter import (_eig, _fold, _unfold, _windowed_fl1, hamiltonian_matrix,
                              kinetic_step)
 
@@ -413,15 +413,20 @@ def matrix_power_kernel(sc, n, method):
                  id="complex-potential"),
     pytest.param(QuadraticHamiltonian.harmonic(1), "complex-even", "spectral", (3, 8),
                  id="complex-even-potential"),
-    pytest.param(QuadraticHamiltonian.free_particle(1), "cos", CHIRP, (1, 3, 8),
+    pytest.param(QuadraticHamiltonian.free_particle(1), "cos", CHIRP, range(1, 9),
                  id="chirp"),
+    pytest.param(QuadraticHamiltonian.free_particle(1), "complex-even", CHIRP, (2, 5, 8),
+                 id="chirp-complex-even-potential"),
+    pytest.param(QuadraticHamiltonian.free_particle(1), "complex", CHIRP, (2, 5),
+                 id="chirp-complex-potential"),
 ])
 def test_powering_matches_matrix_power(grid, h, potential, method, n_values):
     # np.linalg.matrix_power of the unsymmetrized step is the reference of
-    # _power_step, which trotter_kernel and time_slice_free_kernel share
+    # _power_step and of the chirp steps' parity blocks plus edge terms
     # odd n reach the res @ z multiply; b != 0 squares with the general
     # product; a complex V makes |q| != 1 in the symmetrized step; a cosine
-    # V with b = 0 takes the parity blocks, the sine's odd part does not
+    # V with b = 0 takes the parity blocks (with the edge terms for CHIRP
+    # from n = 2 on), the sine's odd part does not
     x = grid.axis()
     values = np.cos(2.0 * np.pi * x)
     if potential == "complex":
@@ -461,20 +466,58 @@ def test_even_potential_kernel_is_reflection_invariant(grid, monkeypatch):
     assert shapes == [(half + 1, half + 1), (half - 1, half - 1)] * 3
 
 
-def test_one_ulp_odd_part_takes_the_full_step(grid, monkeypatch):
+FREE = QuadraticHamiltonian.free_particle(1)
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), v, 1.0, (8,), v.grid, 32), 8), id="spectral"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(FREE, v, 1.0, (8,), v.grid, 32),
+                                          8, method=CHIRP), id="chirp"),
+    pytest.param(lambda v: time_slice_free_kernel(v, 1.0, 8, v.grid), id="free-slice"),
+])
+def test_one_ulp_odd_part_takes_the_full_step(grid, monkeypatch, kernel):
     # an odd part of one ulp at one index is enough to leave the blocks,
     # and the full step agrees with the blocks of the even part to rounding
     even = cosine_potential(grid)
     values = even.values.copy()
     values[3] = np.nextafter(values[3].real, np.inf)
-    h = QuadraticHamiltonian.harmonic(1)
     shapes = powered_shapes(monkeypatch)
-    full = trotter_kernel(TrotterScenario(h, SampledField(grid, values), 1.0, (8,),
-                                          grid, 32), 8).entries
-    blocks = trotter_kernel(TrotterScenario(h, even, 1.0, (8,), grid, 32), 8).entries
+    full = kernel(SampledField(grid, values)).entries
+    blocks = kernel(even).entries
     n = grid.points
     assert shapes == [(n, n), (n // 2 + 1, n // 2 + 1), (n // 2 - 1, n // 2 - 1)]
     assert np.max(np.abs(full - blocks)) < 1e-12 * np.max(np.abs(blocks))
+
+
+@pytest.mark.parametrize("half_width,points", [(4.0, 64), (6.0, 128), (7.3, 256),
+                                               (8.0, 256), (16.0, 1024)])
+def test_free_steps_are_reflection_invariant_off_row_zero(half_width, points):
+    # the parity blocks of the chirp steps need rows and columns >= 1 of the
+    # CHIRP quadrature and of the analytic chirp to commute with R bit for
+    # bit; row 0 does not, as x_0 = -L has no mirror
+    grid = GridSpec(1, half_width, points)
+    r = (-np.arange(points)) % points
+    for tau in (1.0, 0.5, 1.0 / 3.0, 0.37, 1.0 / 7.0, 0.125, 2.0):
+        for step in (propagator_for(FREE, tau, grid).kernel_entries(),
+                     _kernels.free_chirp(grid.axis(), tau)):
+            mirrored = step[np.ix_(r, r)]
+            assert np.array_equal(mirrored[1:, 1:], step[1:, 1:])
+            assert not np.array_equal(mirrored[0], step[0])
+
+
+def test_free_steps_at_1024_points_match_matrix_power(monkeypatch):
+    # the edge terms once at the kernel checks' size, for an odd n: the
+    # analytic chirp step's blocks plus rank-2 edge against matrix_power
+    grid = GridSpec(1, 16.0, 1024)
+    v = cosine_potential(grid, freq=0.875)
+    n, tau = 7, 1.0 / 7
+    step = _kernels.free_chirp(grid.axis(), tau) * np.exp(-1j * tau * v.values)[None, :]
+    ref = np.linalg.matrix_power(step * grid.cell, n) / grid.cell
+    shapes = powered_shapes(monkeypatch)
+    got = time_slice_free_kernel(v, 1.0, n, grid).entries
+    assert shapes == [(513, 513), (511, 511)]
+    assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name", ["harmonic-cos-t1.ini", "modbound-harmonic-cos.ini",
@@ -534,6 +577,21 @@ def test_powering_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak < 3 * 16 * 2**20
+
+
+@pytest.mark.parametrize("kernel", [
+    pytest.param(lambda sc: trotter_kernel(sc, 8, method=CHIRP), id="chirp"),
+    pytest.param(lambda sc: time_slice_free_kernel(sc.potential, 1.0, 8, sc.grid),
+                 id="free-slice"),
+])
+def test_free_step_memory_stays_small(traced_peak, kernel):
+    # the step (16 MiB at N = 1024) and one buffer for both parity blocks
+    # (8 MiB), whose squares go into the step's buffer, which then takes
+    # the unfolded result: measured 25.8 MiB; the full step and one square
+    # were 32.0 MiB
+    grid = GridSpec(1, 16.0, 1024)
+    sc = TrotterScenario(FREE, cosine_potential(grid), 1.0, (8,), grid, 32)
+    assert traced_peak(lambda: kernel(sc)) < 28
 
 
 def test_exceptional_scan_memory_stays_small(traced_peak):
