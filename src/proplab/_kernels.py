@@ -19,6 +19,12 @@ def toeplitz(diagonals, n_cols):
     return sliding_window_view(diagonals, n_cols)[:, ::-1]
 
 
+def symmetric_toeplitz(row, n):
+    """The leading n x n block of the symmetric Toeplitz matrix with first
+    row `row`, T[i, j] = row[|i - j|], a read-only strided view: no copy."""
+    return toeplitz(np.concatenate((row[n - 1:0:-1], row[:n])), n)
+
+
 def chirp_kernel(x, y, m_xx, m_xy, m_yy):
     """exp(2*pi*i*Phi(x_i, y_j)) for Phi = (1/2)Mxx x^2 - Mxy x y + (1/2)Myy y^2,
     with 1D axes x, y of one spacing and scalar coefficients.

@@ -106,6 +106,14 @@ class MetaplecticPropagator:
         # scale * carrier, in place; carrier *= scale rounds differently
         return np.multiply(self.scale, carrier, out=carrier)
 
+    def kernel_row(self) -> np.ndarray:
+        """Row 0 of kernel_entries(), bit for bit, from the 1 x N carrier of
+        x_0 against the axis; for a free flow it determines the symmetric
+        Toeplitz kernel."""
+        x = self.grid.axis()
+        row = _kernels.chirp_kernel(x[:1], x, *self.phase.coefficients())[0]
+        return np.multiply(self.scale, row, out=row)
+
     def kernel(self) -> KernelMatrix:
         return KernelMatrix(self.grid, self.kernel_entries())
 

@@ -12,10 +12,13 @@ for a symbol with no cross term, so every squaring is a z @ z.T product.
 Without a cross term the grid H0 also commutes with the reflection
 x_j -> -x_j, so its eigendecomposition and K come in an even and an odd
 block; when V is even as well, the step is powered block by block, two
-half-size matrices instead of one N x N.  The free chirp steps commute with
-the reflection except in row and column 0, as x_0 = -L has no mirror; with
-an even V they are powered as the blocks of their reflection-invariant part
-plus an exact rank-2 edge term.
+half-size matrices instead of one N x N, side by side on two threads.  The
+free chirp steps commute with the reflection except in row and column 0, as
+x_0 = -L has no mirror; with an even V they are powered as the blocks of
+their reflection-invariant part, written straight from the step's first row,
+plus an exact rank-2 edge term, so the free step is never dense.  Each block
+makes the same BLAS calls as it would alone, into buffers of its own, so the
+bytes do not depend on how the two threads are scheduled.
 A high-n run stands in for the limit kernel, carrying its own Cauchy
 self-distance so the surrogate error stays visible in every report.
 """
@@ -23,9 +26,11 @@ self-distance so the surrogate error stays visible in every report.
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .errors import ProplabError
@@ -157,7 +162,8 @@ def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
     from slices, into out when given; even and odd are scaled in place.
 
     Row or column j <= N/2 holds the reflection's representative j, and
-    N - j its mirror; the odd block enters with the sign of each side.
+    N - j its mirror; the odd block enters with the sign of each side.  The
+    rows up to N/2 and the rows past it are written side by side.
     """
     m = even.shape[0] - 1
     c = np.full(m + 1, np.sqrt(0.5))
@@ -168,14 +174,20 @@ def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((2 * m, 2 * m), dtype=np.result_type(even, odd))
     mirror = slice(m - 1, 0, -1)  # representatives m-1..1, at m+1..N-1
-    out[:m + 1, :m + 1] = even
-    out[:m + 1, m + 1:] = even[:, mirror]
-    out[m + 1:, :m + 1] = even[mirror, :]
-    out[m + 1:, m + 1:] = even[mirror, mirror]
-    out[1:m, 1:m] += odd
-    out[1:m, m + 1:] -= odd[:, ::-1]
-    out[m + 1:, 1:m] -= odd[::-1, :]
-    out[m + 1:, m + 1:] += odd[::-1, ::-1]
+
+    def top():
+        out[:m + 1, :m + 1] = even
+        out[:m + 1, m + 1:] = even[:, mirror]
+        out[1:m, 1:m] += odd
+        out[1:m, m + 1:] -= odd[:, ::-1]
+
+    def bottom():
+        out[m + 1:, :m + 1] = even[mirror, :]
+        out[m + 1:, m + 1:] = even[mirror, mirror]
+        out[m + 1:, 1:m] -= odd[::-1, :]
+        out[m + 1:, m + 1:] += odd[::-1, ::-1]
+
+    _side_by_side(top, bottom)
     return out
 
 
@@ -197,8 +209,8 @@ def _eig(h: QuadraticHamiltonian, grid: GridSpec) -> tuple:
                  for block in (_fold(mat) if h.b == 0.0 else (mat,)))
 
 
-def _block_step(w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
-    """u exp(-i tau w) u^H.
+def _block_step(w: np.ndarray, u: np.ndarray, tau: float, out=None) -> np.ndarray:
+    """u exp(-i tau w) u^H, written into out when given.
 
     With real eigenvectors u (b = 0) the real and imaginary parts are the
     real products (u cos(tau w)) u^T and -(u sin(tau w)) u^T, half the flops
@@ -206,8 +218,9 @@ def _block_step(w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
     term makes u complex and keeps the complex product.
     """
     if np.iscomplexobj(u):
-        return (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
-    out = np.empty(u.shape, dtype=complex)
+        return np.matmul(u * np.exp(-1j * tau * w)[None, :], u.conj().T, out=out)
+    if out is None:
+        out = np.empty(u.shape, dtype=complex)
     out.real = (u * np.cos(tau * w)[None, :]) @ u.T
     out.imag = (u * -np.sin(tau * w)[None, :]) @ u.T
     return out
@@ -286,63 +299,157 @@ def _is_even(v: np.ndarray) -> bool:
     return np.array_equal(v, v[-np.arange(len(v))])
 
 
-def _power_free(step: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarray:
-    """(step diag(q^2))^n, q = exp(-i tau v / 2), for a free-chirp step: a
-    symmetric Toeplitz matrix, overwritten by the result.
+def _side_by_side(first, second) -> tuple:
+    """(first(), second()), second on a thread started for this call while
+    the calling thread runs first.  The thread is joined before anything
+    returns or raises, and an exception raised by second is raised here;
+    when both raise, first's is.
 
-    The step depends on i - j only, with equal entries on the diagonals
-    +-(i - j), so it commutes with R except in row and column 0, as x_0 = -L
-    has no mirror.  With V even bit for bit, let S = diag(q) step diag(q),
-    A be S with the off-diagonal entries of row and column 0 set to zero,
-    and r = S[0, :] with r_0 = 0.  Then S = A + e_0 r^T + r e_0^T, A commutes
-    with R, A e_0 = S_00 e_0, and
+    Only untraced private helpers run as second: perfbench's span tracer
+    keeps one stack.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, second()))
+        except BaseException as exc:  # raised in the caller below
+            outcome.append((False, exc))
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        got = first()
+    finally:
+        worker.join()
+    ok, other = outcome[0]
+    if not ok:
+        raise other
+    return got, other
+
+
+def _power_blocks(make_even, make_odd, tau: float, v: np.ndarray,
+                  n: int) -> np.ndarray:
+    """The N x N unfolding of the n-th powers of the parity blocks that
+    make_even(out) and make_odd(out) write into out, of a step that commutes
+    with R, each conjugated by its half of q as in _power_step.
+
+    Each stage runs side by side, the even block on the calling thread and
+    the odd one on a second thread: first the blocks are built, then
+    powered.  Their buffers are allocated here, on the calling thread:
+    memory that a thread allocates stays in that thread's malloc arena, and
+    a block allocated by the second thread raised the peak RSS of a
+    freeslice run by 8 MB.  One buffer of N^2 + 4 entries,
+    2(N/2 + 1)^2 + 2(N/2 - 1)^2, allocated once the builders' temporaries
+    are gone, holds both blocks' spares at once, and afterwards takes the
+    unfolded result, so no other N x N matrix is allocated.
+    """
+    m = len(v) // 2
+    size = 2 * m
+    blocks = np.empty((m + 1) ** 2 + (m - 1) ** 2, dtype=complex)
+    even = blocks[:(m + 1) ** 2].reshape(m + 1, m + 1)
+    odd = blocks[(m + 1) ** 2:].reshape(m - 1, m - 1)
+    _side_by_side(lambda: make_even(even), lambda: make_odd(odd))
+    buf = np.empty(size * size + 4, dtype=complex)
+    cut = 2 * (m + 1) ** 2
+    even, odd = _side_by_side(
+        lambda: _power_step(even, tau, v[:m + 1], n, symmetric=True, spare=buf[:cut]),
+        lambda: _power_step(odd, tau, v[1:m], n, symmetric=True, spare=buf[cut:]))
+    return _unfold(even, odd, out=buf[:size * size].reshape(size, size))
+
+
+def _toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """T x along the last axis of x, T the symmetric Toeplitz matrix with
+    first row t = row, through T's circulant embedding of size 2N:
+    c = [t_0, ..., t_{N-1}, 0, t_{N-1}, ..., t_1], T x = ifft(fft(c) fft(x))[:N]
+    with x padded to 2N."""
+    size = len(row)
+    c = np.concatenate((row, [0.0], row[:0:-1]))
+    return np.fft.ifft(np.fft.fft(c) * np.fft.fft(x, 2 * size), axis=-1)[..., :size]
+
+
+def _free_even(row: np.ndarray, out=None) -> np.ndarray:
+    """The even block of _fold(T), T the symmetric Toeplitz matrix with first
+    row t = row, bit for bit, written from t alone into out when given,
+    with row and column 0 zeroed off the diagonal: for i, j in 0..N/2, with
+    d as in _fold,
+
+        even[i, j] = 2(t|i-j| + t(N-i-j)) d_i d_j,  even[0, 0] = t_0.
+
+    _fold sums the same four entries, two of each, in an order that rounds
+    the same.  The Toeplitz and Hankel parts are strided views of t.
+    """
+    m = len(row) // 2
+    d = np.full(m + 1, np.sqrt(0.5))
+    d[[0, m]] = 0.5
+    even = np.add(_kernels.symmetric_toeplitz(row, m + 1),
+                  sliding_window_view(np.concatenate((row[:1], row[::-1])), m + 1),
+                  out=out)
+    even *= 2.0 * d[:, None] * d
+    even[0, 1:] = 0.0
+    even[1:, 0] = 0.0
+    even[0, 0] = row[0]
+    return even
+
+
+def _free_odd(row: np.ndarray, out=None) -> np.ndarray:
+    """The odd block of _fold(T), as for _free_even: for i, j in 1..N/2-1,
+    odd[i-1, j-1] = t|i-j| - t(N-i-j)."""
+    size = len(row)
+    m = size // 2
+    return np.subtract(_kernels.symmetric_toeplitz(row, m - 1),
+                       sliding_window_view(row[size - 2:1:-1], m - 1), out=out)
+
+
+def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarray:
+    """(T diag(q^2))^n, q = exp(-i tau v / 2), for a free-chirp step T: the
+    symmetric Toeplitz matrix with first row t = row.
+
+    T depends on i - j only, with equal entries on the diagonals +-(i - j),
+    so it commutes with R except in row and column 0, as x_0 = -L has no
+    mirror.  With V even bit for bit, let S = diag(q) T diag(q), A be S with
+    the off-diagonal entries of row and column 0 set to zero, and r = S[0, :]
+    with r_0 = 0.  Then S = A + e_0 r^T + r e_0^T, A commutes with R,
+    A e_0 = S_00 e_0, and
 
         S^n = A^n + sum_{j<n} (S^j e_0)(A^{n-1-j} r)^T + S_00^{n-1-j} (S^j r) e_0^T.
 
-    A^n is powered as the parity blocks of _fold(step), whose even block has
-    row and column 0 zeroed off the diagonal, at about a quarter of the
-    flops of the N x N powering.  The sum is a rank-n product added in row
+    A^n is powered by _power_blocks from the blocks _free_even and _free_odd
+    write straight from t, equal to _fold(T) bit for bit, so T is never
+    dense; the two blocks run side by side.  The sum is a rank-n product added in row
     chunks plus a column-0 update, built from 3(n - 1) products of S with a
-    vector, A x = S x - x_0 r - (r . x) e_0.  The blocks share one buffer of
-    (N/2 + 1)^2 + (N/2 - 1)^2 entries; the step's own buffer is their
-    spare, and then holds the result.  n = 1, and any V with an odd part,
-    power the full step.
+    vector, A x = S x - x_0 r - (r . x) e_0, each T x taken by FFT through
+    T's circulant embedding.  n = 1, and any V with an odd part, power the
+    full step, T gathered from t.
     """
+    size = len(row)
     if n < 2 or not _is_even(v):
+        step = np.array(_kernels.symmetric_toeplitz(row, size))
         return _power_step(step, tau, v, n, symmetric=True)
-    size = len(v)
-    m = size // 2
     with np.errstate(all="ignore"):  # the range checks report it
         q = np.exp(-0.5j * tau * v)
-        r = step[0] * (q[0] * q)
+        r = row * (q[0] * q)
         r[0] = 0.0
-        s00 = q[0] * step[0, 0] * q[0]
-        # seq[j] holds S^j e_0, S^j r and A^j r as its columns
-        seq = np.zeros((n, size, 3), dtype=complex)
+        s00 = q[0] * row[0] * q[0]
+        # seq[j] holds S^j e_0, S^j r and A^j r as its rows
+        seq = np.zeros((n, 3, size), dtype=complex)
         seq[0, 0, 0] = 1.0
-        seq[0, :, 1] = seq[0, :, 2] = r
+        seq[0, 1] = seq[0, 2] = r
         for j in range(1, n):
             x, y = seq[j - 1], seq[j]
-            np.matmul(step, x * q[:, None], out=y)
-            y *= q[:, None]
-            y[:, 2] -= x[0, 2] * r
-            y[0, 2] -= r @ x[:, 2]
-        blocks = np.empty((m + 1) ** 2 + (m - 1) ** 2, dtype=complex)
-        even, odd = _fold(step, out=(blocks[:(m + 1) ** 2].reshape(m + 1, m + 1),
-                                     blocks[(m + 1) ** 2:].reshape(m - 1, m - 1)))
-        even[0, 1:] = 0.0
-        even[1:, 0] = 0.0
-        even = _power_step(even, tau, v[:m + 1], n, symmetric=True, spare=step)
-        odd = _power_step(odd, tau, v[1:m], n, symmetric=True, spare=step)
-        out = _unfold(even, odd, out=step)
+            np.multiply(_toeplitz_product(row, x * q), q, out=y)
+            y[2] -= x[2, 0] * r
+            y[2, 0] -= r @ x[2]
+        out = _power_blocks(functools.partial(_free_even, row),
+                            functools.partial(_free_odd, row), tau, v, n)
         # the edge terms, conjugated by diag(q) as the blocks are
-        left = seq[:, :, 0].T / q[:, None]
-        right = seq[::-1, :, 2] * q
+        left = seq[:, 0].T / q[:, None]
+        right = seq[::-1, 2] * q
         for lo in range(0, size, ROW_CHUNK):
             out[lo:lo + ROW_CHUNK] += left[lo:lo + ROW_CHUNK] @ right
-        col = seq[0, :, 1]
+        col = seq[0, 1]
         for j in range(1, n):
-            col = col * s00 + seq[j, :, 1]
+            col = col * s00 + seq[j, 1]
         out[:, 0] += col * (q[0] / q)
     _check_range(out, n, tau)
     return out
@@ -356,15 +463,18 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     its even and odd blocks (b = 0) and V is even bit for bit,
     V[j] == V[-j mod N], the potential phase commutes with the reflection
     too, so the Strang step is block diagonal: the two blocks, of sizes
-    N/2 + 1 and N/2 - 1, are powered apart and unfolded once, at about a
-    quarter of the flops.  Any V with an odd part, however small, powers the
-    full step.  CHIRP steps with the quadrature of the one-step metaplectic
-    kernel, whose powers stay bounded only for a free particle (a = b = 0;
-    for a harmonic H0 the sup reaches 7.5e108 at n = 64 on N = 256, L = 8),
-    so CHIRP with any other H0 is a ValueError, as is an unknown method.
-    The CHIRP step is powered by _power_free: from n = 2 on with a bitwise
-    even V, as the parity blocks of its reflection-invariant part plus the
-    rank-2 edge of row and column 0.  With V identically zero, SPECTRAL
+    N/2 + 1 and N/2 - 1, are powered apart by _power_blocks, side by side on
+    two threads, and unfolded once, at about a quarter of the flops; the
+    bytes do not depend on how the threads are scheduled.  Any V with an odd
+    part, however small, powers the full step.  CHIRP steps with the
+    quadrature of the one-step metaplectic kernel, whose powers stay
+    bounded only for a free particle (a = b = 0; for a harmonic H0 the sup
+    reaches 7.5e108 at n = 64 on N = 256, L = 8), so CHIRP with any other H0
+    is a ValueError, as is an unknown method.
+    The CHIRP step is powered by _power_free from its first row, kernel_row():
+    from n = 2 on with a bitwise even V, as the parity blocks of its
+    reflection-invariant part, side by side, plus the rank-2 edge of row and
+    column 0, so the step is never dense.  With V identically zero, SPECTRAL
     takes one full-time step for any n, kinetic_step(h, t) being the n-th
     power of the t/n step by the group law; CHIRP has no group law (powered
     chirp quadratures do not compose), so it powers the t/n quadrature at
@@ -384,13 +494,11 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     # (H_grid and its blocks real symmetric, the free chirp symmetric in x
     # and y); each step is a temporary, as the powering overwrites it
     if method == CHIRP:
-        step = propagator_for(h, tau, sc.grid).kernel_entries()
-        m = _power_free(np.multiply(step, sc.grid.cell, out=step), tau, v, n)
+        row = propagator_for(h, tau, sc.grid).kernel_row()
+        m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
     elif len(_eig(h, sc.grid)) == 2 and _is_even(v):
-        half = len(v) // 2
-        m = _unfold(*[_power_step(_block_step(w, u, tau), tau, part, n, symmetric=True)
-                      for (w, u), part in zip(_eig(h, sc.grid),
-                                              (v[:half + 1], v[1:half]))])
+        m = _power_blocks(*[functools.partial(_block_step, w, u, tau)
+                            for w, u in _eig(h, sc.grid)], tau, v, n)
     else:
         m = _power_step(kinetic_step(h, tau, sc.grid), tau, v, n,
                         symmetric=h.b == 0.0)
@@ -546,14 +654,15 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
 
     The n-th power of the analytic one-step factor
     (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase,
-    taken by the same _power_free as trotter_kernel(..., CHIRP): the parity
-    blocks plus the rank-2 edge from n = 2 on with a bitwise even V, the
-    full step otherwise.  What it checks apart from trotter_kernel(...,
-    CHIRP) is the step, this analytic chirp against the metaplectic chirp
-    quadrature; as both share the powering, its own references are
-    np.linalg.matrix_power and iterated products, in the tests.  Kept at
-    n <= 8: this is the desk-scale cross-check of the path sum, not a
-    production path.
+    taken by the same _power_free as trotter_kernel(..., CHIRP), from the
+    step's first row: from n = 2 on with a bitwise even V, the parity blocks,
+    powered side by side and written from that row, so the step is never
+    dense, plus the rank-2 edge; the full step otherwise.  What it checks
+    apart from trotter_kernel(..., CHIRP) is the step, this analytic chirp
+    against the metaplectic chirp quadrature; as both share the powering,
+    its own references are np.linalg.matrix_power and iterated products, in
+    the tests.  Kept at n <= 8: this is the desk-scale cross-check of the
+    path sum, not a production path.
     """
     if not 1 <= n <= 8:
         raise ValueError("n must lie in 1..8 for the direct path quadrature")
@@ -561,8 +670,8 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
         raise ValueError("potential grid does not match")
     tau = t / n
     # the chirp depends on (x - y)^2 only, so it is symmetric Toeplitz bit
-    # for bit
-    total = _power_free(_kernels.free_chirp(grid.axis(), tau) * grid.cell,
+    # for bit and its first row determines it
+    total = _power_free(_kernels.free_chirp(grid.axis(), tau)[0] * grid.cell,
                         tau, v.values, n)
     total /= grid.cell
     return KernelMatrix(grid, total)

@@ -369,8 +369,8 @@ def test_kernel_check_memory_stays_small(tmp_path, traced_peak):
 
 def test_freeslice_memory_stays_small(tmp_path, traced_peak):
     # one n's kernels at a time: the CHIRP kernel alive while the path
-    # quadrature powers (16 + 32 MiB at N = 1024): measured 48.0 MiB, 64.0 MiB
-    # with the previous n's pair still alive
+    # quadrature powers (16 + 25 MiB at N = 1024): measured 41.3 MiB; 48.0 MiB
+    # with full steps, 64.0 MiB with the previous n's pair still alive
     path = tmp_path / "freeslice.ini"
     path.write_text("[experiment]\nkind = freeslice\n[potential]\npreset = cosine-sum\n"
                     "terms = 1.0:0.875\n" + GRID_1024 + "[time]\nt = 1.0\nn_list = 1,2,4,8\n")
@@ -595,17 +595,21 @@ def run_python(*args, **env_vars):
                           env=env)
 
 
-def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+@pytest.mark.parametrize("preset,command", [("harmonic-cos-t1", "converge"),
+                                            ("freeslice-cos", "freeslice")],
+                         ids=["harmonic-cos-t1", "freeslice-cos"])
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, preset, command):
     # OpenBLAS sums a product by thread count: without the pin, two threads
-    # change 74 of this preset's 91 values in their last bits
+    # change 74 of harmonic-cos-t1's 91 values in their last bits; both
+    # presets power parity blocks side by side, the spectral and the free ones
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        proc = run_python("-m", "proplab.cli", "converge", "--config",
-                          cfg_path("harmonic-cos-t1.ini"), "--out", str(out), "--quiet",
+        proc = run_python("-m", "proplab.cli", command, "--config",
+                          cfg_path(f"{preset}.ini"), "--out", str(out), "--quiet",
                           OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
-        outputs.append([(out / f"converge.{ext}").read_bytes() for ext in ("csv", "svg")])
+        outputs.append([(out / f"{command}.{ext}").read_bytes() for ext in ("csv", "svg")])
     assert outputs[0] == outputs[1]
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from proplab import GridSpec, QuadraticHamiltonian, flow, phase_form
-from proplab._kernels import axis_differences, chirp_kernel, free_chirp, toeplitz
+from proplab._kernels import (axis_differences, chirp_kernel, free_chirp, symmetric_toeplitz,
+                              toeplitz)
 
 GRID = GridSpec(1, 16.0, 1024)
 
@@ -37,6 +38,14 @@ def test_toeplitz_gather_indexes_diagonals():
     y = np.array([0.5, 1.5, 2.5, 3.5])
     t = toeplitz(axis_differences(x, y), len(y))
     assert np.array_equal(t, x[:, None] - y[None, :])
+
+
+def test_symmetric_toeplitz_gathers_leading_blocks():
+    row = np.arange(6.0) ** 2
+    i = np.arange(6)
+    for n in (1, 2, 5, 6):
+        assert np.array_equal(symmetric_toeplitz(row, n),
+                              row[np.abs(i[:n, None] - i[None, :n])])
 
 
 @pytest.mark.parametrize("tau", [0.125, -1.0])

@@ -170,6 +170,16 @@ def test_kernel_entries_scale_the_carrier_exactly(grid, h, t):
                           prop.scale * chirp_kernel(x, x, *prop.phase.coefficients()))
 
 
+@pytest.mark.parametrize("half_width,points", [(8.0, 256), (16.0, 1024)])
+@pytest.mark.parametrize("h,t", [(QuadraticHamiltonian.free_particle(1), 0.125),
+                                 (QuadraticHamiltonian.free_particle(1), 1.0 / 3.0),
+                                 (QuadraticHamiltonian.harmonic(1), 1.0)])
+def test_kernel_row_is_row_zero_of_kernel_entries(half_width, points, h, t):
+    # the free-chirp powering takes its step from this row alone
+    prop = propagator_for(h, t, GridSpec(1, half_width, points))
+    assert np.array_equal(prop.kernel_row(), prop.kernel_entries()[0])
+
+
 @pytest.mark.parametrize("t", [1.0, -0.7, 4.0])
 def test_mehler_oracle_matches_its_formula_exactly(grid, t):
     # the buffered evaluation against the closed form written out of place

@@ -1,4 +1,5 @@
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -442,7 +443,8 @@ def test_powering_matches_matrix_power(grid, h, potential, method, n_values):
 
 
 def powered_shapes(monkeypatch):
-    """The shapes of the steps _power_step is handed, recorded as it runs."""
+    """The shapes of the steps _power_step is handed, recorded as it runs;
+    the two parity blocks run side by side, so in either order."""
     shapes = []
     power = trotter._power_step
 
@@ -463,7 +465,7 @@ def test_even_potential_kernel_is_reflection_invariant(grid, monkeypatch):
         k = trotter_kernel(sc, n).entries
         assert np.array_equal(k, k[np.ix_(r, r)])
     half = grid.points // 2
-    assert shapes == [(half + 1, half + 1), (half - 1, half - 1)] * 3
+    assert sorted(shapes) == sorted([(half + 1, half + 1), (half - 1, half - 1)] * 3)
 
 
 FREE = QuadraticHamiltonian.free_particle(1)
@@ -486,7 +488,8 @@ def test_one_ulp_odd_part_takes_the_full_step(grid, monkeypatch, kernel):
     full = kernel(SampledField(grid, values)).entries
     blocks = kernel(even).entries
     n = grid.points
-    assert shapes == [(n, n), (n // 2 + 1, n // 2 + 1), (n // 2 - 1, n // 2 - 1)]
+    assert sorted(shapes) == sorted([(n, n), (n // 2 + 1, n // 2 + 1),
+                                     (n // 2 - 1, n // 2 - 1)])
     assert np.max(np.abs(full - blocks)) < 1e-12 * np.max(np.abs(blocks))
 
 
@@ -516,8 +519,79 @@ def test_free_steps_at_1024_points_match_matrix_power(monkeypatch):
     ref = np.linalg.matrix_power(step * grid.cell, n) / grid.cell
     shapes = powered_shapes(monkeypatch)
     got = time_slice_free_kernel(v, 1.0, n, grid).entries
-    assert shapes == [(513, 513), (511, 511)]
+    assert sorted(shapes) == [(511, 511), (513, 513)]
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+BLOCK_KERNELS = [
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), v, 1.0, (7,), v.grid, 28), 7), id="spectral"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(FREE, v, 1.0, (7,), v.grid, 28),
+                                          7, method=CHIRP), id="chirp"),
+    pytest.param(lambda v: time_slice_free_kernel(v, 1.0, 7, v.grid), id="free-slice"),
+]
+
+
+@pytest.mark.parametrize("kernel", BLOCK_KERNELS)
+def test_side_by_side_blocks_change_no_bit(grid, monkeypatch, kernel):
+    # each block makes the same BLAS calls into its own buffers on either
+    # thread, so powering them one after the other gives the same bytes
+    v = cosine_potential(grid)
+    side_by_side = kernel(v).entries
+    monkeypatch.setattr(trotter, "_side_by_side", lambda first, second: (first(), second()))
+    assert np.array_equal(kernel(v).entries, side_by_side)
+
+
+def test_worker_block_out_of_range_raises_in_caller(grid):
+    # Im V = -920 off the fixed points 0 and N/2 underflows every entry of
+    # the odd block, which powers on the second thread, while the even block
+    # keeps rows 0 and N/2 and stays in range on the calling thread
+    n = grid.points
+    values = np.full(n, -920.0j)
+    values[[0, n // 2]] = 0.0
+    sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), SampledField(grid, values),
+                         1.0, (1,), grid, 4)
+    (w, u), _ = _eig(sc.hamiltonian, grid)
+    # the even block alone powers without an error
+    trotter._power_step(trotter._block_step(w, u, 1.0), 1.0, values[:n // 2 + 1], 1,
+                        symmetric=True)
+    before = threading.active_count()
+    with pytest.raises(ProplabError, match="leaves the float range"):
+        trotter_kernel(sc, 1)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("half_width,points", [(4.0, 64), (6.0, 128), (7.3, 256),
+                                               (8.0, 256), (16.0, 1024)])
+def test_free_blocks_are_the_fold_of_the_dense_step(half_width, points):
+    # the blocks written from the first row equal _fold of the dense step,
+    # with row and column 0 of the even block zeroed off the diagonal, bit
+    # for bit, for the CHIRP quadrature and the analytic chirp
+    grid = GridSpec(1, half_width, points)
+    for tau in (1.0, 0.5, 1.0 / 3.0, 0.37, 1.0 / 7.0, 0.125, 2.0):
+        prop = propagator_for(FREE, tau, grid)
+        chirp = _kernels.free_chirp(grid.axis(), tau)
+        for step, row in ((prop.kernel_entries(), prop.kernel_row()),
+                          (np.array(chirp), np.array(chirp[0]))):
+            even, odd = _fold(step)
+            even[0, 1:] = 0.0
+            even[1:, 0] = 0.0
+            assert np.array_equal(trotter._free_even(row), even)
+            assert np.array_equal(trotter._free_odd(row), odd)
+
+
+def test_toeplitz_product_matches_dense_product():
+    # the edge sequence's T x through the circulant embedding, for one
+    # vector and for a stack of three
+    grid = GridSpec(1, 16.0, 1024)
+    row = propagator_for(FREE, 0.125, grid).kernel_row()
+    dense = np.array(_kernels.symmetric_toeplitz(row, len(row)))
+    rng = np.random.default_rng(5)
+    for shape in ((1024,), (3, 1024)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = x @ dense.T
+        got = trotter._toeplitz_product(row, x)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name", ["harmonic-cos-t1.ini", "modbound-harmonic-cos.ini",
@@ -532,9 +606,9 @@ def test_preset_potentials_are_even(name):
 
 
 def test_spectral_powering_memory_stays_small(traced_peak):
-    # the blocks power at a quarter of the N x N size (4 MiB each at
-    # N = 1024) and are unfolded into one 16 MiB kernel: measured 24.4 MiB
-    # warm; the full step with one square was 32.0 MiB
+    # the blocks (4 MiB each at N = 1024) power side by side, squaring into
+    # one 16 MiB buffer that then takes the unfolded kernel: measured
+    # 24.8 MiB warm; the full step with one square was 32.0 MiB
     grid = GridSpec(1, 16.0, 1024)
     sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), cosine_potential(grid),
                          1.0, (8,), grid, 32)
@@ -563,7 +637,8 @@ def test_free_slice_matches_iterated_product(grid):
 def test_powering_memory_stays_small():
     # the symmetrized step is scaled and unscaled in place, so at most the
     # step, one square and the running product are alive: 16 MiB each at
-    # N = 1024 (measured peaks 40 and 32 MiB)
+    # N = 1024 (measured peaks of the full step 40 and 32 MiB; the parity
+    # blocks that both now take measure 25.2 MiB each)
     grid = GridSpec(1, 16.0, 1024)
     v = cosine_potential(grid)
     sc = TrotterScenario(QuadraticHamiltonian.free_particle(1), v, 1.0, (8,),
@@ -585,10 +660,11 @@ def test_powering_memory_stays_small():
                  id="free-slice"),
 ])
 def test_free_step_memory_stays_small(traced_peak, kernel):
-    # the step (16 MiB at N = 1024) and one buffer for both parity blocks
-    # (8 MiB), whose squares go into the step's buffer, which then takes
-    # the unfolded result: measured 25.8 MiB; the full step and one square
-    # were 32.0 MiB
+    # no dense step: both parity blocks (8 MiB at N = 1024), written from
+    # the step's first row, and one buffer of N^2 + 4 entries (16 MiB) that
+    # takes their squares side by side and then the unfolded result:
+    # measured 25.2 MiB; 25.8 MiB with the dense step folded, 32.0 MiB with
+    # the full step and one square
     grid = GridSpec(1, 16.0, 1024)
     sc = TrotterScenario(FREE, cosine_potential(grid), 1.0, (8,), grid, 32)
     assert traced_peak(lambda: kernel(sc)) < 28
