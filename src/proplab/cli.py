@@ -296,7 +296,11 @@ class Config:
 
     def __init__(self, path: str, seed_override=None, command=None):
         parser = configparser.ConfigParser(interpolation=None)
-        if not parser.read(path):
+        try:
+            found = parser.read(path, encoding="utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path} is not UTF-8: {err}") from None
+        if not found:
             raise ConfigError(f"cannot read config file: {path}")
         if parser.defaults():
             raise ConfigError(f"[DEFAULT] holds keys: {', '.join(parser.defaults())}")
@@ -759,6 +763,16 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
+def _check_out_dir(out: str):
+    """A ConfigError unless os.makedirs can make out a directory: the
+    nearest of out and its parents that exists must be one."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} is not a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="proplab", description="product-formula propagator experiments")
@@ -772,6 +786,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        _check_out_dir(args.out)
         cfg = Config(args.config, seed_override=args.seed, command=args.command)
         with _one_blas_thread():
             header, rows, plot, failures = RUNNERS[args.command](cfg)

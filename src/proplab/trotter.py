@@ -15,10 +15,10 @@ block; when V is even as well, the step is powered block by block, two
 half-size matrices instead of one N x N, side by side on two threads.  The
 free chirp steps commute with the reflection except in row and column 0, as
 x_0 = -L has no mirror; with an even V they are powered as the blocks of
-their reflection-invariant part, written straight from the step's first row,
-plus an exact rank-2 edge term, so the free step is never dense.  Each block
-makes the same BLAS calls as it would alone, into buffers of its own, so the
-bytes do not depend on how the two threads are scheduled.
+their reflection-invariant part, folded from a strided view of the step's
+first row, plus an exact rank-2 edge term, so the free step is never dense.
+Each block makes the same BLAS calls as it would alone, into buffers of its
+own, so the bytes do not depend on how the two threads are scheduled.
 A high-n run stands in for the limit kernel, carrying its own Cauchy
 self-distance so the surrogate error stays visible in every report.
 """
@@ -30,7 +30,6 @@ import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from .errors import ProplabError
@@ -111,20 +110,21 @@ def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
     return c[(i[:, None] - i[None, :] + n // 2) % n]
 
 
-ROW_CHUNK = 64  # rows per pass where a step's buffer is read or written in chunks
+ROW_CHUNK = 64  # rows per pass of _power_free's edge update
 
 
 def _fold(mat: np.ndarray, out=None) -> tuple:
     """(even, odd): the blocks of a matrix that commutes with the grid
-    reflection R, j -> -j mod N (x_j -> -x_j), in R's orthonormal eigenbasis,
-    written into out = (even, odd) when given.
+    reflection R, j -> -j mod N (x_j -> -x_j), bit for bit, in R's
+    orthonormal eigenbasis, written into out = (even, odd) when given.
 
     The even basis is e_0, e_{N/2} and (e_j + e_{N-j})/sqrt 2 for
     0 < j < N/2, indexed by j in 0..N/2; the odd basis is
-    (e_j - e_{N-j})/sqrt 2, indexed by j in 1..N/2-1.  Each block entry sums
-    the matrix over the R-orbits of its row and column, which also drops
-    whatever even/odd coupling the matrix has.  Rows j and N - j are paired
-    by slices, ROW_CHUNK at a time, so the work space is one chunk of rows.
+    (e_j - e_{N-j})/sqrt 2, indexed by j in 1..N/2-1.  The four terms of
+    an entry's sum over the R-orbits of its row and column pair up exactly,
+    as x + x = 2x does not round: even[i, j] = 2(M[i, j] + M[i, N-j]) d_i d_j,
+    d = 1/2 at the fixed points 0 and N/2 and 1/sqrt 2 elsewhere, and
+    odd[i-1, j-1] = M[i, j] - M[i, N-j], so only rows 0..N/2 are read.
     """
     n = len(mat)
     m = n // 2
@@ -133,27 +133,12 @@ def _fold(mat: np.ndarray, out=None) -> tuple:
                np.empty((m - 1, m - 1), dtype=mat.dtype))
     even, odd = out
     d = np.full(m + 1, np.sqrt(0.5))
-    d[[0, m]] = 0.5  # the fixed points 0 and N/2 are counted twice below
-    chunk = np.empty((min(ROW_CHUNK, m + 1), n), dtype=mat.dtype)
-    for lo in range(0, m + 1, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, m + 1)
-        # rows lo..hi-1 plus their mirrors; row 0 is its own mirror
-        s = max(lo, 1)
-        plus = chunk[:hi - lo]
-        if lo == 0:
-            np.add(mat[0], mat[0], out=plus[0])
-        np.add(mat[s:hi], mat[n - s:n - hi:-1], out=plus[s - lo:])
-        rows = even[lo:hi]
-        np.add(plus[:, :1], plus[:, :1], out=rows[:, :1])
-        np.add(plus[:, 1:m + 1], plus[:, n - 1:m - 1:-1], out=rows[:, 1:])
-        np.multiply(rows, d[lo:hi, None] * d[None, :], out=rows)
-        top = min(hi, m)  # odd rows are 1..N/2-1
-        if s < top:
-            minus = chunk[:top - s]
-            np.subtract(mat[s:top], mat[n - s:n - top:-1], out=minus)
-            rows = odd[s - 1:top - 1]
-            np.subtract(minus[:, 1:m], minus[:, n - 1:m:-1], out=rows)
-            np.multiply(0.5, rows, out=rows)
+    d[[0, m]] = 0.5
+    top = mat[:m + 1]
+    np.add(top[:, ::m], top[:, ::m], out=even[:, ::m])  # columns 0 and N/2 mirror themselves
+    np.add(top[:, 1:m], top[:, n - 1:m:-1], out=even[:, 1:m])
+    even *= 2.0 * d[:, None] * d
+    np.subtract(mat[1:m, 1:m], mat[1:m, n - 1:m:-1], out=odd)
     return even, odd
 
 
@@ -328,28 +313,26 @@ def _side_by_side(first, second) -> tuple:
     return got, other
 
 
-def _power_blocks(make_even, make_odd, tau: float, v: np.ndarray,
-                  n: int) -> np.ndarray:
+def _power_blocks(build, tau: float, v: np.ndarray, n: int) -> np.ndarray:
     """The N x N unfolding of the n-th powers of the parity blocks that
-    make_even(out) and make_odd(out) write into out, of a step that commutes
-    with R, each conjugated by its half of q as in _power_step.
+    build(even, odd) writes into even and odd, of a step that commutes with
+    R, each conjugated by its half of q as in _power_step.
 
-    Each stage runs side by side, the even block on the calling thread and
-    the odd one on a second thread: first the blocks are built, then
-    powered.  Their buffers are allocated here, on the calling thread:
-    memory that a thread allocates stays in that thread's malloc arena, and
-    a block allocated by the second thread raised the peak RSS of a
-    freeslice run by 8 MB.  One buffer of N^2 + 4 entries,
-    2(N/2 + 1)^2 + 2(N/2 - 1)^2, allocated once the builders' temporaries
-    are gone, holds both blocks' spares at once, and afterwards takes the
-    unfolded result, so no other N x N matrix is allocated.
+    The powers run side by side, the even block on the calling thread and
+    the odd one on a second thread.  Their buffers are allocated here, on
+    the calling thread: memory that a thread allocates stays in that thread's
+    malloc arena, and a block allocated by the second thread raised the
+    peak RSS of a freeslice run by 8 MB.  One buffer of N^2 + 4 entries,
+    2(N/2 + 1)^2 + 2(N/2 - 1)^2, allocated once build has returned, holds
+    both blocks' spares at once, and afterwards takes the unfolded result,
+    so no other N x N matrix is allocated.
     """
     m = len(v) // 2
     size = 2 * m
     blocks = np.empty((m + 1) ** 2 + (m - 1) ** 2, dtype=complex)
     even = blocks[:(m + 1) ** 2].reshape(m + 1, m + 1)
     odd = blocks[(m + 1) ** 2:].reshape(m - 1, m - 1)
-    _side_by_side(lambda: make_even(even), lambda: make_odd(odd))
+    build(even, odd)
     buf = np.empty(size * size + 4, dtype=complex)
     cut = 2 * (m + 1) ** 2
     even, odd = _side_by_side(
@@ -368,39 +351,6 @@ def _toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(c) * np.fft.fft(x, 2 * size), axis=-1)[..., :size]
 
 
-def _free_even(row: np.ndarray, out=None) -> np.ndarray:
-    """The even block of _fold(T), T the symmetric Toeplitz matrix with first
-    row t = row, bit for bit, written from t alone into out when given,
-    with row and column 0 zeroed off the diagonal: for i, j in 0..N/2, with
-    d as in _fold,
-
-        even[i, j] = 2(t|i-j| + t(N-i-j)) d_i d_j,  even[0, 0] = t_0.
-
-    _fold sums the same four entries, two of each, in an order that rounds
-    the same.  The Toeplitz and Hankel parts are strided views of t.
-    """
-    m = len(row) // 2
-    d = np.full(m + 1, np.sqrt(0.5))
-    d[[0, m]] = 0.5
-    even = np.add(_kernels.symmetric_toeplitz(row, m + 1),
-                  sliding_window_view(np.concatenate((row[:1], row[::-1])), m + 1),
-                  out=out)
-    even *= 2.0 * d[:, None] * d
-    even[0, 1:] = 0.0
-    even[1:, 0] = 0.0
-    even[0, 0] = row[0]
-    return even
-
-
-def _free_odd(row: np.ndarray, out=None) -> np.ndarray:
-    """The odd block of _fold(T), as for _free_even: for i, j in 1..N/2-1,
-    odd[i-1, j-1] = t|i-j| - t(N-i-j)."""
-    size = len(row)
-    m = size // 2
-    return np.subtract(_kernels.symmetric_toeplitz(row, m - 1),
-                       sliding_window_view(row[size - 2:1:-1], m - 1), out=out)
-
-
 def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarray:
     """(T diag(q^2))^n, q = exp(-i tau v / 2), for a free-chirp step T: the
     symmetric Toeplitz matrix with first row t = row.
@@ -414,18 +364,23 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
 
         S^n = A^n + sum_{j<n} (S^j e_0)(A^{n-1-j} r)^T + S_00^{n-1-j} (S^j r) e_0^T.
 
-    A^n is powered by _power_blocks from the blocks _free_even and _free_odd
-    write straight from t, equal to _fold(T) bit for bit, so T is never
-    dense; the two blocks run side by side.  The sum is a rank-n product added in row
-    chunks plus a column-0 update, built from 3(n - 1) products of S with a
-    vector, A x = S x - x_0 r - (r . x) e_0, each T x taken by FFT through
-    T's circulant embedding.  n = 1, and any V with an odd part, power the
-    full step, T gathered from t.
+    A^n is powered by _power_blocks from _fold of T's strided view, with
+    the even block's row and column 0 zeroed off the diagonal, so T is never
+    dense.  The sum is a rank-n product added ROW_CHUNK rows at a time plus
+    a column-0 update, from 3(n - 1) products of S with a vector,
+    A x = S x - x_0 r - (r . x) e_0, each T x by FFT through T's circulant
+    embedding.  n = 1, and any V with an odd part, power the full step.
     """
     size = len(row)
+    step = _kernels.symmetric_toeplitz(row, size)
     if n < 2 or not _is_even(v):
-        step = np.array(_kernels.symmetric_toeplitz(row, size))
-        return _power_step(step, tau, v, n, symmetric=True)
+        return _power_step(np.array(step), tau, v, n, symmetric=True)
+
+    def build(even, odd):
+        _fold(step, out=(even, odd))
+        even[0, 1:] = 0.0
+        even[1:, 0] = 0.0
+
     with np.errstate(all="ignore"):  # the range checks report it
         q = np.exp(-0.5j * tau * v)
         r = row * (q[0] * q)
@@ -440,8 +395,7 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
             np.multiply(_toeplitz_product(row, x * q), q, out=y)
             y[2] -= x[2, 0] * r
             y[2, 0] -= r @ x[2]
-        out = _power_blocks(functools.partial(_free_even, row),
-                            functools.partial(_free_odd, row), tau, v, n)
+        out = _power_blocks(build, tau, v, n)
         # the edge terms, conjugated by diag(q) as the blocks are
         left = seq[:, 0].T / q[:, None]
         right = seq[::-1, 2] * q
@@ -463,9 +417,9 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     its even and odd blocks (b = 0) and V is even bit for bit,
     V[j] == V[-j mod N], the potential phase commutes with the reflection
     too, so the Strang step is block diagonal: the two blocks, of sizes
-    N/2 + 1 and N/2 - 1, are powered apart by _power_blocks, side by side on
-    two threads, and unfolded once, at about a quarter of the flops; the
-    bytes do not depend on how the threads are scheduled.  Any V with an odd
+    N/2 + 1 and N/2 - 1, are built, then powered by _power_blocks, each
+    stage side by side on two threads, and unfolded once, at about a
+    quarter of the flops; the bytes do not depend on thread scheduling.  Any V with an odd
     part, however small, powers the full step.  CHIRP steps with the
     quadrature of the one-step metaplectic kernel, whose powers stay
     bounded only for a free particle (a = b = 0; for a harmonic H0 the sup
@@ -473,10 +427,11 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     is a ValueError, as is an unknown method.
     The CHIRP step is powered by _power_free from its first row, kernel_row():
     from n = 2 on with a bitwise even V, as the parity blocks of its
-    reflection-invariant part, side by side, plus the rank-2 edge of row and
-    column 0, so the step is never dense.  With V identically zero, SPECTRAL
-    takes one full-time step for any n, kinetic_step(h, t) being the n-th
-    power of the t/n step by the group law; CHIRP has no group law (powered
+    reflection-invariant part, folded from a strided view of that row and
+    powered side by side, plus the rank-2 edge of row and column 0, so the
+    step is never dense.  With V identically zero, SPECTRAL takes one
+    full-time step for any n, kinetic_step(h, t) being the n-th power of
+    the t/n step by the group law; CHIRP has no group law (powered
     chirp quadratures do not compose), so it powers the t/n quadrature at
     V = 0 as for any V.  Either way the kernel is continuous in V at V = 0.
     """
@@ -497,8 +452,10 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
         row = propagator_for(h, tau, sc.grid).kernel_row()
         m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
     elif len(_eig(h, sc.grid)) == 2 and _is_even(v):
-        m = _power_blocks(*[functools.partial(_block_step, w, u, tau)
-                            for w, u in _eig(h, sc.grid)], tau, v, n)
+        (w_even, u_even), (w_odd, u_odd) = _eig(h, sc.grid)
+        m = _power_blocks(lambda even, odd: _side_by_side(
+            lambda: _block_step(w_even, u_even, tau, out=even),
+            lambda: _block_step(w_odd, u_odd, tau, out=odd)), tau, v, n)
     else:
         m = _power_step(kinetic_step(h, tau, sc.grid), tau, v, n,
                         symmetric=h.b == 0.0)
@@ -656,8 +613,8 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
     (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase,
     taken by the same _power_free as trotter_kernel(..., CHIRP), from the
     step's first row: from n = 2 on with a bitwise even V, the parity blocks,
-    powered side by side and written from that row, so the step is never
-    dense, plus the rank-2 edge; the full step otherwise.  What it checks
+    folded from a strided view of that row and powered side by side, so the
+    step is never dense, plus the rank-2 edge; the full step otherwise.  What it checks
     apart from trotter_kernel(..., CHIRP) is the step, this analytic chirp
     against the metaplectic chirp quadrature; as both share the powering,
     its own references are np.linalg.matrix_power and iterated products, in

@@ -193,12 +193,16 @@ def preset_with(name, old, new):
     # (1 + 1e-6) * 1e-320 rounds to 1e-320: one subnormal budget passed as two
     pytest.param("perturb", GRID + "[time]\nn_list = 4\n[perturb]\neps_list = 1e-320\n",
                  id="eps-list-subnormal"),
+    # bytes that are not UTF-8, in a comment
+    pytest.param("flow", b"[experiment]\nkind = flow\n# \xff\n", id="not-utf-8"),
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
 def test_malformed_config_exits_2_without_files(tmp_path, capsys, command, body):
     bad = tmp_path / "bad.ini"
-    header = "" if "[experiment]" in body else f"[experiment]\nkind = {command}\n"
-    bad.write_text(header + body)
+    if isinstance(body, str):
+        header = "" if "[experiment]" in body else f"[experiment]\nkind = {command}\n"
+        body = (header + body).encode()
+    bad.write_bytes(body)
     out = tmp_path / "out"
     out.mkdir()
     rc = main([command, "--config", str(bad), "--out", str(out), "--quiet"])
@@ -273,6 +277,19 @@ def test_seed_option_outside_u64_exits_2_without_files(tmp_path, capsys, seed):
     assert rc == 2
     assert lines == [f"config error: --seed must be in 0..2^64 - 1: {seed}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, out):
+    (tmp_path / "taken").write_text("")
+    monkeypatch.setitem(RUNNERS, "flow", lambda cfg: pytest.fail("the scenario ran"))
+    rc = main(["flow", "--config", cfg_path("flow-random-suite.ini"),
+               "--out", str(tmp_path / out), "--quiet"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("config error: --out ")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -111,11 +111,13 @@ def test_nonfinite_hamiltonian_matrix_raises(grid, h):
                          ids=["harmonic", "free"])
 @pytest.mark.parametrize("half_width,points", [(8.0, 256), (7.3, 256), (6.0, 128)])
 def test_parity_blocks_of_hamiltonian_matrix(h, half_width, points):
-    # the blocks drop the even/odd coupling, which is below 1e-13 max |H|
-    # (measured 0: x^2 and the xi^2 multiplier are even bit for bit), and
-    # _fold is the dense change of basis
+    # H commutes with R bit for bit (x^2 and the xi^2 multiplier are even,
+    # and (H + H^T)/2 keeps that), as _fold's top-half read needs, so the
+    # blocks drop no even/odd coupling, and _fold is the dense change of basis
     grid = GridSpec(1, half_width, points)
     mat = hamiltonian_matrix(h, grid)
+    r = (-np.arange(points)) % points
+    assert np.array_equal(mat, mat[np.ix_(r, r)])
     even, odd = parity_basis(points)
     scale = np.max(np.abs(mat))
     assert np.max(np.abs(even.T @ mat @ odd)) <= 1e-13 * scale
@@ -561,23 +563,63 @@ def test_worker_block_out_of_range_raises_in_caller(grid):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("half_width,points", [(4.0, 64), (6.0, 128), (7.3, 256),
-                                               (8.0, 256), (16.0, 1024)])
-def test_free_blocks_are_the_fold_of_the_dense_step(half_width, points):
-    # the blocks written from the first row equal _fold of the dense step,
-    # with row and column 0 of the even block zeroed off the diagonal, bit
-    # for bit, for the CHIRP quadrature and the analytic chirp
+def orbit_fold(mat):
+    """The parity blocks of mat as four-term sums over the R-orbits of each
+    row and column, gathered entry by entry, built apart from _fold: the
+    even block d_i d_j ((M[i, j] + M[-i, j]) + (M[i, -j] + M[-i, -j])) with
+    d = 1/2 at the fixed points 0 and N/2, and the odd block
+    ((M[i, j] - M[-i, j]) - (M[i, -j] - M[-i, -j])) / 2, indices mod N."""
+    n = len(mat)
+    m = n // 2
+    r = (-np.arange(n)) % n
+    i = np.arange(m + 1)
+    d = np.full(m + 1, np.sqrt(0.5))
+    d[[0, m]] = 0.5
+    even = ((mat[np.ix_(i, i)] + mat[np.ix_(r[i], i)])
+            + (mat[np.ix_(i, r[i])] + mat[np.ix_(r[i], r[i])])) * (d[:, None] * d[None, :])
+    k = i[1:m]
+    odd = 0.5 * ((mat[np.ix_(k, k)] - mat[np.ix_(r[k], k)])
+                 - (mat[np.ix_(k, r[k])] - mat[np.ix_(r[k], r[k])]))
+    return even, odd
+
+
+@pytest.mark.parametrize("half_width,points", [(2.0, 8), (4.0, 64), (6.0, 128),
+                                               (7.3, 256), (8.0, 256), (16.0, 1024)])
+def test_fold_is_the_orbit_sum(half_width, points):
+    # _fold equals the four-term orbit sum bit for bit: for H, and for the
+    # strided views of both free-chirp steps with row and column 0 of the
+    # even block zeroed off the diagonal, the blocks _power_free powers
     grid = GridSpec(1, half_width, points)
+    for h in (QuadraticHamiltonian.harmonic(1), FREE, QuadraticHamiltonian(1, 3.0, 0.0, 1.7)):
+        mat = hamiltonian_matrix(h, grid)
+        for got, ref in zip(_fold(mat), orbit_fold(mat)):
+            assert np.array_equal(got, ref)
     for tau in (1.0, 0.5, 1.0 / 3.0, 0.37, 1.0 / 7.0, 0.125, 2.0):
         prop = propagator_for(FREE, tau, grid)
         chirp = _kernels.free_chirp(grid.axis(), tau)
         for step, row in ((prop.kernel_entries(), prop.kernel_row()),
                           (np.array(chirp), np.array(chirp[0]))):
-            even, odd = _fold(step)
-            even[0, 1:] = 0.0
-            even[1:, 0] = 0.0
-            assert np.array_equal(trotter._free_even(row), even)
-            assert np.array_equal(trotter._free_odd(row), odd)
+            even, odd = _fold(_kernels.symmetric_toeplitz(row, points))
+            ref_even, ref_odd = orbit_fold(step)
+            for block in (even, ref_even):
+                block[0, 1:] = 0.0
+                block[1:, 0] = 0.0
+            assert np.array_equal(even, ref_even)
+            assert np.array_equal(odd, ref_odd)
+
+
+@pytest.mark.parametrize("step", ["harmonic", "free-chirp"])
+def test_fold_reads_only_the_top_half(grid, step):
+    # the rows past N/2 mirror rows 1..N/2-1 of a reflection-invariant
+    # matrix, so _fold never reads them: NaN there changes no bit
+    if step == "harmonic":
+        mat = hamiltonian_matrix(QuadraticHamiltonian.harmonic(1), grid)
+    else:
+        mat = np.array(_kernels.free_chirp(grid.axis(), 0.37))
+    ref = _fold(mat)
+    mat[grid.points // 2 + 1:] = np.nan
+    for got, want in zip(_fold(mat), ref):
+        assert np.array_equal(got, want)
 
 
 def test_toeplitz_product_matches_dense_product():
