@@ -64,11 +64,17 @@ def render_csv(header, rows) -> str:
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to path through a temporary file renamed over it, with
+    the mode a plain open(path, "w") gives, 0o666 less the umask, rather
+    than mkstemp's 0o600."""
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)  # the only way to read it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -297,7 +303,7 @@ class Config:
     def __init__(self, path: str, seed_override=None, command=None):
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            found = parser.read(path, encoding="utf-8")
+            found = parser.read(path, encoding="utf-8-sig")  # a BOM is UTF-8 too
         except UnicodeDecodeError as err:
             raise ConfigError(f"{path} is not UTF-8: {err}") from None
         if not found:
@@ -763,14 +769,26 @@ def _one_blas_thread():
         lib.scipy_openblas_set_num_threads64_(old)
 
 
-def _check_out_dir(out: str):
-    """A ConfigError unless os.makedirs can make out a directory: the
-    nearest of out and its parents that exists must be one."""
+def _outputs(out: str, command: str) -> list:
+    """The paths of the command's CSV and SVG in the directory out."""
+    return [os.path.join(out, f"{command}.{ext}") for ext in ("csv", "svg")]
+
+
+def _check_out_dir(out: str, command: str):
+    """A ConfigError unless the command's outputs can be written into out:
+    out is not empty, os.makedirs can make it a directory (the nearest of
+    out and its parents that exists is one), and no output is a directory,
+    which os.replace cannot replace."""
+    if not out:
+        raise ConfigError("--out '' names no directory")
     path = os.path.abspath(out)
     while not os.path.exists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"--out {out}: {path} is not a directory")
+    for target in _outputs(out, command):
+        if os.path.isdir(target):
+            raise ConfigError(f"--out {out}: {target} is a directory")
 
 
 def main(argv=None) -> int:
@@ -786,7 +804,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _check_out_dir(args.out)
+        _check_out_dir(args.out, args.command)
         cfg = Config(args.config, seed_override=args.seed, command=args.command)
         with _one_blas_thread():
             header, rows, plot, failures = RUNNERS[args.command](cfg)
@@ -799,8 +817,7 @@ def main(argv=None) -> int:
         return EXIT_ASSERTION
 
     os.makedirs(args.out, exist_ok=True)
-    for ext, text in zip(("csv", "svg"), texts):
-        path = os.path.join(args.out, f"{args.command}.{ext}")
+    for path, text in zip(_outputs(args.out, args.command), texts):
         _atomic_write(path, text)
         if not args.quiet:
             print(f"wrote {path}")

@@ -25,9 +25,9 @@ self-distance so the surrogate error stays visible in every report.
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class TrotterScenario:
             raise ValueError("reference_n must be at least 4 * max(n_list)")
         if self.potential.grid != self.grid:
             raise ValueError("potential grid does not match scenario grid")
+
+    @cached_property
+    def eigenpairs(self) -> tuple:
+        """_eig of H0 on the grid, computed on the first spectral kernel."""
+        return _eig(self.hamiltonian, self.grid)
 
 
 SPECTRAL = "spectral"
@@ -176,10 +181,8 @@ def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1)
 def _eig(h: QuadraticHamiltonian, grid: GridSpec) -> tuple:
-    """Eigenpairs (w, u) of the grid Hamiltonian, one pair per block; one
-    cache entry suffices, since a run steps a single (H0, grid).
+    """Eigenpairs (w, u) of the grid Hamiltonian, one pair per block.
 
     With b = 0 the grid Hamiltonian commutes with the reflection R (x^2 and
     the xi^2 multiplier are even, bit for bit), so there are two blocks, the
@@ -211,11 +214,11 @@ def _block_step(w: np.ndarray, u: np.ndarray, tau: float, out=None) -> np.ndarra
     return out
 
 
-def kinetic_step(h: QuadraticHamiltonian, tau: float, grid: GridSpec) -> np.ndarray:
-    """Unitary matrix exp(-i tau H_grid) from the cached eigenpairs of _eig:
+def kinetic_step(pairs: tuple, tau: float) -> np.ndarray:
+    """Unitary matrix exp(-i tau H_grid) from the eigenpairs _eig(h, grid):
     with b = 0 the even and odd block steps, unfolded into the N x N matrix
     in O(N^2); with a cross term the one full step."""
-    steps = [_block_step(w, u, tau) for w, u in _eig(h, grid)]
+    steps = [_block_step(w, u, tau) for w, u in pairs]
     return steps[0] if len(steps) == 1 else _unfold(*steps)
 
 
@@ -413,14 +416,14 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step;
     the one place where the step is chosen, checked and built.
 
-    SPECTRAL steps with kinetic_step(h, t/n).  When _eig splits H_grid into
-    its even and odd blocks (b = 0) and V is even bit for bit,
-    V[j] == V[-j mod N], the potential phase commutes with the reflection
-    too, so the Strang step is block diagonal: the two blocks, of sizes
-    N/2 + 1 and N/2 - 1, are built, then powered by _power_blocks, each
-    stage side by side on two threads, and unfolded once, at about a
-    quarter of the flops; the bytes do not depend on thread scheduling.  Any V with an odd
-    part, however small, powers the full step.  CHIRP steps with the
+    SPECTRAL steps with kinetic_step(sc.eigenpairs, t/n).  When the pairs
+    split H_grid into its even and odd blocks (b = 0) and V is even bit for
+    bit, V[j] == V[-j mod N], the potential phase commutes with the
+    reflection too, so the Strang step is block diagonal: the two blocks, of
+    sizes N/2 + 1 and N/2 - 1, are built, then powered by _power_blocks, each
+    stage side by side on two threads, and unfolded once, at about a quarter
+    of the flops; the bytes do not depend on thread scheduling.  Any V with
+    an odd part, however small, powers the full step.  CHIRP steps with the
     quadrature of the one-step metaplectic kernel, whose powers stay
     bounded only for a free particle (a = b = 0; for a harmonic H0 the sup
     reaches 7.5e108 at n = 64 on N = 256, L = 8), so CHIRP with any other H0
@@ -430,7 +433,7 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     reflection-invariant part, folded from a strided view of that row and
     powered side by side, plus the rank-2 edge of row and column 0, so the
     step is never dense.  With V identically zero, SPECTRAL takes one
-    full-time step for any n, kinetic_step(h, t) being the n-th power of
+    full-time step for any n, the step of time t being the n-th power of
     the t/n step by the group law; CHIRP has no group law (powered
     chirp quadratures do not compose), so it powers the t/n quadrature at
     V = 0 as for any V.  Either way the kernel is continuous in V at V = 0.
@@ -451,13 +454,13 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     if method == CHIRP:
         row = propagator_for(h, tau, sc.grid).kernel_row()
         m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
-    elif len(_eig(h, sc.grid)) == 2 and _is_even(v):
-        (w_even, u_even), (w_odd, u_odd) = _eig(h, sc.grid)
+    elif len(sc.eigenpairs) == 2 and _is_even(v):
+        (w_even, u_even), (w_odd, u_odd) = sc.eigenpairs
         m = _power_blocks(lambda even, odd: _side_by_side(
             lambda: _block_step(w_even, u_even, tau, out=even),
             lambda: _block_step(w_odd, u_odd, tau, out=odd)), tau, v, n)
     else:
-        m = _power_step(kinetic_step(h, tau, sc.grid), tau, v, n,
+        m = _power_step(kinetic_step(sc.eigenpairs, tau), tau, v, n,
                         symmetric=h.b == 0.0)
     m /= sc.grid.cell
     return KernelMatrix(sc.grid, m)
@@ -596,7 +599,9 @@ def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
     rows = []
     for eps in eps_list:
         f1, f2, r = sjostrand_decompose(sc.potential, eps, spec)
-        k_low = trotter_kernel(replace(sc, potential=f1), n)
+        low = replace(sc, potential=f1)
+        vars(low)["eigenpairs"] = sc.eigenpairs  # only V differs: share H0's pairs
+        k_low = trotter_kernel(low, n)
         remainder = KernelMatrix(sc.grid, k_full.entries - k_low.entries)
         rem_norm = kernel_mod_norm(factor_out_phase(remainder, sc.phase))
         with np.errstate(over="ignore"):  # past the float range inf is the bound

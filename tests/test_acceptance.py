@@ -8,17 +8,30 @@ message carries the measured numbers when a check fails.
 import os
 import time
 
+from proplab import trotter
 from proplab.cli import RUNNERS, Config
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
+# grid Hamiltonians a run builds: a scenario builds its own once, on its
+# first spectral kernel, and perturb's low-band scenarios share it
+HAMILTONIAN_BUILDS = {"converge": 1, "modbound": 1, "perturb": 1}
+
 
 def run_preset(name, kind, budget=None):
     cfg = Config(os.path.join(CONFIG_DIR, name))
-    t0 = time.perf_counter()
-    header, rows, plot, failures = RUNNERS[kind](cfg)
-    elapsed = time.perf_counter() - t0
+    built = trotter.hamiltonian_matrix
+    builds = []
+    trotter.hamiltonian_matrix = lambda *args: builds.append(args) or built(*args)
+    try:
+        t0 = time.perf_counter()
+        header, rows, plot, failures = RUNNERS[kind](cfg)
+        elapsed = time.perf_counter() - t0
+    finally:
+        trotter.hamiltonian_matrix = built
     assert failures == [], f"{name}: " + "; ".join(failures)
+    assert len(builds) == HAMILTONIAN_BUILDS.get(kind, 0), \
+        f"{name} built {len(builds)} grid Hamiltonians"
     assert set(plot["y"]) <= set(header), f"{name}: plots {plot['y']} of {header}"
     if budget is not None:
         assert elapsed < budget, f"{name} took {elapsed:.1f}s (budget {budget}s)"

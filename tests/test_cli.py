@@ -1,5 +1,6 @@
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -279,17 +280,38 @@ def test_seed_option_outside_u64_exits_2_without_files(tmp_path, capsys, seed):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub", pytest.param("", id="empty"),
+                                 pytest.param("made", id="svg-is-a-directory")])
 def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, out):
+    # made/flow.svg is a directory, which os.replace cannot replace; --out ""
+    # would write into the working directory, tmp_path
     (tmp_path / "taken").write_text("")
+    (tmp_path / "made" / "flow.svg").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(RUNNERS, "flow", lambda cfg: pytest.fail("the scenario ran"))
     rc = main(["flow", "--config", cfg_path("flow-random-suite.ini"),
-               "--out", str(tmp_path / out), "--quiet"])
+               "--out", out, "--quiet"])
     lines = capsys.readouterr().err.strip().splitlines()
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith("config error: --out ")
-    assert os.listdir(tmp_path) == ["taken"]
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "made", os.path.join("made", "flow.svg"), "taken"]
     assert (tmp_path / "taken").read_text() == ""
+
+
+def test_outputs_take_the_mode_of_a_plain_write(tmp_path):
+    # mkstemp makes its file 0o600; the outputs get what open(path, "w")
+    # gives, 0o644 under umask 0o022
+    old = os.umask(0o022)
+    try:
+        assert main(["flow", "--config", cfg_path("flow-random-suite.ini"),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        (tmp_path / "plain").write_text("")
+    finally:
+        os.umask(old)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+             for name in ("flow.csv", "flow.svg", "plain")}
+    assert modes == {"flow.csv": 0o644, "flow.svg": 0o644, "plain": 0o644}
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -299,14 +321,17 @@ def test_missing_config_exits_2(tmp_path):
 
 
 def test_flow_preset_runs_and_is_deterministic(tmp_path):
+    # the second run reads the preset after a UTF-8 BOM, which is UTF-8 too
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
+    with open(cfg_path("flow-random-suite.ini"), "rb") as handle:
+        (tmp_path / "bom.ini").write_bytes(b"\xef\xbb\xbf" + handle.read())
     assert main(["flow", "--config", cfg_path("flow-random-suite.ini"),
                  "--out", str(out1), "--quiet"]) == 0
-    assert main(["flow", "--config", cfg_path("flow-random-suite.ini"),
+    assert main(["flow", "--config", str(tmp_path / "bom.ini"),
                  "--out", str(out2), "--quiet"]) == 0
-    assert (out1 / "flow.csv").read_bytes() == (out2 / "flow.csv").read_bytes()
-    assert (out1 / "flow.svg").exists()
+    for name in ("flow.csv", "flow.svg"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 @pytest.mark.parametrize("command,config", [

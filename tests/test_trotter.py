@@ -55,7 +55,7 @@ def complex_hamiltonian(h, grid):
 
 def spectral_step(mat, tau):
     """exp(-i tau mat) from a complex eigh of the Hermitian mat, built apart
-    from kinetic_step and its cached eigendecomposition."""
+    from kinetic_step and the eigendecomposition of _eig."""
     w, u = np.linalg.eigh(mat.astype(complex))
     return (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
 
@@ -157,10 +157,10 @@ def test_unfold_is_the_dense_change_of_basis():
 
 
 def test_kinetic_step_unitary_semigroup(grid):
-    h = QuadraticHamiltonian.harmonic(1)
-    u1 = kinetic_step(h, 0.3, grid)
-    u2 = kinetic_step(h, 0.7, grid)
-    u3 = kinetic_step(h, 1.0, grid)
+    pairs = _eig(QuadraticHamiltonian.harmonic(1), grid)
+    u1 = kinetic_step(pairs, 0.3)
+    u2 = kinetic_step(pairs, 0.7)
+    u3 = kinetic_step(pairs, 1.0)
     assert np.max(np.abs(u1 @ u2 - u3)) < 1e-11
     assert np.max(np.abs(u1 @ u1.conj().T - np.eye(grid.points))) < 1e-11
 
@@ -174,7 +174,7 @@ def test_kinetic_step_matches_complex_exponential(grid, h, tau):
     # Against the dense complex Hamiltonian the eigensolvers' rounding
     # dominates (measured <= 5.3e-13); against the complex product of the
     # same eigenpairs only the real split is left (measured <= 2.2e-15)
-    got = kinetic_step(h, tau, grid)
+    got = kinetic_step(_eig(h, grid), tau)
     ref = spectral_step(complex_hamiltonian(h, grid), tau)
     assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
     same = block_steps(h, grid, tau)
@@ -183,9 +183,27 @@ def test_kinetic_step_matches_complex_exponential(grid, h, tau):
 
 def test_kinetic_step_matches_chirp_on_packets(grid, packet):
     h = QuadraticHamiltonian.harmonic(1)
-    spectral = kinetic_step(h, 0.8, grid) @ packet.values
+    spectral = kinetic_step(_eig(h, grid), 0.8) @ packet.values
     chirp = propagator_for(h, 0.8, grid).apply(packet).values
     assert np.max(np.abs(spectral - chirp)) < 1e-9
+
+
+def test_kernel_is_a_function_of_its_scenario(grid, monkeypatch):
+    # a warm scenario leaves no eigenpairs behind: a new scenario of the same
+    # (H0, grid) builds its own, so a grid Hamiltonian with x^2 scaled by
+    # 1.01 changes its kernel (by 5.5 at N = 256)
+    h = QuadraticHamiltonian.harmonic(1)
+
+    def kernel():
+        sc = TrotterScenario(h, cosine_potential(grid), 1.0, (8,), grid, 32)
+        return trotter_kernel(sc, 8).entries
+
+    def mutant(h, grid):
+        return hamiltonian_matrix(h, grid) + np.diag(0.005 * h.a * grid.axis() ** 2)
+
+    before = kernel()
+    monkeypatch.setattr(trotter, "hamiltonian_matrix", mutant)
+    assert np.max(np.abs(kernel() - before)) > 1.0
 
 
 def test_zero_potential_collapse(grid):
