@@ -1,5 +1,5 @@
-"""Hot numeric kernels: the Toeplitz-factored chirp carrier, the chirp-Z
-transform and Fourier mode sums."""
+"""Hot numeric kernels: the Toeplitz-factored chirp carrier, the FFT product
+with a symmetric Toeplitz matrix and Fourier mode sums."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,20 +25,28 @@ def symmetric_toeplitz(row, n):
     return toeplitz(np.concatenate((row[n - 1:0:-1], row[:n])), n)
 
 
-def chirp_kernel(x, y, m_xx, m_xy, m_yy):
-    """exp(2*pi*i*Phi(x_i, y_j)) for Phi = (1/2)Mxx x^2 - Mxy x y + (1/2)Myy y^2,
-    with 1D axes x, y of one spacing and scalar coefficients.
+def chirp_factors(x, y, m_xx, m_xy, m_yy):
+    """The factors a, t, b of the carrier exp(2*pi*i*Phi(x_i, y_j)) =
+    a_i T[i, j] b_j, for Phi = (1/2)Mxx x^2 - Mxy x y + (1/2)Myy y^2, with 1D
+    axes x, y of one spacing and scalar coefficients.
 
     Phi = (1/2)(Mxx - Mxy) x^2 + (1/2)Mxy (x - y)^2 + (1/2)(Myy - Mxy) y^2, and
-    x_i - y_j depends on i - j only when both axes share one spacing, so the
-    carrier is diag(a) T diag(b): a row chirp, a Toeplitz chirp gathered from
-    its 2N - 1 diagonals and a column chirp, 3N - 1 exponentials in all.
-    With x = y and Mxx = Myy it is symmetric; with Mxx = Mxy = Myy as well
-    (a free flow) a = b = 1 and it equals its transpose bit for bit.
+    x_i - y_j depends on i - j only when both axes share one spacing, so T =
+    toeplitz(t, len(y)) is a Toeplitz chirp in x - y, t its 2N - 1 diagonals
+    over axis_differences(x, y); a and b are the row and column chirps.
     """
-    d = axis_differences(x, y)
-    out = _unit_chirp(m_xx - m_xy, x)[:, None] * toeplitz(_unit_chirp(m_xy, d), len(y))
-    out *= _unit_chirp(m_yy - m_xy, y)
+    return (_unit_chirp(m_xx - m_xy, x), _unit_chirp(m_xy, axis_differences(x, y)),
+            _unit_chirp(m_yy - m_xy, y))
+
+
+def chirp_kernel(x, y, m_xx, m_xy, m_yy):
+    """The dense carrier diag(a) T diag(b) of chirp_factors, 3N - 1
+    exponentials in all.  With x = y and Mxx = Myy it is symmetric; with
+    Mxx = Mxy = Myy as well (a free flow) a = b = 1 and it equals its
+    transpose bit for bit."""
+    a, t, b = chirp_factors(x, y, m_xx, m_xy, m_yy)
+    out = a[:, None] * toeplitz(t, len(y))
+    out *= b
     return out
 
 
@@ -46,6 +54,19 @@ def _unit_chirp(m, u):
     """exp(i*pi*m*u^2), with pi*m formed first: of the orderings tried this
     one rounds the large phases least."""
     return np.exp(1j * ((np.pi * m) * (u * u)))
+
+
+def toeplitz_product(row, x):
+    """T x along the last axis of x, T the N x N symmetric Toeplitz matrix
+    with first row t = row, through T's circulant embedding of size 2N:
+    c = [t_0, ..., t_{N-1}, 0, t_{N-1}, ..., t_1], T x = ifft(fft(c) fft(x))[:N]
+    with x padded to 2N, transformed in place in one 2N-padded buffer."""
+    size = len(row)
+    buf = np.zeros(x.shape[:-1] + (2 * size,), dtype=complex)
+    buf[..., :size] = x
+    np.fft.fft(buf, axis=-1, out=buf)
+    np.multiply(np.fft.fft(np.concatenate((row, [0.0], row[:0:-1]))), buf, out=buf)
+    return np.fft.ifft(buf, axis=-1, out=buf)[..., :size]
 
 
 def free_chirp(x, tau):
@@ -57,31 +78,6 @@ def free_chirp(x, tau):
     d = axis_differences(x, x)
     return toeplitz(np.exp(1j * (d * d) / (2.0 * tau)) / np.sqrt(2j * np.pi * tau),
                     len(x))
-
-
-def chirp_z(cols, theta0, dtheta):
-    """sum_j cols[j] exp(-2*pi*i j (theta0 + k dtheta)) for k < N, along axis 0
-    of (N, m) columns, by Bluestein's algorithm.
-
-    With jk = (j^2 + k^2 - (k - j)^2) / 2 the sum is the chirp
-    exp(-pi*i dtheta k^2) times the convolution of the pre-chirped columns
-    with exp(pi*i dtheta l^2), |l| < N; the chirps and the filter spectrum
-    are built once per call and shared by all columns.
-    """
-    n = cols.shape[0]
-    nfft = 1 << (2 * n - 2).bit_length()  # a power of two >= 2N - 1
-    k = np.arange(n)
-    chirp = np.exp(-1j * np.pi * dtheta * (k * k))
-    filt = np.zeros(nfft, dtype=complex)
-    filt[:n] = chirp.conj()
-    filt[nfft - n + 1:] = chirp[:0:-1].conj()
-    pre = np.exp(-1j * TWO_PI * theta0 * k) * chirp
-    # transform along the contiguous last axis of the transposed columns:
-    # numpy's FFT along a strided axis 0 is about twice as slow
-    buf = np.fft.fft(np.multiply(cols.T, pre, order="C"), nfft, axis=1)
-    buf *= np.fft.fft(filt)
-    np.fft.ifft(buf, axis=1, out=buf)
-    return (buf[:, :n] * chirp).T
 
 
 def eval_fourier_modes(coeffs, freqs, u, v):

@@ -481,7 +481,7 @@ FAST_PATH_BLOCK = 64
 
 def _fast_vs_quadrature(prop, kq: np.ndarray) -> float:
     """max |fast path applied to the identity / cell - kq|, one block of
-    identity columns at a time.  The chirp-Z transform works on each column
+    identity columns at a time.  The fast path's FFTs transform each column
     on its own, so this is the full product's maximum bit for bit."""
     n = prop.grid.points
     worst = 0.0

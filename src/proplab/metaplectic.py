@@ -4,12 +4,13 @@ For a free symplectic matrix the operator is the quadratic Fourier transform
 
     mu(A) f(x) = c |det B|^(-1/2) Integral exp(2*pi*i*Phi_A(x,y)) f(y) dy,
 
-realized either by direct quadrature or by the factored fast path  chirp ->
-Fourier transform resampled at B^(-1) x via a Bluestein chirp-Z transform ->
-chirp.  Both paths evaluate the identical discrete sum.  The quadrature's
-dense carrier e^{2 pi i Phi} is a row chirp times a Toeplitz chirp in x - y
-times a column chirp (_kernels.chirp_kernel), 3N - 1 exponentials for N^2
-entries.
+realized either by direct quadrature or by the fast path, which applies the
+same carrier by its factors: e^{2 pi i Phi} is a row chirp times a Toeplitz
+chirp in x - y times a column chirp (_kernels.chirp_factors).  The
+quadrature assembles them densely, 3N - 1 exponentials for N^2 entries
+(_kernels.chirp_kernel); the fast path multiplies by the chirps and by the
+Toeplitz factor through its FFT circulant embedding
+(_kernels.toeplitz_product).  Both paths evaluate the identical discrete sum.
 
 The unit phase c is fixed by continuity of the metaplectic lift from t = 0:
 it counts the zeros of B_s (the exceptional times) crossed on the way to t.
@@ -65,6 +66,8 @@ class MetaplecticPropagator:
             raise ValueError("phase factor must have unit modulus")
         if not 0 < self.abs_det_b < np.inf:
             raise ValueError("|det B| must be positive and finite")
+        if self.method not in (QUADRATURE, FAST_CHIRP_FFT):
+            raise ValueError(f"unknown propagator method: {self.method}")
 
     @property
     def scale(self) -> complex:
@@ -77,26 +80,17 @@ class MetaplecticPropagator:
         return SampledField(self.grid, out[:, 0])
 
     def apply_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Apply to a stack of fields given as (N, m) columns."""
-        if self.method == QUADRATURE:
-            return (self.kernel_entries() @ cols) * self.grid.cell
-        return self._apply_fast(cols)
-
-    def _apply_fast(self, cols: np.ndarray) -> np.ndarray:
+        """Apply to a stack of fields given as (N, m) columns.  The fast path
+        is scale * cell * diag(a) T diag(b) cols, T applied by FFT, so each
+        column is transformed on its own."""
         g = self.grid
-        h = g.cell
+        if self.method == QUADRATURE:
+            return (self.kernel_entries() @ cols) * g.cell
         x = g.axis()
-        m_xx, m_xy, m_yy = self.phase.coefficients()
-        vals = cols * np.exp(1j * np.pi * (x * m_yy * x))[:, None]
-        # chirp-Z: evaluate the continuum Fourier transform at the arithmetic
-        # progression xi_k = B^-1 x_k, i.e. sum_j vals_j e^{-2 pi i (x_j + L) xi_k}
-        xi0 = m_xy * x[0]
-        dxi = m_xy * h
-        out = _kernels.chirp_z(vals, h * xi0, h * dxi)
-        xi = xi0 + dxi * np.arange(g.points)
-        out = out * (h * np.exp(2j * np.pi * g.half_width * xi))[:, None]
-        out = out * np.exp(1j * np.pi * (x * m_xx * x))[:, None]
-        return self.scale * out
+        a, t, b = _kernels.chirp_factors(x, x, *self.phase.coefficients())
+        # T's first row, exp(i pi Mxy (x_0 - x_k)^2), is diagonals N - 1 down to 0
+        prod = _kernels.toeplitz_product(t[g.points - 1::-1], cols.T * b)
+        return (prod * ((self.scale * g.cell) * a)).T
 
     # -- kernel -----------------------------------------------------------
 

@@ -344,16 +344,6 @@ def _power_blocks(build, tau: float, v: np.ndarray, n: int) -> np.ndarray:
     return _unfold(even, odd, out=buf[:size * size].reshape(size, size))
 
 
-def _toeplitz_product(row: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """T x along the last axis of x, T the symmetric Toeplitz matrix with
-    first row t = row, through T's circulant embedding of size 2N:
-    c = [t_0, ..., t_{N-1}, 0, t_{N-1}, ..., t_1], T x = ifft(fft(c) fft(x))[:N]
-    with x padded to 2N."""
-    size = len(row)
-    c = np.concatenate((row, [0.0], row[:0:-1]))
-    return np.fft.ifft(np.fft.fft(c) * np.fft.fft(x, 2 * size), axis=-1)[..., :size]
-
-
 def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarray:
     """(T diag(q^2))^n, q = exp(-i tau v / 2), for a free-chirp step T: the
     symmetric Toeplitz matrix with first row t = row.
@@ -371,8 +361,9 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
     the even block's row and column 0 zeroed off the diagonal, so T is never
     dense.  The sum is a rank-n product added ROW_CHUNK rows at a time plus
     a column-0 update, from 3(n - 1) products of S with a vector,
-    A x = S x - x_0 r - (r . x) e_0, each T x by FFT through T's circulant
-    embedding.  n = 1, and any V with an odd part, power the full step.
+    A x = S x - x_0 r - (r . x) e_0, each T x by _kernels.toeplitz_product,
+    the FFT product that the fast propagator path also applies.  n = 1, and
+    any V with an odd part, power the full step.
     """
     size = len(row)
     step = _kernels.symmetric_toeplitz(row, size)
@@ -395,7 +386,7 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
         seq[0, 1] = seq[0, 2] = r
         for j in range(1, n):
             x, y = seq[j - 1], seq[j]
-            np.multiply(_toeplitz_product(row, x * q), q, out=y)
+            np.multiply(_kernels.toeplitz_product(row, x * q), q, out=y)
             y[2] -= x[2, 0] * r
             y[2, 0] -= r @ x[2]
         out = _power_blocks(build, tau, v, n)

@@ -389,7 +389,7 @@ GRID_1024 = "[grid]\nhalf_width = 16.0\npoints = 1024\n"
 
 @pytest.mark.parametrize("points", [32, 256, 1024])
 def test_blocked_fast_path_matches_full_product(points):
-    # the chirp-Z transform works on each column on its own, so the blocked
+    # the fast path's FFTs transform each column on its own, so the blocked
     # maximum is the full product's bit for bit; 32 points make one narrow block
     grid = GridSpec(1, 16.0 if points > 32 else 4.0, points)
     prop = propagator_for(QuadraticHamiltonian.harmonic(1), 0.9, grid)

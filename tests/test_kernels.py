@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from proplab import GridSpec, QuadraticHamiltonian, flow, phase_form
+from proplab import GridSpec, QuadraticHamiltonian, flow, phase_form, propagator_for
 from proplab._kernels import (axis_differences, chirp_kernel, free_chirp, symmetric_toeplitz,
-                              toeplitz)
+                              toeplitz, toeplitz_product)
 
 GRID = GridSpec(1, 16.0, 1024)
 
@@ -56,3 +56,16 @@ def test_free_chirp_is_the_closed_form(tau):
     k = free_chirp(x, tau)
     assert np.array_equal(k, k.T)
     assert np.max(np.abs(k - direct)) < 1e-12
+
+
+def test_toeplitz_product_matches_dense_product():
+    # T x through the circulant embedding, for one vector and for a stack of
+    # three, as the free edge sequence and the fast path apply it
+    row = propagator_for(QuadraticHamiltonian.free_particle(1), 0.125, GRID).kernel_row()
+    dense = np.array(symmetric_toeplitz(row, len(row)))
+    rng = np.random.default_rng(5)
+    for shape in ((1024,), (3, 1024)):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = x @ dense.T
+        got = toeplitz_product(row, x)
+        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))

@@ -44,13 +44,25 @@ def test_mehler_two_paths_agree(grid):
     assert np.max(np.abs(ko.entries - kq.entries)) / scale < 1e-6
 
 
-def test_fast_path_matches_quadrature(grid, packet):
-    h = QuadraticHamiltonian.harmonic(1)
-    pq = propagator_for(h, 1.0, grid, method=QUADRATURE)
-    pf = propagator_for(h, 1.0, grid, method=FAST_CHIRP_FFT)
-    a = pq.apply(packet)
-    b = pf.apply(packet)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
+FAST_CASES = [(flow_id, t, points) for flow_id in ("harmonic", "free", "elliptic", "hyperbolic")
+              for t in (0.05, 0.3, 1.0, 2.3, np.pi - 0.025, 5.0, -0.7)
+              for points in (64, 256)] + [("harmonic", 1.0, 1024)]
+FAST_FLOWS = {"harmonic": QuadraticHamiltonian.harmonic(1),
+              "free": QuadraticHamiltonian.free_particle(1),
+              "elliptic": QuadraticHamiltonian(1, 3.0, 0.7, 1.7),
+              "hyperbolic": QuadraticHamiltonian(1, -1.0, 0.2, 2.0)}
+
+
+@pytest.mark.parametrize("flow_id, t, points", FAST_CASES)
+def test_fast_path_matches_quadrature(flow_id, t, points):
+    # the fast path applies the quadrature's own chirp factors, so the two
+    # kernels agree to rounding, near the exceptional time pi too
+    grid = GridSpec(1, 16.0 if points > 256 else 8.0, points)
+    h = FAST_FLOWS[flow_id]
+    kq = propagator_for(h, t, grid, method=QUADRATURE).kernel_entries()
+    pf = propagator_for(h, t, grid, method=FAST_CHIRP_FFT)
+    kf = pf.apply_columns(np.eye(points, dtype=complex) / grid.cell)
+    assert np.max(np.abs(kf - kq)) <= 1e-14 * np.max(np.abs(kq))
 
 
 def test_sup_magnitude_is_det_b_power(grid):
@@ -157,6 +169,12 @@ def test_propagator_rejects_infinite_determinant(grid):
     s = flow(QuadraticHamiltonian.harmonic(1), 1.0)
     with pytest.raises(ValueError, match="det B"):
         MetaplecticPropagator(phase_form(s), float("inf"), 1.0, QUADRATURE, grid)
+
+
+def test_propagator_rejects_unknown_method(grid):
+    # a misspelt method used to build, and apply_columns took the fast path
+    with pytest.raises(ValueError, match="unknown propagator method"):
+        propagator_for(QuadraticHamiltonian.harmonic(1), 1.0, grid, method="quadratue")
 
 
 @pytest.mark.parametrize("h,t", [(QuadraticHamiltonian.harmonic(1), 1.0),

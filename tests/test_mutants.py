@@ -1,0 +1,50 @@
+"""Mutation audit: each case plants one named mutant in the library, in
+process, and runs a shipped preset whose lab checks must fail on it.
+
+A mutant that no lab check kills does not belong here: it is a gap in the
+gates, not an expected failure."""
+
+import os
+
+import numpy as np
+import pytest
+
+from proplab import _kernels, metaplectic
+from proplab.cli import main
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+
+
+def mirrored_toeplitz_product(row, x):
+    # the circulant's mirrored half t_{N-1}, ..., t_1 scaled by 1.001
+    size = len(row)
+    c = np.concatenate((row, [0.0], 1.001 * row[:0:-1]))
+    return np.fft.ifft(np.fft.fft(c) * np.fft.fft(x, 2 * size), axis=-1)[..., :size]
+
+
+def tenth_off_phase(h, t):
+    # resolve_phase with 2m + 1.1 in place of 2m + 1: off by exp(-i pi / 40)
+    omega = h.a * h.c - h.b * h.b
+    m = 0.0
+    if omega > 0.0:
+        s = abs(t) * np.sqrt(omega) / (2.0 * np.pi)
+        m = (np.ceil(s / np.pi) - 1.0) % 4.0
+    return np.exp(-0.25j * np.pi * np.sign(h.c * t) * (2.0 * m + 1.1))
+
+
+MUTANTS = {
+    "toeplitz-product-mirrored-half": (_kernels, "toeplitz_product",
+                                       mirrored_toeplitz_product),
+    "unit-phase-2m+1.1": (metaplectic, "resolve_phase", tenth_off_phase),
+    "scale-det-b-0.45": (metaplectic.MetaplecticPropagator, "scale",
+                         property(lambda p: p.phase_factor * p.abs_det_b ** -0.45)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_harmonic_kernel_kills(mutant, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(*MUTANTS[mutant])
+    code = main(["kernel", "--config", os.path.join(CONFIGS, "harmonic-kernel.ini"),
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    assert "FAILED:" in capsys.readouterr().err

@@ -640,20 +640,6 @@ def test_fold_reads_only_the_top_half(grid, step):
         assert np.array_equal(got, want)
 
 
-def test_toeplitz_product_matches_dense_product():
-    # the edge sequence's T x through the circulant embedding, for one
-    # vector and for a stack of three
-    grid = GridSpec(1, 16.0, 1024)
-    row = propagator_for(FREE, 0.125, grid).kernel_row()
-    dense = np.array(_kernels.symmetric_toeplitz(row, len(row)))
-    rng = np.random.default_rng(5)
-    for shape in ((1024,), (3, 1024)):
-        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ref = x @ dense.T
-        got = trotter._toeplitz_product(row, x)
-        assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
-
-
 @pytest.mark.parametrize("name", ["harmonic-cos-t1.ini", "modbound-harmonic-cos.ini",
                                   "perturb-geometric.ini"])
 def test_preset_potentials_are_even(name):
