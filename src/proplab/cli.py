@@ -535,9 +535,10 @@ def run_converge(cfg: Config):
     floor = 5.0 * cauchy_tag
     failures += _check(sup[-1] <= floor, f"final error {sup[-1]:.2e} above 5x "
                        f"Cauchy tag {cauchy_tag:.2e}")
-    for j, seq in enumerate(zip(*(r[2:11] for r in rows))):  # the nine fl1 columns
+    # each of the nine fl1 columns, named as in the CSV
+    for name, seq in zip(header[2:11], zip(*(r[2:11] for r in rows))):
         ok = all(a > b or b <= floor for a, b in zip(seq, seq[1:]))
-        failures += _check(ok, f"windowed error at center {j} not decreasing")
+        failures += _check(ok, f"windowed error {name} not decreasing")
     return header, rows, plot, failures
 
 

@@ -105,6 +105,12 @@ def _checker(n: int) -> np.ndarray:
     return (-1.0) ** np.arange(n)
 
 
+def _is_even(v: np.ndarray) -> bool:
+    """V[j] == V[-j mod N] bit for bit: diag(V) commutes with the grid
+    reflection R, x_j -> -x_j."""
+    return np.array_equal(v, v[-np.arange(len(v))])
+
+
 def _centered_fft(vals: np.ndarray, n: int, sign: int, axis: int = 0) -> np.ndarray:
     """Unscaled centered DFT along one axis of an n-point grid,
     sum_j v_j e^{sign 2 pi i (j - n/2)(k - n/2)/n}.

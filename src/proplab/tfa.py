@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonTooSmall
-from .grid import GridSpec, SampledField, SymbolField, _centered_fft, _refine_axis
+from .grid import (GridSpec, SampledField, SymbolField, _centered_fft, _is_even,
+                   _refine_axis)
 
 
 INF_S = "inf-s"
@@ -192,6 +193,11 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     boundary shell at R is kept only fractionally, scaled so the estimated
     tail equals the budget exactly.  The fractional cut keeps the norm of f2
     proportional to eps instead of staircasing with the lattice shells.
+
+    For an f even bit for bit, f1 is replaced by its even part
+    (f1 + R f1)/2, R the grid reflection; f1 moves at rounding level, and
+    f1 and f2 are then even bit for bit too (IEEE addition commutes), so a
+    kernel with the low band as its potential keeps the parity blocks.
     """
     mat = stft(f, spec)
     profile = np.max(np.abs(mat.values), axis=0)
@@ -218,9 +224,10 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     clipped = mat.values.copy()
     clipped[..., radii > chosen] = 0.0
     clipped[..., shell] *= 1.0 - into_f2
-    f1 = stft_adjoint(StftMatrix(clipped), spec)
-    f2 = SampledField(f.grid, f.values - f1.values)
-    return f1, f2, chosen
+    f1 = stft_adjoint(StftMatrix(clipped), spec).values
+    if _is_even(f.values):
+        f1 = 0.5 * (f1 + f1[-np.arange(len(f1))])
+    return SampledField(f.grid, f1), SampledField(f.grid, f.values - f1), chosen
 
 
 def measure_potential_field(atoms, grid: GridSpec) -> SampledField:

@@ -34,7 +34,7 @@ import numpy as np
 from . import _kernels
 from .errors import ProplabError
 from .grid import (GridSpec, KernelMatrix, SampledField, _centered_fft,
-                   _checker, sup_norm_on_compact)
+                   _checker, _is_even, sup_norm_on_compact)
 from .metaplectic import propagator_for
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, flow, is_free,
                          phase_form)
@@ -282,11 +282,6 @@ def _check_range(res: np.ndarray, steps: int, tau: float) -> None:
                            "leaves the float range")
 
 
-def _is_even(v: np.ndarray) -> bool:
-    """V[j] == V[-j mod N] bit for bit: diag(V) commutes with R."""
-    return np.array_equal(v, v[-np.arange(len(v))])
-
-
 def _side_by_side(first, second) -> tuple:
     """(first(), second()), second on a thread started for this call while
     the calling thread runs first.  The thread is joined before anything
@@ -403,6 +398,14 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
     return out
 
 
+def _reflection_invariant(sc: TrotterScenario) -> bool:
+    """b = 0 and V even bit for bit: H_grid and diag(V) both commute with R,
+    so every kernel of sc satisfies K(-x, -y) = K(x, y).  The one predicate that
+    sends trotter_kernel to the parity blocks and convergence_report to the
+    mirrored windowed errors."""
+    return sc.hamiltonian.b == 0.0 and _is_even(sc.potential.values)
+
+
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step;
     the one place where the step is chosen, checked and built.
@@ -445,7 +448,7 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     if method == CHIRP:
         row = propagator_for(h, tau, sc.grid).kernel_row()
         m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
-    elif len(sc.eigenpairs) == 2 and _is_even(v):
+    elif _reflection_invariant(sc):
         (w_even, u_even), (w_odd, u_odd) = sc.eigenpairs
         m = _power_blocks(lambda even, odd: _side_by_side(
             lambda: _block_step(w_even, u_even, tau, out=even),
@@ -513,17 +516,22 @@ def kernel_mod_norm(k: KernelMatrix) -> float:
     return _lattice_norm(*_kernel_lattice_stft(k), INF_1)
 
 
-def _windowed_fl1(diff: np.ndarray, grid: GridSpec) -> tuple:
+def _windowed_fl1(diff: np.ndarray, grid: GridSpec, mirrored: bool = False) -> tuple:
     """l1 norms of the 2d spectrum of the kernel difference times the Gaussian
     bumps exp(-pi |(x, y) - z|^2), the centered DFT along both axes, at the
     nine centers z = (cx, cy) with cx, cy in {-L/4, 0, L/4}, x-major.
 
     A bump is the outer product of two 1d bumps, so the x-pass for one cx
-    serves all three cy.  The centered DFT's (-1)^j pre-factor is folded into
-    the bumps, exactly, as it only flips signs; its (-1)^k post-factor is
-    dropped, as |.| cannot see it.  The x-pass, product, spectrum and
-    magnitude live in four buffers allocated once per call, and the
-    quadrature weight cell^2 freq_cell^2 scales each sum once.
+    serves all its cy: 3 x-passes and 9 y-passes.  With mirrored, for a
+    reflection-invariant difference, diff(-x, -y) = diff(x, y), the product
+    at -z is the one at z reflected, and so is its spectrum, with the same
+    l1 norm: only the first five centers are transformed (2 x-passes and 5
+    y-passes), and z12, z20, z21 and z22 repeat z10, z02, z01 and z00.  The
+    centered DFT's (-1)^j pre-factor is folded into the bumps, exactly, as
+    it only flips signs; its (-1)^k post-factor is dropped, as |.| cannot
+    see it.  The x-pass, product, spectrum and magnitude live in four
+    buffers allocated once per call, and the quadrature weight
+    cell^2 freq_cell^2 scales each sum once.
     """
     x = grid.axis()
     n = grid.points
@@ -536,11 +544,14 @@ def _windowed_fl1(diff: np.ndarray, grid: GridSpec) -> tuple:
     spec = np.empty_like(along_x)
     mag = np.empty((n, n))
     out = []
-    for bx in bumps:
-        np.fft.fft(np.multiply(diff, bx[:, None], out=prod), axis=0, out=along_x)
-        for by in bumps:
-            np.fft.fft(np.multiply(along_x, by[None, :], out=prod), axis=1, out=spec)
-            out.append(float(np.sum(np.abs(spec, out=mag))) * weight)
+    for k in range(5 if mirrored else 9):
+        i, j = divmod(k, 3)
+        if j == 0:
+            np.fft.fft(np.multiply(diff, bumps[i][:, None], out=prod), axis=0, out=along_x)
+        np.fft.fft(np.multiply(along_x, bumps[j][None, :], out=prod), axis=1, out=spec)
+        out.append(float(np.sum(np.abs(spec, out=mag))) * weight)
+    if mirrored:
+        out += out[3::-1]
     return tuple(out)
 
 
@@ -555,9 +566,15 @@ def convergence_report(sc: TrotterScenario) -> tuple:
     converge.csv: the sup error on the compact window, the nine windowed
     spectral l1 errors of _windowed_fl1, both from one difference E_n - ref,
     and the two modulation norms of the phase-factored kernel (the weighted
-    sup norm with exponent CONVERGENCE_WEIGHT_S).
+    sup norm with exponent CONVERGENCE_WEIGHT_S).  When every kernel is
+    reflection-invariant (b = 0 and V even bit for bit, the test that sends
+    trotter_kernel to the parity blocks), so is each difference, and five
+    windowed errors are transformed and four mirrored; the mirrored four
+    differ from their own transforms at rounding level only.  Any other
+    scenario transforms all nine.
     """
     ref = reference_kernel(sc)
+    mirrored = _reflection_invariant(sc)
     rows = []
     for n in sc.n_list:
         k_n = trotter_kernel(sc, n)
@@ -565,7 +582,7 @@ def convergence_report(sc: TrotterScenario) -> tuple:
         # one lattice STFT of the phase-factored kernel serves both norms
         v, spec = _kernel_lattice_stft(factor_out_phase(k_n, sc.phase))
         rows.append((n, sup_norm_on_compact(diff, sc.grid, 0.5 * sc.grid.half_width),
-                     *_windowed_fl1(diff, sc.grid),
+                     *_windowed_fl1(diff, sc.grid, mirrored),
                      _lattice_norm(v, spec, INF_1),
                      _lattice_norm(v, spec, INF_S, CONVERGENCE_WEIGHT_S)))
     return rows, ref.cauchy_tag
@@ -579,8 +596,11 @@ def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
     E_n(V) - E_n(f1) is measured by the coarse-lattice modulation norm of its
     phase-factored kernel and compared with the shape bound
     eps * |t| * C * e^{2|t|C}, C being the modulation norm of the full
-    potential.  E_n(V) and C are computed once for all budgets.  Returns one
-    row (eps, f1, f2, cut radius, remainder norm, bound) per budget.
+    potential.  E_n(V) and C are computed once for all budgets.  For a
+    bitwise even V, sjostrand_decompose returns an f1 even bit for bit, so
+    with b = 0 every E_n(f1) takes the parity blocks, as E_n(V) does.
+    Returns one row (eps, f1, f2, cut radius, remainder norm, bound) per
+    budget.
     """
     if not all(0.0 < eps <= 1.0 for eps in eps_list):
         raise ValueError("eps must lie in (0, 1]")

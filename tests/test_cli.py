@@ -369,6 +369,25 @@ def test_perturb_builds_each_kernel_and_split_once(tmp_path, monkeypatch):
     assert calls == {"trotter_kernel": 4, "sjostrand_decompose": 3}
 
 
+def test_perturb_powers_every_kernel_by_parity_blocks(tmp_path, monkeypatch):
+    # V is even bit for bit and so, symmetrized, is each low band f1: E_n(V)
+    # and the three E_n(f1) all take the parity blocks (only E_n(V) did
+    # while f1 was even to rounding only)
+    from proplab import trotter
+
+    calls = []
+    power_blocks = trotter._power_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return power_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "_power_blocks", counted)
+    assert main(["perturb", "--config", cfg_path("decomposition-pinned.ini"),
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == 4
+
+
 def test_exceptional_preset_csv_schema(tmp_path):
     assert main(["exceptional", "--config", cfg_path("exceptional-harmonic.ini"),
                  "--out", str(tmp_path), "--quiet"]) == 0
@@ -567,6 +586,27 @@ def test_kernel_out_of_float_range_exits_1_without_files(tmp_path, capsys, comma
     assert re.fullmatch(r"ProplabError: the \d+-step kernel at tau = \S+ "
                         r"leaves the float range", lines[0])
     assert not out.exists()
+
+
+def test_converge_names_the_failed_windowed_column(tmp_path, capsys, monkeypatch):
+    # only fl1_z21 rises with n, far above the Cauchy floor: the one windowed
+    # FAILED line names that CSV column, not a bare center index
+    from proplab import trotter
+
+    calls = []
+
+    def rising(diff, grid, mirrored=False):
+        calls.append(1)
+        return tuple(float(len(calls)) if k == 7 else 1.0 / len(calls) for k in range(9))
+
+    monkeypatch.setattr(trotter, "_windowed_fl1", rising)
+    rc, lines, out = run_text(tmp_path, capsys, "converge",
+                              "[experiment]\nkind = converge\n" + GRID
+                              + "[time]\nn_list = 4,8,16\n")
+    assert rc == 1
+    assert [line for line in lines if "windowed" in line] == \
+        ["FAILED: windowed error fl1_z21 not decreasing"]
+    assert (out / "converge.csv").read_text().splitlines()[0].split(",")[9] == "fl1_z21"
 
 
 @pytest.mark.filterwarnings("error")  # the leak ratio was 0/0 at V = 0

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from proplab import (EpsilonTooSmall, INF_1, INF_S, GridSpec, KernelMatrix,
                      SampledField, StftSpec, default_window, dft, kernel_mod_norm,
                      measure_norm_bound, measure_potential_field, mod_norm,
                      sjostrand_decompose, stft, stft_adjoint, wigner)
+from proplab.cli import Config
+from proplab.grid import _is_even
 from proplab.tfa import _lattice_norm, cross_ambiguity_l1, frequency_profile
 from proplab.trotter import KERNEL_LATTICE_STEP, _kernel_lattice_stft
 from proplab.rng import SplitMix64
@@ -215,6 +219,23 @@ def test_sjostrand_split_norm_budget(grid, spec):
         assert mod_norm(f2, spec, INF_1) <= eps
         assert np.max(np.abs(f1.values + f2.values - v.values)) < 1e-12
         assert r >= 0.0
+
+
+@pytest.mark.parametrize("name", ["decomposition-pinned.ini", "perturb-geometric.ini"])
+def test_sjostrand_split_of_an_even_field_is_even(name):
+    # the low band of a bitwise even V is symmetrized, so f1 and f2 are even
+    # bit for bit (max |f1 - R f1| was 3.3e-16 to 1.1e-15 unsymmetrized) and
+    # E_n(f1) takes the parity blocks; the split and its budget still hold
+    cfg = Config(os.path.join(os.path.dirname(__file__), "..", "configs", name))
+    grid = cfg.grid()
+    v = cfg.potential(grid)
+    spec = StftSpec(default_window(grid))
+    vmax = float(np.max(np.abs(v.values)))
+    for eps in cfg.get("perturb", "eps_list"):
+        f1, f2, _r = sjostrand_decompose(v, eps, spec)
+        assert _is_even(f1.values) and _is_even(f2.values)
+        assert np.max(np.abs(f1.values + f2.values - v.values)) <= 1e-12 * vmax
+        assert mod_norm(f2, spec, INF_1) <= eps
 
 
 def test_sjostrand_band_limitation(grid, spec):

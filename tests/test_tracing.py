@@ -202,3 +202,25 @@ def test_benchmark_freeslice_takes_the_parity_blocks(tmp_path):
         cfg = workloads.Freeslice(workloads.params("freeslice", seed, 0), str(out)).cfg
         assert _is_even(cfg.potential(cfg.grid()).values)
         assert max(cfg.get("time", "n_list")) >= 2
+
+
+def test_benchmark_converge_and_perturb_take_the_mirrored_path(tmp_path):
+    # the converge workload's configs, as the benchmark builds them, and the
+    # converge and perturb presets: each H0 has b = 0 and each V samples to a
+    # bitwise even array, so convergence_report transforms five windowed
+    # errors per row and every kernel, E_n(f1) included, takes the parity blocks
+    workloads = perfbench_workloads()
+    from proplab import cli
+    from proplab.trotter import _reflection_invariant
+
+    configs = []
+    for seed in range(1, 6):
+        for op in (workloads.Converge, workloads.Perturb):
+            out = tmp_path / f"{op.command}-{seed}"
+            out.mkdir()
+            configs.append(op(workloads.params(op.command, seed, 0), str(out)).cfg)
+    configs += [cli.Config(os.path.join(PERFBENCH, "..", "configs", name)) for name in
+                ("harmonic-cos-t1.ini", "zero-potential-collapse.ini",
+                 "decomposition-pinned.ini", "perturb-geometric.ini")]
+    for cfg in configs:
+        assert _reflection_invariant(cli._scenario(cfg))

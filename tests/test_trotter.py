@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -318,6 +319,86 @@ def test_windowed_fl1_memory_stays_small(grid):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def preset_scenario(name):
+    from proplab.cli import _scenario
+
+    return _scenario(Config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                         name)), reference=True)
+
+
+def test_mirrored_windowed_fl1_matches_nine_centers():
+    # harmonic-cos-t1's kernels are reflection-invariant: the four mirrored
+    # errors of each row equal their own transforms to rounding (measured
+    # 3.0e-16 relative), and the five transformed ones are bit for bit the same
+    sc = preset_scenario("harmonic-cos-t1.ini")
+    assert trotter._reflection_invariant(sc)
+    ref = reference_kernel(sc).kernel.entries
+    for n in sc.n_list:
+        diff = trotter_kernel(sc, n).entries - ref
+        nine = _windowed_fl1(diff, sc.grid)
+        mirrored = _windowed_fl1(diff, sc.grid, mirrored=True)
+        assert mirrored[:5] == nine[:5]
+        assert np.allclose(mirrored, nine, rtol=1e-15, atol=0.0)
+
+
+def count_trotter_ffts(monkeypatch):
+    """The calls to np.fft.fft made from proplab.trotter's own code, in a list
+    that grows as they are made."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "proplab.trotter":
+            calls.append(1)
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h,amp_sin,passes", [
+    (QuadraticHamiltonian.harmonic(1), 0.0, 7),
+    (QuadraticHamiltonian.harmonic(1), 0.1, 12),
+    (CROSS_TERM, 0.0, 12),
+], ids=["even", "odd-part", "cross-term"])
+def test_convergence_report_mirrors_only_invariant_kernels(grid, monkeypatch, h,
+                                                           amp_sin, passes):
+    # 2 x-passes and 5 y-passes per row for b = 0 and an even V; a V with an
+    # odd part, or a cross term, keeps all 3 + 9
+    x = grid.axis()
+    v = SampledField(grid, np.cos(2.0 * np.pi * x) + amp_sin * np.sin(2.0 * np.pi * x))
+    sc = TrotterScenario(h, v, 1.0, (4, 8), grid, 32)
+    calls = count_trotter_ffts(monkeypatch)
+    rows, _ = convergence_report(sc)
+    assert len(calls) == passes * len(rows)
+    assert all(len(row) == 13 for row in rows)
+
+
+@pytest.mark.parametrize("h,amp_sin,blocks", [
+    (QuadraticHamiltonian.harmonic(1), 0.0, 3),
+    (QuadraticHamiltonian.harmonic(1), 0.1, 0),
+    (CROSS_TERM, 0.0, 0),
+], ids=["even", "odd-part", "cross-term"])
+def test_perturbation_low_bands_take_blocks_only_when_invariant(grid, monkeypatch, h,
+                                                                amp_sin, blocks):
+    # E_n(V) and the two E_n(f1) take the parity blocks for b = 0 and an
+    # even V; a V with an odd part, or a cross term, powers every full step
+    x = grid.axis()
+    v = SampledField(grid, np.cos(2.0 * np.pi * x) + amp_sin * np.sin(2.0 * np.pi * x))
+    sc = TrotterScenario(h, v, 1.0, (8,), grid, 32)
+    calls = []
+    power_blocks = trotter._power_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return power_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(trotter, "_power_blocks", counted)
+    rows = perturbation_split_report(sc, (0.2, 0.1), 8)
+    assert len(calls) == blocks
+    assert [trotter._is_even(row[1].values) for row in rows] == [amp_sin == 0.0] * 2
 
 
 def test_first_order_law_against_grid_limit(grid):
