@@ -778,12 +778,12 @@ def _outputs(out: str, command: str) -> list:
 def _check_out_dir(out: str, command: str):
     """A ConfigError unless the command's outputs can be written into out:
     out is not empty, os.makedirs can make it a directory (the nearest of
-    out and its parents that exists is one), and no output is a directory,
-    which os.replace cannot replace."""
+    out and its parents that exists, a dangling symlink included, is one),
+    and no output is a directory, which os.replace cannot replace."""
     if not out:
         raise ConfigError("--out '' names no directory")
     path = os.path.abspath(out)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"--out {out}: {path} is not a directory")

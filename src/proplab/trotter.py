@@ -12,11 +12,12 @@ for a symbol with no cross term, so every squaring is a z @ z.T product.
 Without a cross term the grid H0 also commutes with the reflection
 x_j -> -x_j, so its eigendecomposition and K come in an even and an odd
 block; when V is even as well, the step is powered block by block, two
-half-size matrices instead of one N x N, side by side on two threads.  The
-free chirp steps commute with the reflection except in row and column 0, as
-x_0 = -L has no mirror; with an even V they are powered as the blocks of
-their reflection-invariant part, folded from a strided view of the step's
-first row, plus an exact rank-2 edge term, so the free step is never dense.
+half-size matrices instead of one N x N, side by side on two threads, and
+the blocks are built and unfolded on the calling thread.  The free chirp
+steps commute with the reflection except in row and column 0, as x_0 = -L
+has no mirror; with an even V they are powered as the blocks of their
+reflection-invariant part, folded from a strided view of the step's first
+row, plus an exact rank-2 edge term, so the free step is never dense.
 Each block makes the same BLAS calls as it would alone, into buffers of its
 own, so the bytes do not depend on how the two threads are scheduled.
 A high-n run stands in for the limit kernel, carrying its own Cauchy
@@ -152,8 +153,7 @@ def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
     from slices, into out when given; even and odd are scaled in place.
 
     Row or column j <= N/2 holds the reflection's representative j, and
-    N - j its mirror; the odd block enters with the sign of each side.  The
-    rows up to N/2 and the rows past it are written side by side.
+    N - j its mirror; the odd block enters with the sign of each side.
     """
     m = even.shape[0] - 1
     c = np.full(m + 1, np.sqrt(0.5))
@@ -164,20 +164,14 @@ def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
     if out is None:
         out = np.empty((2 * m, 2 * m), dtype=np.result_type(even, odd))
     mirror = slice(m - 1, 0, -1)  # representatives m-1..1, at m+1..N-1
-
-    def top():
-        out[:m + 1, :m + 1] = even
-        out[:m + 1, m + 1:] = even[:, mirror]
-        out[1:m, 1:m] += odd
-        out[1:m, m + 1:] -= odd[:, ::-1]
-
-    def bottom():
-        out[m + 1:, :m + 1] = even[mirror, :]
-        out[m + 1:, m + 1:] = even[mirror, mirror]
-        out[m + 1:, 1:m] -= odd[::-1, :]
-        out[m + 1:, m + 1:] += odd[::-1, ::-1]
-
-    _side_by_side(top, bottom)
+    out[:m + 1, :m + 1] = even
+    out[:m + 1, m + 1:] = even[:, mirror]
+    out[1:m, 1:m] += odd
+    out[1:m, m + 1:] -= odd[:, ::-1]
+    out[m + 1:, :m + 1] = even[mirror, :]
+    out[m + 1:, m + 1:] = even[mirror, mirror]
+    out[m + 1:, 1:m] -= odd[::-1, :]
+    out[m + 1:, m + 1:] += odd[::-1, ::-1]
     return out
 
 
@@ -288,8 +282,8 @@ def _side_by_side(first, second) -> tuple:
     returns or raises, and an exception raised by second is raised here;
     when both raise, first's is.
 
-    Only untraced private helpers run as second: perfbench's span tracer
-    keeps one stack.
+    Its one use is the two block powers of _power_blocks.  Only untraced
+    private helpers run as second: perfbench's span tracer keeps one stack.
     """
     outcome = []
 
@@ -316,14 +310,14 @@ def _power_blocks(build, tau: float, v: np.ndarray, n: int) -> np.ndarray:
     build(even, odd) writes into even and odd, of a step that commutes with
     R, each conjugated by its half of q as in _power_step.
 
-    The powers run side by side, the even block on the calling thread and
-    the odd one on a second thread.  Their buffers are allocated here, on
-    the calling thread: memory that a thread allocates stays in that thread's
-    malloc arena, and a block allocated by the second thread raised the
-    peak RSS of a freeslice run by 8 MB.  One buffer of N^2 + 4 entries,
-    2(N/2 + 1)^2 + 2(N/2 - 1)^2, allocated once build has returned, holds
-    both blocks' spares at once, and afterwards takes the unfolded result,
-    so no other N x N matrix is allocated.
+    build and _unfold run on the calling thread, the two powers side by
+    side, the odd block's on a second thread.  Their buffers are allocated
+    here, on the calling thread: memory that a thread allocates stays in
+    that thread's malloc arena, and a block allocated by the second thread
+    raised the peak RSS of a freeslice run by 8 MB.  One buffer of N^2 + 4
+    entries, 2(N/2 + 1)^2 + 2(N/2 - 1)^2, allocated once build has returned,
+    holds both blocks' spares at once, and afterwards takes the unfolded
+    result, so no other N x N matrix is allocated.
     """
     m = len(v) // 2
     size = 2 * m
@@ -406,6 +400,12 @@ def _reflection_invariant(sc: TrotterScenario) -> bool:
     return sc.hamiltonian.b == 0.0 and _is_even(sc.potential.values)
 
 
+def _check_step_count(n) -> None:
+    """A ValueError unless n is a positive int or numpy integer, not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"the step count must be a positive integer, not {n!r}")
+
+
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step;
     the one place where the step is chosen, checked and built.
@@ -414,24 +414,22 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     split H_grid into its even and odd blocks (b = 0) and V is even bit for
     bit, V[j] == V[-j mod N], the potential phase commutes with the
     reflection too, so the Strang step is block diagonal: the two blocks, of
-    sizes N/2 + 1 and N/2 - 1, are built, then powered by _power_blocks, each
-    stage side by side on two threads, and unfolded once, at about a quarter
-    of the flops; the bytes do not depend on thread scheduling.  Any V with
-    an odd part, however small, powers the full step.  CHIRP steps with the
+    sizes N/2 + 1 and N/2 - 1, are built, powered side by side on two
+    threads by _power_blocks, and unfolded once, at about a quarter of the
+    flops; the bytes do not depend on thread scheduling.  Any V with an odd
+    part, however small, powers the full step.  CHIRP steps with the
     quadrature of the one-step metaplectic kernel, whose powers stay
     bounded only for a free particle (a = b = 0; for a harmonic H0 the sup
     reaches 7.5e108 at n = 64 on N = 256, L = 8), so CHIRP with any other H0
-    is a ValueError, as is an unknown method.
-    The CHIRP step is powered by _power_free from its first row, kernel_row():
-    from n = 2 on with a bitwise even V, as the parity blocks of its
-    reflection-invariant part, folded from a strided view of that row and
-    powered side by side, plus the rank-2 edge of row and column 0, so the
-    step is never dense.  With V identically zero, SPECTRAL takes one
+    is a ValueError, as is an unknown method; _power_free powers it from its
+    first row, kernel_row().  With V identically zero, SPECTRAL takes one
     full-time step for any n, the step of time t being the n-th power of
-    the t/n step by the group law; CHIRP has no group law (powered
-    chirp quadratures do not compose), so it powers the t/n quadrature at
-    V = 0 as for any V.  Either way the kernel is continuous in V at V = 0.
+    the t/n step by the group law; CHIRP has no group law (powered chirp
+    quadratures do not compose), so it powers the t/n quadrature at V = 0
+    as for any V.  Either way the kernel is continuous in V at V = 0.  An n
+    that is not a positive integer is a ValueError, before any numerics.
     """
+    _check_step_count(n)
     h = sc.hamiltonian
     v = sc.potential.values
     if method == CHIRP:
@@ -449,10 +447,11 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
         row = propagator_for(h, tau, sc.grid).kernel_row()
         m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
     elif _reflection_invariant(sc):
-        (w_even, u_even), (w_odd, u_odd) = sc.eigenpairs
-        m = _power_blocks(lambda even, odd: _side_by_side(
-            lambda: _block_step(w_even, u_even, tau, out=even),
-            lambda: _block_step(w_odd, u_odd, tau, out=odd)), tau, v, n)
+        def build(even, odd):
+            for (w, u), block in zip(sc.eigenpairs, (even, odd)):
+                _block_step(w, u, tau, out=block)
+
+        m = _power_blocks(build, tau, v, n)
     else:
         m = _power_step(kinetic_step(sc.eigenpairs, tau), tau, v, n,
                         symmetric=h.b == 0.0)
@@ -628,16 +627,15 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
     The n-th power of the analytic one-step factor
     (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase,
     taken by the same _power_free as trotter_kernel(..., CHIRP), from the
-    step's first row: from n = 2 on with a bitwise even V, the parity blocks,
-    folded from a strided view of that row and powered side by side, so the
-    step is never dense, plus the rank-2 edge; the full step otherwise.  What it checks
-    apart from trotter_kernel(..., CHIRP) is the step, this analytic chirp
-    against the metaplectic chirp quadrature; as both share the powering,
-    its own references are np.linalg.matrix_power and iterated products, in
-    the tests.  Kept at n <= 8: this is the desk-scale cross-check of the
-    path sum, not a production path.
+    step's first row.  What it checks apart from trotter_kernel(..., CHIRP)
+    is the step, this analytic chirp against the metaplectic chirp
+    quadrature; as both share the powering, its own references are
+    np.linalg.matrix_power and iterated products, in the tests.  Kept at
+    integer n <= 8: this is the desk-scale cross-check of the path sum, not
+    a production path.
     """
-    if not 1 <= n <= 8:
+    _check_step_count(n)
+    if n > 8:
         raise ValueError("n must lie in 1..8 for the direct path quadrature")
     if v.grid != grid:
         raise ValueError("potential grid does not match")

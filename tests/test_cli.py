@@ -281,12 +281,15 @@ def test_seed_option_outside_u64_exits_2_without_files(tmp_path, capsys, seed):
 
 
 @pytest.mark.parametrize("out", ["taken", "taken/sub", pytest.param("", id="empty"),
-                                 pytest.param("made", id="svg-is-a-directory")])
+                                 pytest.param("made", id="svg-is-a-directory"),
+                                 "dangling", "dangling/sub"])
 def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch, out):
     # made/flow.svg is a directory, which os.replace cannot replace; --out ""
-    # would write into the working directory, tmp_path
+    # would write into the working directory, tmp_path; dangling is a symlink
+    # to nothing, which os.makedirs can neither make nor enter
     (tmp_path / "taken").write_text("")
     (tmp_path / "made" / "flow.svg").mkdir(parents=True)
+    (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setitem(RUNNERS, "flow", lambda cfg: pytest.fail("the scenario ran"))
     rc = main(["flow", "--config", cfg_path("flow-random-suite.ini"),
@@ -295,8 +298,9 @@ def test_out_naming_a_file_exits_2_before_the_run(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert len(lines) == 1 and lines[0].startswith("config error: --out ")
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
-        "made", os.path.join("made", "flow.svg"), "taken"]
+        "dangling", "made", os.path.join("made", "flow.svg"), "taken"]
     assert (tmp_path / "taken").read_text() == ""
+    assert not (tmp_path / "nowhere").exists()
 
 
 def test_outputs_take_the_mode_of_a_plain_write(tmp_path):

@@ -39,3 +39,44 @@ def test_no_function_keeps_a_process_wide_cache():
             with open(os.path.join(PACKAGE, name)) as handle:
                 found += [f"{name}:{line}" for line in functools_memos(handle.read())]
     assert found == []
+
+
+THREADED = "_side_by_side"
+
+
+def threading_outside(source: str, allowed: str = THREADED) -> list:
+    """Line numbers of every name threading, and of every import from
+    threading, in source outside the body of the function named allowed;
+    import threading itself is allowed anywhere."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == allowed:
+            inside.update(id(sub) for sub in ast.walk(node))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Name) and node.id == "threading" or \
+                isinstance(node, ast.ImportFrom) and node.module == "threading":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_threading_finder_sees_each_spelling():
+    source = ("import threading\nfrom threading import Thread\n"
+              "def _side_by_side():\n    threading.Thread(target=f)\n"
+              "def other():\n    threading.Thread(target=f)\n"
+              "LOCK = threading.Lock()\n")
+    assert threading_outside(source) == [2, 6, 7]
+
+
+def test_only_side_by_side_starts_a_thread():
+    # a reflection-invariant kernel forks once, to power its two blocks; the
+    # block steps and the unfolding gain nothing from a second thread
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name)) as handle:
+                found += [f"{name}:{line}" for line in threading_outside(handle.read())]
+    assert found == []

@@ -662,6 +662,69 @@ def test_worker_block_out_of_range_raises_in_caller(grid):
     assert threading.active_count() == before
 
 
+FORK_KERNELS = [
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), v, 1.0, (7,), v.grid, 28), 7), 1,
+        id="spectral-invariant"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(FREE, v, 1.0, (7,), v.grid, 28),
+                                          7, method=CHIRP), 1, id="chirp"),
+    pytest.param(lambda v: time_slice_free_kernel(v, 1.0, 7, v.grid), 1, id="free-slice"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), SampledField(v.grid, v.values + 0.1 * np.sin(
+            2.0 * np.pi * v.grid.axis())), 1.0, (7,), v.grid, 28), 7), 0, id="odd-part"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        CROSS_TERM, v, 1.0, (7,), v.grid, 28), 7), 0, id="cross-term"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(FREE, v, 1.0, (1,), v.grid, 4),
+                                          1, method=CHIRP), 0, id="chirp-n1"),
+    pytest.param(lambda v: time_slice_free_kernel(v, 1.0, 1, v.grid), 0, id="free-slice-n1"),
+]
+
+
+@pytest.mark.parametrize("kernel,forks", FORK_KERNELS)
+def test_a_kernel_forks_only_to_power_its_blocks(grid, monkeypatch, kernel, forks):
+    # the parity blocks are built and unfolded on the calling thread; only
+    # their powers run side by side, and a full step starts no thread
+    calls = []
+    fork = trotter._side_by_side
+
+    def spy(first, second):
+        calls.append(1)
+        return fork(first, second)
+
+    monkeypatch.setattr(trotter, "_side_by_side", spy)
+    kernel(cosine_potential(grid))
+    assert len(calls) == forks
+
+
+STEP_KERNELS = [
+    pytest.param(lambda v, n: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), v, 1.0, (1,), v.grid, 4), n), id="spectral"),
+    pytest.param(lambda v, n: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), SampledField(v.grid, 0.0 * v.values), 1.0, (1,),
+        v.grid, 4), n), id="spectral-zero-v"),
+    pytest.param(lambda v, n: trotter_kernel(TrotterScenario(FREE, v, 1.0, (1,), v.grid, 4),
+                                             n, method=CHIRP), id="chirp"),
+    pytest.param(lambda v, n: time_slice_free_kernel(v, 1.0, n, v.grid), id="free-slice"),
+]
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.5, 3.0, np.float64(2.0), True, "2", None])
+@pytest.mark.parametrize("kernel", STEP_KERNELS)
+def test_step_count_must_be_a_positive_integer(grid, monkeypatch, kernel, n):
+    # refused before any numerics: n = -1 would loop forever in _power_step,
+    # as -1 >> 1 == -1, and V = 0 would turn n = 0 into one full-time step
+    for name in ("_eig", "_power_step", "_power_blocks", "_power_free", "propagator_for"):
+        monkeypatch.setattr(trotter, name, lambda *args, **kwargs: pytest.fail("numerics ran"))
+    with pytest.raises(ValueError, match="step count must be a positive integer"):
+        kernel(cosine_potential(grid), n)
+
+
+@pytest.mark.parametrize("kernel", STEP_KERNELS)
+def test_numpy_step_count_gives_the_same_kernel(grid, kernel):
+    v = cosine_potential(grid)
+    assert np.array_equal(kernel(v, np.int64(3)).entries, kernel(v, 3).entries)
+
+
 def orbit_fold(mat):
     """The parity blocks of mat as four-term sums over the R-orbits of each
     row and column, gathered entry by entry, built apart from _fold: the
