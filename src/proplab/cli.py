@@ -22,23 +22,19 @@ import tempfile
 
 import numpy as np
 
-from ._kernels import free_chirp
+from . import oracles
 from .errors import ConfigError, EmptyTable, ProplabError
-from .grid import (GridSpec, SampledField, SymbolField, _centered_fft, dft,
-                   sup_norm_on_compact)
+from .grid import GridSpec, SampledField, dft
 from .metaplectic import mehler_oracle, propagator_for
 from .rng import SplitMix64
-from .symplectic import QuadraticHamiltonian, flow, phase_form
+from .symplectic import QuadraticHamiltonian, flow
 from .tfa import (INF_1, StftSpec, default_window, frequency_profile,
-                  measure_norm_bound, measure_potential_field, mod_norm, stft,
-                  stft_adjoint, wigner)
+                  measure_potential_field, mod_norm)
 from .trotter import (CHIRP, KERNEL_LATTICE_STEP, TrotterScenario,
                       convergence_report, exceptional_blowup_scan,
                       factor_out_phase, kernel_mod_norm,
                       perturbation_split_report, time_slice_free_kernel,
                       trotter_kernel)
-from .weyl import (fio_swap_residual, symplectic_covariance_residual,
-                   weyl_quantize)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -220,9 +216,6 @@ def _one_of(*choices):
     return (lambda v: v in choices, " | ".join(choices))
 
 
-ORACLE_CHECKS = ("free_kernel", "mehler", "stft_inversion", "wigner_duality",
-                 "covariance", "fio_swap", "measure_bound")
-
 # (section, key) -> ((parse, noun), default as raw text or None for a required
 # key, domain or None); parse raises ValueError on text that is not the noun.
 # A (command, section, key) row is that command's own reading of the key.  The
@@ -278,8 +271,8 @@ KEYS = {
     ("perturb", "check_decomposition"): (TEXT, "no", _one_of("yes", "no")),
     ("perturb", "n"): (INT, None, _count_upto(MAX_STEPS)),
     ("freeslice", "tolerance"): (REAL, "1e-8", None),
-    ("oracles", "checks"): (NAMES, ",".join(ORACLE_CHECKS), (
-        lambda cs: set(cs) <= set(ORACLE_CHECKS), "some of " + ", ".join(ORACLE_CHECKS))),
+    ("oracles", "checks"): (NAMES, ",".join(oracles.CHECKS), (
+        lambda cs: set(cs) <= set(oracles.CHECKS), "some of " + ", ".join(oracles.CHECKS))),
     ("oracles", "measure_sets"): (INT, "10", _count_upto(MAX_CASES)),
 }
 DECLARED = {row[-2:] for row in KEYS}
@@ -432,15 +425,6 @@ def run_flow(cfg: Config):
              "ylog": True, "y": ["symplectic_defect"]}, failures)
 
 
-def _free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
-    """Sup difference on |x|, |y| <= radius between the quadrature kernel of
-    the free propagator and the analytic chirp, relative to the chirp's sup."""
-    kq = propagator_for(QuadraticHamiltonian.free_particle(1), t, grid).kernel_entries()
-    ana = free_chirp(grid.axis(), t)  # a read-only view, so kq takes the difference
-    return (sup_norm_on_compact(np.subtract(kq, ana, out=kq), grid, radius)
-            / float(np.max(np.abs(ana))))
-
-
 def _residual_table(name: str, rows, title: str):
     """The table of (check, residual, threshold) rows, with one failure per
     row whose residual is not within its threshold."""
@@ -459,7 +443,7 @@ def run_kernel(cfg: Config):
     radius = cfg.get("kernel", "radius", 0.5 * grid.half_width)
     tol = cfg.get("kernel", "tolerance")
     if preset == "free":
-        rows = [("free_vs_analytic", _free_kernel_residual(t, grid, radius), tol)]
+        rows = [("free_vs_analytic", oracles.free_kernel_residual(t, grid, radius), tol)]
     else:
         prop = propagator_for(QuadraticHamiltonian.harmonic(1), t, grid)
         kq = prop.kernel_entries()
@@ -639,86 +623,10 @@ def _slice_mismatch(sc: TrotterScenario, n: int) -> float:
     return float(np.max(np.abs(np.subtract(kt, ks, out=ks)))) / scale
 
 
-def _random_symbol(rng: SplitMix64, grid: GridSpec):
-    """Smooth band-limited random symbol on the phase grid."""
-    n = grid.points
-    c = np.zeros((n, n), dtype=complex)
-    c[n // 2 - 6: n // 2 + 7, n // 2 - 3: n // 2 + 4] = (
-        rng.normals(13 * 7).reshape(13, 7) + 1j * rng.normals(13 * 7).reshape(13, 7))
-    return SymbolField(grid, _centered_fft(_centered_fft(c, n, +1, 1), n, +1, 0))
-
-
-def _oracle_battery(cfg: Config, checks, measure_sets: int):
-    """(name, residual, threshold) triples for the cross-module oracle run."""
-    grid = GridSpec(1, 8.0, 256)
-    rng = SplitMix64(cfg.seed)
-    sspec = StftSpec(default_window(grid))
-    harm = QuadraticHamiltonian.harmonic(1)
-    rows = []
-
-    if "free_kernel" in checks:
-        rows.append(("free_kernel",
-                     _free_kernel_residual(1.0, GridSpec(1, 12.0, 1024), 6.0), 1e-3))
-
-    if "mehler" in checks:
-        ko = mehler_oracle(1.0, grid)
-        kq = propagator_for(harm, 1.0, grid).kernel_entries()
-        rows.append(("mehler", float(np.max(np.abs(ko.entries - kq)))
-                     / float(np.max(np.abs(ko.entries))), 1e-6))
-
-    n = grid.points
-    spec_vals = np.zeros(n, dtype=complex)
-    spec_vals[n // 2 - 12: n // 2 + 12] = rng.normals(24) + 1j * rng.normals(24)
-    f = dft(SampledField(grid, spec_vals), +1)
-
-    if "stft_inversion" in checks:
-        rec = stft_adjoint(stft(f, sspec), sspec)
-        rows.append(("stft_inversion",
-                     float(np.linalg.norm(rec.values - f.values))
-                     / float(np.linalg.norm(f.values)), 1e-8))
-
-    sig = _random_symbol(rng, grid)
-
-    if "wigner_duality" in checks:
-        # localized packets: the periodized quantizer and the non-periodic
-        # Wigner transform only agree on functions that decay inside the box
-        x = grid.axis()
-        fp = SampledField(grid, np.exp(-np.pi * (x - 0.3) ** 2)
-                          * np.exp(2j * np.pi * 0.7 * x))
-        gp = SampledField(grid, np.exp(-np.pi * (x + 0.5) ** 2 / 1.3)
-                          * np.exp(-2j * np.pi * 1.1 * x))
-        lhs = np.vdot(gp.values, weyl_quantize(sig).apply(fp).values) * grid.cell
-        w = wigner(fp, gp)
-        rhs = np.sum(sig.values * w.values) * sig.grid.cell * sig.grid.freq_cell
-        rows.append(("wigner_duality", abs(lhs - rhs) / abs(rhs), 1e-6))
-
-    if "covariance" in checks:
-        quarter = flow(harm, 0.5 * np.pi)
-        rows.append(("covariance",
-                     symplectic_covariance_residual(sig, quarter), 1e-3))
-
-    if "fio_swap" in checks:
-        phi = phase_form(flow(harm, 0.7))
-        rows.append(("fio_swap", fio_swap_residual(sig, phi), 1e-3))
-
-    if "measure_bound" in checks:
-        worst = 0.0
-        for _ in range(measure_sets):
-            count = 2 + int(rng.uniform() * 4)
-            atoms = tuple((round(float(rng.uniform() * 4 - 2) * 16) / 16,
-                           complex(rng.normals(1)[0], rng.normals(1)[0]))
-                          for _ in range(count))
-            lhs_v, rhs_v = measure_norm_bound(atoms, sspec)
-            if rhs_v > 0:
-                worst = max(worst, lhs_v / rhs_v)
-        rows.append(("measure_bound", worst, 1.05))
-    return rows
-
-
 def run_oracles(cfg: Config):
     checks = cfg.get("oracles", "checks")
     sets = cfg.get("oracles", "measure_sets")
-    return _residual_table("oracles", _oracle_battery(cfg, checks, sets),
+    return _residual_table("oracles", oracles.battery(cfg.seed, checks, sets),
                            "oracle residuals")
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from proplab import ConfigError, EmptyTable, GridSpec, QuadraticHamiltonian, propagator_for
 from proplab.cli import (KEYS, RUNNERS, Config, _bundled_openblas, _fast_vs_quadrature,
-                         _free_kernel_residual, emit_svg, format_number, main, render_csv,
-                         run_freeslice, run_kernel)
+                         emit_svg, format_number, main, render_csv, run_freeslice, run_kernel)
+from proplab.oracles import free_kernel_residual
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -447,7 +447,7 @@ def test_free_kernel_residual_memory_stays_small(traced_peak):
     # the kernel takes the difference in place (16 MiB at N = 1024, and 8 MiB
     # of moduli): measured 24.2 MiB, 38.1 MiB out of place
     grid = GridSpec(1, 12.0, 1024)
-    assert traced_peak(lambda: _free_kernel_residual(1.0, grid, 6.0)) < 26
+    assert traced_peak(lambda: free_kernel_residual(1.0, grid, 6.0)) < 26
 
 
 def test_failed_assertion_exits_nonzero(tmp_path):

@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from proplab import _kernels, metaplectic
+from proplab import SampledField, _kernels, metaplectic, tfa, weyl
 from proplab.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -48,3 +48,32 @@ def test_harmonic_kernel_kills(mutant, monkeypatch, tmp_path, capsys):
                  "--out", str(tmp_path), "--quiet"])
     assert code == 1
     assert "FAILED:" in capsys.readouterr().err
+
+
+def refine_axis_off(vals, axis, refine=weyl._refine_axis):
+    # the Weyl quantizer's 2x refinement of the symbol, scaled by 1.001
+    return 1.001 * refine(vals, axis)
+
+
+def measure_field_off(atoms, grid, field=tfa.measure_potential_field):
+    # the potential of an atomic measure, scaled by 1.1
+    return SampledField(grid, 1.1 * field(atoms, grid).values)
+
+
+# each patches the library module's own binding, the one its callers use,
+# so it reaches the battery wherever the battery's code lives
+ORACLE_MUTANTS = {
+    "refine-axis-x1.001": ("oracle-battery.ini", (weyl, "_refine_axis", refine_axis_off)),
+    "measure-potential-x1.1": ("measure-bound.ini",
+                               (tfa, "measure_potential_field", measure_field_off)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(ORACLE_MUTANTS))
+def test_oracle_preset_kills(mutant, monkeypatch, tmp_path, capsys):
+    preset, patch = ORACLE_MUTANTS[mutant]
+    monkeypatch.setattr(*patch)
+    code = main(["oracles", "--config", os.path.join(CONFIGS, preset),
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    assert "FAILED: oracles " in capsys.readouterr().err

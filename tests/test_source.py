@@ -80,3 +80,55 @@ def test_only_side_by_side_starts_a_thread():
             with open(os.path.join(PACKAGE, name)) as handle:
                 found += [f"{name}:{line}" for line in threading_outside(handle.read())]
     assert found == []
+
+
+# exactly what oracles.py imports from proplab: public names, the analytic
+# free chirp, and _centered_fft for the random symbol; an oracle that reaches
+# for more of the code it checks shows up as a diff here
+ORACLE_IMPORTS = {
+    "_kernels.free_chirp", "grid.GridSpec", "grid.SampledField", "grid.SymbolField",
+    "grid._centered_fft", "grid.dft", "grid.sup_norm_on_compact",
+    "metaplectic.mehler_oracle", "metaplectic.propagator_for", "rng.SplitMix64",
+    "symplectic.QuadraticHamiltonian", "symplectic.flow", "symplectic.phase_form",
+    "tfa.StftSpec", "tfa.default_window", "tfa.measure_norm_bound", "tfa.stft",
+    "tfa.stft_adjoint", "tfa.wigner", "weyl.fio_swap_residual",
+    "weyl.symplectic_covariance_residual", "weyl.weyl_quantize",
+}
+
+
+def package_imports(source: str, package: str = "proplab") -> list:
+    """(line, module.name) for every name source imports from package, by a
+    relative or an absolute import; importing a module of package, or the
+    package itself, gives the module's dotted path below package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0 and parts[0] != package:
+                continue
+            below = ".".join(parts[1:] if node.level == 0 else [p for p in parts if p])
+            found += [(node.lineno, f"{below}.{alias.name}".lstrip("."))
+                      for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[2] or alias.name)
+                      for alias in node.names if alias.name.split(".")[0] == package]
+    return sorted(found)
+
+
+def test_import_finder_sees_each_spelling():
+    source = ("import numpy as np\nfrom collections import namedtuple\n"
+              "from .grid import (GridSpec,\n    dft)\nfrom . import trotter\n"
+              "from proplab.trotter import _fold as fold\nimport proplab.weyl\n"
+              "import proplab\nfrom numpy.linalg import eigh\n")
+    assert package_imports(source) == [
+        (3, "grid.GridSpec"), (3, "grid.dft"), (5, "trotter"), (6, "trotter._fold"),
+        (7, "weyl"), (8, "proplab")]
+
+
+def test_oracles_import_only_allowed_names():
+    # an oracle must stay apart from the code it checks: a library internal
+    # (say trotter._fold or _kernels.toeplitz_product) or a whole module would
+    # let a residual share the checked code's mistakes unseen
+    with open(os.path.join(PACKAGE, "oracles.py")) as handle:
+        names = {name for _, name in package_imports(handle.read())}
+    assert names == ORACLE_IMPORTS

@@ -10,7 +10,10 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import os
+import subprocess
+import sys
 import types
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -67,6 +70,44 @@ def proplab_references(path: str) -> list:
                 and node.value.id in modules:
             refs.append((modules[node.value.id], node.attr))
     return refs
+
+
+# in a fresh interpreter: what proplab.oracles binds of the traced names,
+# right after `import proplab.cli` and after the tracer installs
+BATTERY_BINDINGS = """
+import importlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import proplab.cli
+from tracing import TRACED, Tracer
+oracles = sys.modules.get("proplab.oracles")
+traced = [(f"{m}.{a}", importlib.import_module(f"proplab.{m}"), a)
+          for m, a, *_ in TRACED if "." not in a and hasattr(oracles, a)]
+own = [name for name, module, a in traced if getattr(oracles, a) is getattr(module, a)]
+Tracer().install()
+wrapped = [name for name, module, a in traced
+           if getattr(oracles, a) is getattr(module, a) and hasattr(getattr(oracles, a), "__wrapped__")]
+print(json.dumps({"loaded": oracles is not None, "names": [t[0] for t in traced],
+                  "own": own, "wrapped": wrapped}))
+"""
+
+
+def test_tracer_sees_the_oracle_battery():
+    # the worker installs the tracer right after `import proplab.cli`, so the
+    # battery's spans are recorded only if cli imports oracles as it loads
+    # and oracles binds the library's own functions, which install() rebinds
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(PERFBENCH, "..", "src"), os.environ.get("PYTHONPATH"))
+        if p))
+    proc = subprocess.run([sys.executable, "-c", BATTERY_BINDINGS, PERFBENCH],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["loaded"]
+    assert {"weyl.weyl_quantize", "weyl.symplectic_covariance_residual",
+            "weyl.fio_swap_residual", "tfa.stft", "tfa.stft_adjoint",
+            "tfa.wigner"} <= set(found["names"])
+    assert found["own"] == found["names"]
+    assert found["wrapped"] == found["names"]
 
 
 def test_every_benchmark_import_resolves():
