@@ -11,6 +11,7 @@ other checks run.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,6 @@ from .tfa import (StftSpec, default_window, measure_norm_bound, stft,
 from .weyl import (fio_swap_residual, symplectic_covariance_residual,
                    weyl_quantize)
 
-# what the checks share; only measure_bound reads rng on
-Inputs = namedtuple("Inputs", "grid spec signal symbol rng measure_sets")
 HARMONIC = QuadraticHamiltonian.harmonic(1)
 
 
@@ -37,6 +36,12 @@ def free_kernel_residual(t: float, grid: GridSpec, radius: float) -> float:
     ana = free_chirp(grid.axis(), t)  # a read-only view, so kq takes the difference
     return (sup_norm_on_compact(np.subtract(kq, ana, out=kq), grid, radius)
             / float(np.max(np.abs(ana))))
+
+
+class Inputs(namedtuple("Inputs", "grid spec signal symbol rng measure_sets")):
+    """What the checks share; only measure_bound reads rng on."""
+
+    symbol_w = cached_property(lambda self: weyl_quantize(self.symbol))  # on first use
 
 
 def _inputs(seed: int, measure_sets: int) -> Inputs:
@@ -67,6 +72,22 @@ def _stft_inversion(s: Inputs) -> float:
             / float(np.linalg.norm(s.signal.values)))
 
 
+def _stft_direct(s: Inputs) -> float:
+    """The library's STFT of the test signal against its defining sum
+    V_g f(x_p, xi_k) = h sum_t f(x_t) conj(g(x_t - x_p)) e^{-2 pi i x_t xi_k},
+    the window translated periodically: an explicit table of the shifted
+    windows times the DFT matrix, max difference relative to the max."""
+    n = s.grid.points
+    step = s.spec.lattice_step
+    pos = np.arange(0, n, step)
+    # g(x_t - x_p) = g((t - p) h) is window sample t - p + N/2, mod N
+    shifted = s.spec.window.values[(np.arange(n)[None, :] - pos[:, None] + n // 2) % n]
+    dft_matrix = np.exp(-2j * np.pi * np.outer(s.grid.axis(), s.grid.freq_axis()[::step]))
+    direct = (np.conj(shifted) * s.signal.values) @ dft_matrix * s.grid.cell
+    diff = np.max(np.abs(stft(s.signal, s.spec).values - direct))
+    return float(diff / np.max(np.abs(direct)))
+
+
 def _wigner_duality(s: Inputs) -> float:
     # localized packets: the periodized quantizer and the non-periodic
     # Wigner transform only agree on functions that decay inside the box
@@ -74,7 +95,7 @@ def _wigner_duality(s: Inputs) -> float:
     fp = SampledField(s.grid, np.exp(-np.pi * (x - 0.3) ** 2) * np.exp(2j * np.pi * 0.7 * x))
     gp = SampledField(s.grid, np.exp(-np.pi * (x + 0.5) ** 2 / 1.3)
                       * np.exp(-2j * np.pi * 1.1 * x))
-    lhs = np.vdot(gp.values, weyl_quantize(s.symbol).apply(fp).values) * s.grid.cell
+    lhs = np.vdot(gp.values, s.symbol_w.apply(fp).values) * s.grid.cell
     rhs = np.sum(s.symbol.values * wigner(fp, gp).values) * s.grid.cell * s.grid.freq_cell
     return abs(lhs - rhs) / abs(rhs)
 
@@ -99,10 +120,12 @@ CHECKS = {
     "free_kernel": (lambda s: free_kernel_residual(1.0, GridSpec(1, 12.0, 1024), 6.0), 1e-3),
     "mehler": (_mehler, 1e-6),
     "stft_inversion": (_stft_inversion, 1e-8),
+    "stft_direct": (_stft_direct, 1e-10),
     "wigner_duality": (_wigner_duality, 1e-6),
     "covariance": (lambda s: symplectic_covariance_residual(
-        s.symbol, flow(HARMONIC, 0.5 * np.pi)), 1e-3),
-    "fio_swap": (lambda s: fio_swap_residual(s.symbol, phase_form(flow(HARMONIC, 0.7))), 1e-3),
+        s.symbol, s.symbol_w, flow(HARMONIC, 0.5 * np.pi)), 1e-3),
+    "fio_swap": (lambda s: fio_swap_residual(
+        s.symbol, s.symbol_w, phase_form(flow(HARMONIC, 0.7))), 1e-3),
     "measure_bound": (_measure_bound, 1.05),
 }
 

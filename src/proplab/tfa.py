@@ -78,15 +78,15 @@ class StftMatrix:
 
 
 def _lattice_windows(spec: StftSpec) -> np.ndarray:
-    """The window centered at every lattice position, shape (positions, N).
+    """Read-only (positions, N) view of the window at every lattice position.
 
     Periodic wrap keeps every lattice window an exact copy of the base one
     (no boundary truncation); for the Gaussian window the wrap-around tail is
     below 1e-80 on the default grids.
     """
     n = spec.grid.points
-    pos = np.arange(0, n, spec.lattice_step)
-    return spec.window.values[(np.arange(n)[None, :] - pos[:, None] + n // 2) % n]
+    twice = np.tile(np.roll(spec.window.values, -(n // 2)), 2)  # from its center, twice
+    return np.lib.stride_tricks.sliding_window_view(twice, n)[n:0:-spec.lattice_step]
 
 
 def _stft_core(vals: np.ndarray, spec: StftSpec) -> np.ndarray:
@@ -199,15 +199,18 @@ def sjostrand_decompose(f: SampledField, eps: float, spec: StftSpec):
     f1 and f2 are then even bit for bit too (IEEE addition commutes), so a
     kernel with the low band as its potential keeps the parity blocks.
     """
-    mat = stft(f, spec)
+    return _split_stft(f, stft(f, spec), eps / cross_ambiguity_l1(spec), spec)
+
+
+def _split_stft(f: SampledField, mat: StftMatrix, budget: float, spec: StftSpec):
+    """sjostrand_decompose from mat = stft(f, spec), left as is, and its budget."""
     profile = np.max(np.abs(mat.values), axis=0)
     radii = np.abs(spec.xi_axis())
-    budget = eps / cross_ambiguity_l1(spec)
     if not budget > 0.0:
         raise EpsilonTooSmall(f"budget {budget:.3e} is not positive")
 
     # the outermost radius leaves an empty tail, so some radius fits the budget
-    for r in np.unique(radii):
+    for r in radii[len(radii) // 2::-1]:  # each radius once, ascending
         tail_beyond = float(np.sum(profile[radii > r]) * spec.xi_cell)
         if tail_beyond <= budget:
             chosen = float(r)

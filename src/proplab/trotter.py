@@ -39,8 +39,8 @@ from .grid import (GridSpec, KernelMatrix, SampledField, _centered_fft,
 from .metaplectic import propagator_for
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, flow, is_free,
                          phase_form)
-from .tfa import (INF_1, INF_S, StftSpec, _lattice_norm, _stft_core,
-                  default_window, mod_norm, sjostrand_decompose)
+from .tfa import (INF_1, INF_S, StftSpec, _lattice_norm, _split_stft, _stft_core,
+                  cross_ambiguity_l1, default_window, stft)
 
 
 @dataclass(frozen=True)
@@ -595,9 +595,9 @@ def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
     E_n(V) - E_n(f1) is measured by the coarse-lattice modulation norm of its
     phase-factored kernel and compared with the shape bound
     eps * |t| * C * e^{2|t|C}, C being the modulation norm of the full
-    potential.  E_n(V) and C are computed once for all budgets.  For a
-    bitwise even V, sjostrand_decompose returns an f1 even bit for bit, so
-    with b = 0 every E_n(f1) takes the parity blocks, as E_n(V) does.
+    potential.  E_n(V), the STFT of V, C and cross_ambiguity_l1 are made once.
+    A bitwise even V splits into f1, f2 even bit for bit, so with b = 0 every
+    E_n(f1) takes the parity blocks, as E_n(V) does.
     Returns one row (eps, f1, f2, cut radius, remainder norm, bound) per
     budget.
     """
@@ -605,10 +605,11 @@ def perturbation_split_report(sc: TrotterScenario, eps_list, n: int) -> list:
         raise ValueError("eps must lie in (0, 1]")
     spec = StftSpec(default_window(sc.grid))
     k_full = trotter_kernel(sc, n)
-    c = mod_norm(sc.potential, spec, INF_1)
+    mat = stft(sc.potential, spec)  # C = mod_norm(V, spec, INF_1) from this STFT
+    c, c_g = _lattice_norm(mat.values, spec, INF_1), cross_ambiguity_l1(spec)
     rows = []
     for eps in eps_list:
-        f1, f2, r = sjostrand_decompose(sc.potential, eps, spec)
+        f1, f2, r = _split_stft(sc.potential, mat, eps / c_g, spec)
         low = replace(sc, potential=f1)
         vars(low)["eigenpairs"] = sc.eigenpairs  # only V differs: share H0's pairs
         k_low = trotter_kernel(low, n)

@@ -118,35 +118,37 @@ def conjugate_through_fio(sigma: SymbolField, phi: PhaseQuadratic) -> SymbolFiel
     return SymbolField(g, _kernels.eval_fourier_modes(coeffs, out_freqs, x, x))
 
 
-def fio_swap_residual(sigma: SymbolField, phi: PhaseQuadratic) -> float:
+def fio_swap_residual(sigma: SymbolField, sigma_w: KernelMatrix,
+                      phi: PhaseQuadratic) -> float:
     """Relative Frobenius residual of the symbol-through-FIO identity.
 
-    The discrete sigma^w is periodic over the box while the chirp
-    e^{2 pi i Phi(x_i, y_j)} is not, so the identity can only hold away from
-    the wrap: the residual is taken over output rows at least N/32 samples
-    from the box edge.  For band-limited symbols the excluded rows carry all of the
-    mismatch and the interior residual is at rounding level.
+    The discrete sigma_w = weyl_quantize(sigma) is periodic over the box while
+    the chirp e^{2 pi i Phi(x_i, y_j)} is not, so the identity can only hold
+    away from the wrap: the residual is taken over output rows at least N/32
+    samples from the box edge.  For band-limited symbols the excluded rows
+    carry all of the mismatch and the interior residual is at rounding level.
     """
     g = sigma.grid
     n = g.points
     x = g.axis()
     chirp = _kernels.chirp_kernel(x, x, *phi.coefficients())
-    lhs = weyl_quantize(sigma).entries @ chirp * g.cell
+    lhs = sigma_w.entries @ chirp * g.cell
     rhs = chirp * conjugate_through_fio(sigma, phi).values
     keep = slice(n // 32, n - n // 32)
     return float(np.linalg.norm(lhs[keep] - rhs[keep]) / np.linalg.norm(rhs[keep]))
 
 
-def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> float:
-    """Relative norm of (sigma o S)^w - mu(S)^{-1} sigma^w mu(S) as matrices.
+def symplectic_covariance_residual(sigma: SymbolField, sigma_w: KernelMatrix,
+                                   s: SymplecticBlocks) -> float:
+    """Relative norm of (sigma o S)^w - mu(S)^{-1} sigma_w mu(S) as matrices.
 
-    mu(S) is assembled on the symbol's base grid; the metaplectic phase
-    cancels in the conjugation, so the single-step phase choice suffices.
-    The matrix identity is exact (to rounding) when S maps the phase lattice
-    to itself, which on an N = 4L^2 grid includes quarter rotations and
-    integer shears; for other S the grid realization of mu(S) is not
-    invertible-stable and the residual reflects that, so state-level checks
-    are the right tool there.
+    sigma_w = weyl_quantize(sigma); mu(S) is assembled on the symbol's base
+    grid; the metaplectic phase cancels in the conjugation, so the
+    single-step phase choice suffices.  The matrix identity is exact (to
+    rounding) when S maps the phase lattice to itself, which on an N = 4L^2
+    grid includes quarter rotations and integer shears; for other S the grid
+    realization of mu(S) is not invertible-stable and the residual reflects
+    that, so state-level checks are the right tool there.
     """
     g = sigma.grid
     h = g.cell
@@ -156,7 +158,7 @@ def symplectic_covariance_residual(sigma: SymbolField, s: SymplecticBlocks) -> f
     lhs = quantize_modes(coeffs, freqs @ s.matrix(), g).entries
     # the unit phase cancels between mu and mu^{-1}, so fix it to 1
     mu_op = build_propagator(s, g, QUADRATURE, 1.0).kernel_entries() * h
-    inner = weyl_quantize(sigma).entries * h @ mu_op
+    inner = sigma_w.entries * h @ mu_op
     rhs = np.linalg.solve(mu_op, inner) / h
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 

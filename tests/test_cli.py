@@ -353,24 +353,30 @@ def test_stft_preset_csv_is_deterministic(tmp_path, command, config):
 
 def test_perturb_builds_each_kernel_and_split_once(tmp_path, monkeypatch):
     # three budgets: E_n(V) once plus one E_n(f1) per budget, one split per
-    # budget; the counters wrap every module-level name a runner can call
-    from proplab import cli, trotter
+    # budget, all from one STFT of V and one adjoint-bound constant C_g; the
+    # counters wrap every module-level name a runner can call
+    from proplab import cli, tfa, trotter
 
-    calls = {"trotter_kernel": 0, "sjostrand_decompose": 0}
+    cfg = Config(cfg_path("decomposition-pinned.ini"))
+    v = cfg.potential(cfg.grid()).values
+    calls = {"trotter_kernel": 0, "_split_stft": 0, "cross_ambiguity_l1": 0, "stft": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            # stft counts only the transforms of V; the checks transform f1, f2
+            if name != "stft" or np.array_equal(args[0].values, v):
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for name in calls:
-        for module in (cli, trotter):
+        for module in (cli, trotter, tfa):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(["perturb", "--config", cfg_path("decomposition-pinned.ini"),
                  "--out", str(tmp_path), "--quiet"]) == 0
-    assert calls == {"trotter_kernel": 4, "sjostrand_decompose": 3}
+    assert calls == {"trotter_kernel": 4, "_split_stft": 3, "cross_ambiguity_l1": 1,
+                     "stft": 1}
 
 
 def test_perturb_powers_every_kernel_by_parity_blocks(tmp_path, monkeypatch):
@@ -728,6 +734,17 @@ def test_cli_import_loads_no_scipy():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_perturb_run_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, 8-16 ms of a perturb run
+    code = ("import sys; from proplab.cli import main; "
+            f"code = main(['perturb', '--config', {cfg_path('decomposition-pinned.ini')!r}, "
+            f"'--out', {str(tmp_path)!r}, '--quiet']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
 
 
 def test_console_entry_point():

@@ -1,10 +1,12 @@
 """Mutation audit: each case plants one named mutant in the library, in
-process, and runs a shipped preset whose lab checks must fail on it.
+process, and runs a shipped preset, or an `oracles` config that lists the
+one check meant to kill it, whose lab checks must fail on it.
 
 A mutant that no lab check kills does not belong here: it is a gap in the
 gates, not an expected failure."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -77,3 +79,43 @@ def test_oracle_preset_kills(mutant, monkeypatch, tmp_path, capsys):
                  "--out", str(tmp_path), "--quiet"])
     assert code == 1
     assert "FAILED: oracles " in capsys.readouterr().err
+
+
+def patch_every_binding(monkeypatch, module, name, mutant):
+    """Replace module.name in every proplab module that binds the same
+    object, so the mutant reaches every caller whichever module calls it."""
+    original = getattr(module, name)
+    for loaded in list(sys.modules.values()):
+        if (getattr(loaded, "__name__", "").split(".")[0] == "proplab"
+                and getattr(loaded, name, None) is original):
+            monkeypatch.setattr(loaded, name, mutant)
+
+
+def windows_rolled(spec, windows=tfa._lattice_windows):
+    # every lattice window shifted by one sample
+    return np.roll(windows(spec), 1, axis=1)
+
+
+def test_window_shift_killed_by_stft_direct(monkeypatch, tmp_path, capsys):
+    # the shifted windows also synthesize, so stft_inversion cannot see them
+    patch_every_binding(monkeypatch, tfa, "_lattice_windows", windows_rolled)
+    cfg = tmp_path / "stft.ini"
+    cfg.write_text("[experiment]\nkind = oracles\nseed = 1\n"
+                   "[oracles]\nchecks = stft_inversion,stft_direct\n")
+    assert main(["oracles", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED: oracles " in err and "stft_direct" in err
+    assert "stft_inversion" not in err
+
+
+def test_halved_adjoint_constant_killed_by_decomposition(monkeypatch, tmp_path, capsys):
+    # C_g x 0.5 doubles each split's budget, so the rough part overshoots eps
+    def halved(spec, constant=tfa.cross_ambiguity_l1):
+        return 0.5 * constant(spec)
+
+    patch_every_binding(monkeypatch, tfa, "cross_ambiguity_l1", halved)
+    code = main(["perturb", "--config", os.path.join(CONFIGS, "decomposition-pinned.ini"),
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 1
+    assert "||f2|| = 2.0877e-01 exceeds eps 0.2" in capsys.readouterr().err

@@ -4,11 +4,13 @@ and the README's list of its checks."""
 import csv
 import os
 import re
+import sys
 
-from proplab import oracles
+from proplab import oracles, weyl
 from proplab.cli import main
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def battery_rows(tmp_path, checks=None, seed=7, measure_sets=3):
@@ -52,3 +54,30 @@ def test_readme_lists_the_checks_of_the_table():
     listed = re.findall(r"^- `(\w+)` ≤ ([0-9.e+-]+):", section, re.M)
     assert [(name, float(threshold)) for name, threshold in listed] == \
         [(name, threshold) for name, (_, threshold) in oracles.CHECKS.items()]
+
+
+def count_quantizations(tmp_path, monkeypatch, checks):
+    """weyl_quantize calls of one oracles run on the listed checks, counted
+    at every proplab module that binds the function."""
+    calls = []
+    quantize = weyl.weyl_quantize
+
+    def counted(sigma):
+        calls.append(1)
+        return quantize(sigma)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").split(".")[0] == "proplab"
+                and getattr(module, "weyl_quantize", None) is quantize):
+            monkeypatch.setattr(module, "weyl_quantize", counted)
+    battery_rows(tmp_path, checks)
+    return len(calls)
+
+
+def test_battery_quantizes_the_symbol_at_most_once(tmp_path, monkeypatch):
+    # wigner_duality, covariance and fio_swap share one sigma^w; measure-bound's
+    # list reads none of them and makes none
+    assert count_quantizations(tmp_path, monkeypatch, ",".join(oracles.CHECKS)) == 1
+    with open(os.path.join(CONFIGS, "measure-bound.ini")) as handle:
+        listed = re.search(r"^checks = (.+)$", handle.read(), re.M).group(1)
+    assert count_quantizations(tmp_path, monkeypatch, listed) == 0

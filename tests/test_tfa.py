@@ -9,7 +9,8 @@ from proplab import (EpsilonTooSmall, INF_1, INF_S, GridSpec, KernelMatrix,
                      sjostrand_decompose, stft, stft_adjoint, wigner)
 from proplab.cli import Config
 from proplab.grid import _is_even
-from proplab.tfa import _lattice_norm, cross_ambiguity_l1, frequency_profile
+from proplab.tfa import (_lattice_norm, _lattice_windows, cross_ambiguity_l1,
+                         frequency_profile)
 from proplab.trotter import KERNEL_LATTICE_STEP, _kernel_lattice_stft
 from proplab.rng import SplitMix64
 
@@ -152,6 +153,24 @@ def test_kernel_mod_norm_matches_direct_2d_sum():
         np.sum(np.max(mag, axis=(0, 1))) * cell, rel=1e-12)
     assert _lattice_norm(*_kernel_lattice_stft(k), INF_S, 2.5) == pytest.approx(
         np.max(mag * (1.0 + radii) ** 2.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_lattice_windows_view_equals_the_gather(n):
+    # a random complex window, so a misplaced sample cannot hide in symmetry
+    rng = SplitMix64(n)
+    g = GridSpec(1, 4.0, n)
+    w = SampledField(g, rng.normals(n) + 1j * rng.normals(n))
+    w = SampledField(g, w.values / w.norm2())
+    for step in (s for s in (1, 2, 4, 16) if n % s == 0 and s < n):
+        spec = StftSpec(w, step)
+        pos = np.arange(0, n, step)
+        gather = w.values[(np.arange(n)[None, :] - pos[:, None] + n // 2) % n]
+        view = _lattice_windows(spec)
+        assert view.shape == gather.shape and view.dtype == gather.dtype
+        assert np.array_equal(view, gather)
+        with pytest.raises(ValueError):
+            view[0, 0] = 0.0
 
 
 def test_stft_spec_rejects_single_frequency(grid):

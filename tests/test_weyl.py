@@ -82,14 +82,14 @@ def test_wigner_duality_pairing(grid):
 def test_covariance_quarter_rotation(grid):
     sig = random_symbol(grid, 60)
     s = flow(QuadraticHamiltonian.harmonic(1), 0.5 * np.pi)
-    assert symplectic_covariance_residual(sig, s) < 1e-10
+    assert symplectic_covariance_residual(sig, weyl_quantize(sig), s) < 1e-10
 
 
 def test_covariance_integer_shear(grid):
     sig = random_symbol(grid, 61)
     # B = 1 maps the square lattice to itself and is free
     shear = SymplecticBlocks(1.0, 1.0, 0.0, 1.0)
-    assert symplectic_covariance_residual(sig, shear) < 1e-10
+    assert symplectic_covariance_residual(sig, weyl_quantize(sig), shear) < 1e-10
 
 
 def test_covariance_state_level_generic_time(grid):
@@ -113,7 +113,7 @@ def test_covariance_state_level_generic_time(grid):
 def test_fio_swap_residual_small(grid):
     sig = random_symbol(grid, 70)
     phi = phase_form(flow(QuadraticHamiltonian.harmonic(1), 0.7))
-    assert fio_swap_residual(sig, phi) < 1e-3
+    assert fio_swap_residual(sig, weyl_quantize(sig), phi) < 1e-3
 
 
 def direct_mode_sum(coeffs, freqs, px, pxi):
@@ -152,8 +152,9 @@ def test_oracle_pair_memory_stays_small(grid):
     quarter, phi = flow(h, 0.5 * np.pi), phase_form(flow(h, 0.7))
     tracemalloc.start()
     try:
-        symplectic_covariance_residual(sig, quarter)
-        fio_swap_residual(sig, phi)
+        sig_w = weyl_quantize(sig)
+        symplectic_covariance_residual(sig, sig_w, quarter)
+        fio_swap_residual(sig, sig_w, phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
