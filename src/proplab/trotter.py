@@ -17,7 +17,8 @@ the blocks are built and unfolded on the calling thread.  The free chirp
 steps commute with the reflection except in row and column 0, as x_0 = -L
 has no mirror; with an even V they are powered as the blocks of their
 reflection-invariant part, folded from a strided view of the step's first
-row, plus an exact rank-2 edge term, so the free step is never dense.
+row, plus an exact rank-n edge term and column 0, both read off two vector
+sequences, so the free step is never dense.
 Each block makes the same BLAS calls as it would alone, into buffers of its
 own, so the bytes do not depend on how the two threads are scheduled.
 A high-n run stands in for the limit kernel, carrying its own Cauchy
@@ -63,9 +64,9 @@ class TrotterScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "phase", phase_form(flow(self.hamiltonian, self.t)))
+        for n in (*self.n_list, self.reference_n):
+            _check_step_count(n)
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        if any(n <= 0 for n in self.n_list):
-            raise ValueError("step counts must be positive")
         if self.reference_n < 4 * max(self.n_list):
             raise ValueError("reference_n must be at least 4 * max(n_list)")
         if self.potential.grid != self.grid:
@@ -109,20 +110,20 @@ def hamiltonian_matrix(h: QuadraticHamiltonian, grid: GridSpec) -> np.ndarray:
 def _multiplier(symbol: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Grid Fourier multiplier of symbol(xi), inverse DFT . diag(symbol) . DFT:
     as x_i - x_j = (i - j) h and xi_k h = (k - N/2)/N, it is the circulant
-    c[(i - j + N/2) mod N], c the centered inverse DFT of the symbol over N."""
+    c[(i - j + N/2) mod N], c the centered inverse DFT of the symbol over N,
+    taken as a read-only Toeplitz view of its 2N - 1 diagonals."""
     n = grid.points
     c = _centered_fft(symbol, n, +1) / n
-    i = np.arange(n)
-    return c[(i[:, None] - i[None, :] + n // 2) % n]
+    return _kernels.toeplitz(c[(np.arange(1 - n, n) + n // 2) % n], n)
 
 
 ROW_CHUNK = 64  # rows per pass of _power_free's edge update
 
 
-def _fold(mat: np.ndarray, out=None) -> tuple:
+def _fold(mat: np.ndarray) -> tuple:
     """(even, odd): the blocks of a matrix that commutes with the grid
     reflection R, j -> -j mod N (x_j -> -x_j), bit for bit, in R's
-    orthonormal eigenbasis, written into out = (even, odd) when given.
+    orthonormal eigenbasis, as two new arrays.
 
     The even basis is e_0, e_{N/2} and (e_j + e_{N-j})/sqrt 2 for
     0 < j < N/2, indexed by j in 0..N/2; the odd basis is
@@ -134,18 +135,14 @@ def _fold(mat: np.ndarray, out=None) -> tuple:
     """
     n = len(mat)
     m = n // 2
-    if out is None:
-        out = (np.empty((m + 1, m + 1), dtype=mat.dtype),
-               np.empty((m - 1, m - 1), dtype=mat.dtype))
-    even, odd = out
+    even = np.empty((m + 1, m + 1), dtype=mat.dtype)
     d = np.full(m + 1, np.sqrt(0.5))
     d[[0, m]] = 0.5
     top = mat[:m + 1]
     np.add(top[:, ::m], top[:, ::m], out=even[:, ::m])  # columns 0 and N/2 mirror themselves
     np.add(top[:, 1:m], top[:, n - 1:m:-1], out=even[:, 1:m])
     even *= 2.0 * d[:, None] * d
-    np.subtract(mat[1:m, 1:m], mat[1:m, n - 1:m:-1], out=odd)
-    return even, odd
+    return even, mat[1:m, 1:m] - mat[1:m, n - 1:m:-1]
 
 
 def _unfold(even: np.ndarray, odd: np.ndarray, out=None) -> np.ndarray:
@@ -191,8 +188,8 @@ def _eig(h: QuadraticHamiltonian, grid: GridSpec) -> tuple:
                  for block in (_fold(mat) if h.b == 0.0 else (mat,)))
 
 
-def _block_step(w: np.ndarray, u: np.ndarray, tau: float, out=None) -> np.ndarray:
-    """u exp(-i tau w) u^H, written into out when given.
+def _block_step(w: np.ndarray, u: np.ndarray, tau: float) -> np.ndarray:
+    """u exp(-i tau w) u^H, as a new array.
 
     With real eigenvectors u (b = 0) the real and imaginary parts are the
     real products (u cos(tau w)) u^T and -(u sin(tau w)) u^T, half the flops
@@ -200,9 +197,8 @@ def _block_step(w: np.ndarray, u: np.ndarray, tau: float, out=None) -> np.ndarra
     term makes u complex and keeps the complex product.
     """
     if np.iscomplexobj(u):
-        return np.matmul(u * np.exp(-1j * tau * w)[None, :], u.conj().T, out=out)
-    if out is None:
-        out = np.empty(u.shape, dtype=complex)
+        return (u * np.exp(-1j * tau * w)[None, :]) @ u.conj().T
+    out = np.empty(u.shape, dtype=complex)
     out.real = (u * np.cos(tau * w)[None, :]) @ u.T
     out.imag = (u * -np.sin(tau * w)[None, :]) @ u.T
     return out
@@ -218,9 +214,8 @@ def kinetic_step(pairs: tuple, tau: float) -> np.ndarray:
 
 def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
                 symmetric: bool, spare: np.ndarray | None = None) -> np.ndarray:
-    """(z diag(q^2))^n by binary powering, q = exp(-i tau v / 2); z is
-    overwritten, and the caller passes a temporary so that no reference
-    keeps it alive.
+    """(z diag(q^2))^n by binary powering, q = exp(-i tau v / 2), written
+    back into z and returned.
 
     With S = diag(q) z diag(q) the step is diag(q)^-1 S diag(q), so its
     n-th power is diag(q)^-1 S^n diag(q).  When z is complex symmetric so
@@ -228,23 +223,22 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
     hands to BLAS zsyrk: it computes one triangle, about 40% less time than
     the general product.
 
-    Without spare each square and product is a new array.  spare, an array
-    with room for two more matrices of z's size, takes them instead, each
-    into a buffer that the previous ones have released, and the result is
-    copied back into z, so the powering allocates no matrix.
+    Each square and product goes into a buffer that an earlier one has
+    released, z's own included, or into a new array when none is free;
+    spare, an array with room for two more matrices of z's size, only fills
+    that pool up front, so with it the powering allocates no matrix.
 
     A result that leaves the float range, with an entry that overflowed
     (inf or NaN) or with every entry underflowed to zero, is a ProplabError.
     """
-    steps = n
-    # with spare, z's buffer stays held to take the result back
-    home, free = (None, None) if spare is None else (z, [
-        spare.reshape(-1)[k * z.size:(k + 1) * z.size].reshape(z.shape) for k in (0, 1)])
+    steps, home = n, z
+    free = [] if spare is None else [
+        spare.reshape(-1)[k * z.size:(k + 1) * z.size].reshape(z.shape) for k in (0, 1)]
 
     def product(a, b, done):
         # a @ b into a free buffer; done, the operand it replaces, is freed
         out = np.matmul(a, b, out=free.pop() if free else None)
-        if free is not None and done is not None:
+        if done is not None:
             free.append(done)
         return out
 
@@ -260,13 +254,13 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
             if not n:
                 break
             z = product(z, z.T if symmetric else z, None if z is res else z)
-        if home is not None and res is not home:
+        if res is not home:
             home[...] = res
-            res = home
-        res /= q[:, None]
-        res *= q[None, :]
-    _check_range(res, steps, tau)
-    return res
+        del res, z, free[:]  # only home stays alive through the range check
+        home /= q[:, None]
+        home *= q[None, :]
+    _check_range(home, steps, tau)
+    return home
 
 
 def _check_range(res: np.ndarray, steps: int, tau: float) -> None:
@@ -276,58 +270,54 @@ def _check_range(res: np.ndarray, steps: int, tau: float) -> None:
                            "leaves the float range")
 
 
-def _side_by_side(first, second) -> tuple:
-    """(first(), second()), second on a thread started for this call while
-    the calling thread runs first.  The thread is joined before anything
-    returns or raises, and an exception raised by second is raised here;
-    when both raise, first's is.
+def _side_by_side(first, second) -> None:
+    """Run first() and second(), second on a thread started for this call
+    while the calling thread runs first.  The thread is joined before
+    anything returns or raises, and an exception raised by second is raised
+    here; when both raise, first's is.
 
-    Its one use is the two block powers of _power_blocks.  Only untraced
-    private helpers run as second: perfbench's span tracer keeps one stack.
+    Its one use is the two block powers of _power_blocks, which write their
+    results in place.  Only untraced private helpers run as second:
+    perfbench's span tracer keeps one stack.
     """
-    outcome = []
+    raised = []
 
     def run():
         try:
-            outcome.append((True, second()))
+            second()
         except BaseException as exc:  # raised in the caller below
-            outcome.append((False, exc))
+            raised.append(exc)
 
     worker = threading.Thread(target=run)
     worker.start()
     try:
-        got = first()
+        first()
     finally:
         worker.join()
-    ok, other = outcome[0]
-    if not ok:
-        raise other
-    return got, other
+    if raised:
+        raise raised[0]
 
 
-def _power_blocks(build, tau: float, v: np.ndarray, n: int) -> np.ndarray:
-    """The N x N unfolding of the n-th powers of the parity blocks that
-    build(even, odd) writes into even and odd, of a step that commutes with
-    R, each conjugated by its half of q as in _power_step.
+def _power_blocks(even: np.ndarray, odd: np.ndarray, tau: float, v: np.ndarray,
+                  n: int) -> np.ndarray:
+    """The N x N unfolding of the n-th powers of the parity blocks even and
+    odd of a step that commutes with R, each conjugated by its half of q as
+    in _power_step; the blocks are overwritten.
 
-    build and _unfold run on the calling thread, the two powers side by
-    side, the odd block's on a second thread.  Their buffers are allocated
-    here, on the calling thread: memory that a thread allocates stays in
-    that thread's malloc arena, and a block allocated by the second thread
-    raised the peak RSS of a freeslice run by 8 MB.  One buffer of N^2 + 4
-    entries, 2(N/2 + 1)^2 + 2(N/2 - 1)^2, allocated once build has returned,
+    The caller makes the blocks, and _unfold runs, on the calling thread;
+    the two powers run side by side, the odd block's on a second thread.
+    Their buffers are allocated here, on the calling thread: memory that a
+    thread allocates stays in that thread's malloc arena, and a block
+    allocated by the second thread raised the peak RSS of a freeslice run
+    by 8 MB.  One buffer of N^2 + 4 entries, 2(N/2 + 1)^2 + 2(N/2 - 1)^2,
     holds both blocks' spares at once, and afterwards takes the unfolded
     result, so no other N x N matrix is allocated.
     """
     m = len(v) // 2
     size = 2 * m
-    blocks = np.empty((m + 1) ** 2 + (m - 1) ** 2, dtype=complex)
-    even = blocks[:(m + 1) ** 2].reshape(m + 1, m + 1)
-    odd = blocks[(m + 1) ** 2:].reshape(m - 1, m - 1)
-    build(even, odd)
     buf = np.empty(size * size + 4, dtype=complex)
     cut = 2 * (m + 1) ** 2
-    even, odd = _side_by_side(
+    _side_by_side(
         lambda: _power_step(even, tau, v[:m + 1], n, symmetric=True, spare=buf[:cut]),
         lambda: _power_step(odd, tau, v[1:m], n, symmetric=True, spare=buf[cut:]))
     return _unfold(even, odd, out=buf[:size * size].reshape(size, size))
@@ -346,48 +336,45 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
 
         S^n = A^n + sum_{j<n} (S^j e_0)(A^{n-1-j} r)^T + S_00^{n-1-j} (S^j r) e_0^T.
 
-    A^n is powered by _power_blocks from _fold of T's strided view, with
-    the even block's row and column 0 zeroed off the diagonal, so T is never
-    dense.  The sum is a rank-n product added ROW_CHUNK rows at a time plus
-    a column-0 update, from 3(n - 1) products of S with a vector,
-    A x = S x - x_0 r - (r . x) e_0, each T x by _kernels.toeplitz_product,
-    the FFT product that the fast propagator path also applies.  n = 1, and
-    any V with an odd part, power the full step.
+    As S e_0 = S_00 e_0 + r, the last sum telescopes to S^n e_0 - S_00^n e_0,
+    and as (A^k r)_0 = 0 the rank-n sum adds nothing to column 0: column 0
+    of S^n is S^n e_0.  A^n is powered by _power_blocks from _fold of T's
+    strided view, with the even block's row and column 0 zeroed off the
+    diagonal, so T is never dense; the rank-n product is added ROW_CHUNK
+    rows at a time, and column 0 is then set to S^n e_0.  The two vector
+    sequences S^j e_0 (j <= n) and A^j r (j < n) take n products of S with
+    two vectors, A x = S x - x_0 r - (r . x) e_0, each T x by
+    _kernels.toeplitz_product, the FFT product that the fast propagator
+    path also applies.  n = 1, and any V with an odd part, power the full
+    step.
     """
     size = len(row)
     step = _kernels.symmetric_toeplitz(row, size)
     if n < 2 or not _is_even(v):
         return _power_step(np.array(step), tau, v, n, symmetric=True)
-
-    def build(even, odd):
-        _fold(step, out=(even, odd))
-        even[0, 1:] = 0.0
-        even[1:, 0] = 0.0
-
     with np.errstate(all="ignore"):  # the range checks report it
         q = np.exp(-0.5j * tau * v)
         r = row * (q[0] * q)
         r[0] = 0.0
-        s00 = q[0] * row[0] * q[0]
-        # seq[j] holds S^j e_0, S^j r and A^j r as its rows
-        seq = np.zeros((n, 3, size), dtype=complex)
+        # seq[j] holds S^j e_0 and A^j r as its rows; A^n r goes unused
+        seq = np.zeros((n + 1, 2, size), dtype=complex)
         seq[0, 0, 0] = 1.0
-        seq[0, 1] = seq[0, 2] = r
-        for j in range(1, n):
+        seq[0, 1] = r
+        for j in range(1, n + 1):
             x, y = seq[j - 1], seq[j]
             np.multiply(_kernels.toeplitz_product(row, x * q), q, out=y)
-            y[2] -= x[2, 0] * r
-            y[2, 0] -= r @ x[2]
-        out = _power_blocks(build, tau, v, n)
+            y[1] -= x[1, 0] * r
+            y[1, 0] -= r @ x[1]
+        even, odd = _fold(step)
+        even[0, 1:] = even[1:, 0] = 0.0
+        out = _power_blocks(even, odd, tau, v, n)
+        del even, odd  # unfolded into out, so not held through the edge terms
         # the edge terms, conjugated by diag(q) as the blocks are
-        left = seq[:, 0].T / q[:, None]
-        right = seq[::-1, 2] * q
+        left = seq[:n, 0].T / q[:, None]
+        right = seq[n - 1::-1, 1] * q
         for lo in range(0, size, ROW_CHUNK):
             out[lo:lo + ROW_CHUNK] += left[lo:lo + ROW_CHUNK] @ right
-        col = seq[0, 1]
-        for j in range(1, n):
-            col = col * s00 + seq[j, 1]
-        out[:, 0] += col * (q[0] / q)
+        out[:, 0] = seq[n, 0] * (q[0] / q)
     _check_range(out, n, tau)
     return out
 
@@ -447,11 +434,7 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
         row = propagator_for(h, tau, sc.grid).kernel_row()
         m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
     elif _reflection_invariant(sc):
-        def build(even, odd):
-            for (w, u), block in zip(sc.eigenpairs, (even, odd)):
-                _block_step(w, u, tau, out=block)
-
-        m = _power_blocks(build, tau, v, n)
+        m = _power_blocks(*(_block_step(w, u, tau) for w, u in sc.eigenpairs), tau, v, n)
     else:
         m = _power_step(kinetic_step(sc.eigenpairs, tau), tau, v, n,
                         symmetric=h.b == 0.0)

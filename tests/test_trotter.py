@@ -127,6 +127,19 @@ def test_parity_blocks_of_hamiltonian_matrix(h, half_width, points):
     assert np.max(np.abs(got_o - odd.T @ mat @ odd)) < 1e-13 * scale
 
 
+@pytest.mark.parametrize("points", [8, 256, 1024])
+def test_multiplier_is_the_gathered_circulant(points):
+    # the Toeplitz view of the 2N - 1 diagonals equals, bit for bit, the
+    # gather of c[(i - j + N/2) mod N] through an N x N index table
+    grid = GridSpec(1, 8.0, points)
+    xi = grid.freq_axis()
+    for symbol in (0.5 * xi**2, xi):
+        c = _centered_fft(symbol, points, +1) / points
+        i = np.arange(points)
+        gathered = c[(i[:, None] - i[None, :] + points // 2) % points]
+        assert np.array_equal(trotter._multiplier(symbol, grid), gathered)
+
+
 def test_cross_term_couples_the_parities(grid):
     # x_0 = -L has no mirror and the Nyquist mode of xi is not odd, so the
     # grid cross term is not reflection-invariant: _eig keeps it whole
@@ -241,6 +254,26 @@ def test_scenario_validation(grid):
     with pytest.raises(ValueError):
         TrotterScenario(QuadraticHamiltonian.harmonic(1), v, 1.0,
                         (0,), grid, 128)
+
+
+@pytest.mark.parametrize("n_list,reference_n", [
+    ((2.5,), 16), ((True,), 16), ((4, 0), 16), ((-1,), 16), (("2",), 16),
+    ((np.float64(4.0),), 16), ((4,), 16.0), ((4,), True), ((4,), np.float64(16.0)),
+], ids=["n-float", "n-bool", "n-zero", "n-negative", "n-str", "n-numpy-float",
+        "ref-float", "ref-bool", "ref-numpy-float"])
+def test_scenario_step_counts_are_positive_integers(grid, n_list, reference_n):
+    # one rule for every step count, at construction: otherwise int() would
+    # turn (2.5, True) into (2, 1), and reference_n = 16.0 would fail only
+    # inside reference_kernel
+    with pytest.raises(ValueError, match="step count must be a positive integer"):
+        TrotterScenario(QuadraticHamiltonian.harmonic(1), cosine_potential(grid), 1.0,
+                        n_list, grid, reference_n)
+
+
+def test_scenario_accepts_numpy_integer_step_counts(grid):
+    sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), cosine_potential(grid), 1.0,
+                         (np.int64(4), np.int32(2)), grid, np.int64(16))
+    assert sc.n_list == (4, 2) and all(type(n) is int for n in sc.n_list)
 
 
 def test_scenario_refuses_exceptional_time(grid):
@@ -804,6 +837,20 @@ def test_spectral_powering_memory_stays_small(traced_peak):
                          1.0, (8,), grid, 32)
     trotter_kernel(sc, 8)
     assert traced_peak(lambda: trotter_kernel(sc, 8)) < 26
+
+
+@pytest.mark.parametrize("n,bound", [(7, 49), (8, 33)])
+def test_full_step_memory_stays_small(traced_peak, n, bound):
+    # an odd part in V powers the full N x N step (16 MiB at N = 1024), its
+    # squares and products taking the buffers that earlier ones released:
+    # measured 48.0 MiB at n = 7 (the step, a square and a running product)
+    # and 32.0 MiB at n = 8 (the step and a square)
+    grid = GridSpec(1, 16.0, 1024)
+    x = grid.axis()
+    v = SampledField(grid, np.cos(2.0 * np.pi * x) + 0.1 * np.sin(2.0 * np.pi * x))
+    sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), v, 1.0, (n,), grid, 4 * n)
+    trotter_kernel(sc, n)
+    assert traced_peak(lambda: trotter_kernel(sc, n)) < bound
 
 
 def test_free_slice_matches_iterated_product(grid):
