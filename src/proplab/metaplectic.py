@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFree
-from .grid import GridSpec, KernelMatrix, SampledField
+from .grid import GridSpec, KernelMatrix
 from .symplectic import (PhaseQuadratic, QuadraticHamiltonian, SymplecticBlocks,
                          flow, phase_form)
 from . import _kernels
@@ -74,10 +74,6 @@ class MetaplecticPropagator:
         return self.phase_factor / np.sqrt(self.abs_det_b)
 
     # -- application ------------------------------------------------------
-
-    def apply(self, f: SampledField) -> SampledField:
-        out = self.apply_columns(f.values.reshape(self.grid.points, 1))
-        return SampledField(self.grid, out[:, 0])
 
     def apply_columns(self, cols: np.ndarray) -> np.ndarray:
         """Apply to a stack of fields given as (N, m) columns.  The fast path

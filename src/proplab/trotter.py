@@ -21,8 +21,11 @@ row, plus an exact rank-n edge term and column 0, both read off two vector
 sequences, so the free step is never dense.
 Each block makes the same BLAS calls as it would alone, into buffers of its
 own, so the bytes do not depend on how the two threads are scheduled.
-A high-n run stands in for the limit kernel, carrying its own Cauchy
-self-distance so the surrogate error stays visible in every report.
+trotter_kernel and time_slice_free_kernel form q once for the powering,
+which raises nothing, and leave through one exit, _checked_kernel: the
+1/cell scale, then the float-range rule on the whole kernel.  A high-n run
+stands in for the limit kernel, carrying its own Cauchy self-distance so the
+surrogate error stays visible in every report.
 """
 
 from __future__ import annotations
@@ -212,10 +215,16 @@ def kinetic_step(pairs: tuple, tau: float) -> np.ndarray:
     return steps[0] if len(steps) == 1 else _unfold(*steps)
 
 
-def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
-                symmetric: bool, spare: np.ndarray | None = None) -> np.ndarray:
-    """(z diag(q^2))^n by binary powering, q = exp(-i tau v / 2), written
-    back into z and returned.
+def _half_step(tau: float, v: np.ndarray) -> np.ndarray:
+    """q = exp(-i tau v / 2), the Strang half-step of the potential phase; a
+    q past the float range is left to the kernel's range check."""
+    with np.errstate(all="ignore"):
+        return np.exp(-0.5j * tau * v)
+
+
+def _power_step(z: np.ndarray, q: np.ndarray, n: int, symmetric: bool,
+                spare: np.ndarray | None = None) -> np.ndarray:
+    """(z diag(q^2))^n by binary powering, written back into z and returned.
 
     With S = diag(q) z diag(q) the step is diag(q)^-1 S diag(q), so its
     n-th power is diag(q)^-1 S^n diag(q).  When z is complex symmetric so
@@ -227,11 +236,7 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
     released, z's own included, or into a new array when none is free;
     spare, an array with room for two more matrices of z's size, only fills
     that pool up front, so with it the powering allocates no matrix.
-
-    A result that leaves the float range, with an entry that overflowed
-    (inf or NaN) or with every entry underflowed to zero, is a ProplabError.
     """
-    steps, home = n, z
     free = [] if spare is None else [
         spare.reshape(-1)[k * z.size:(k + 1) * z.size].reshape(z.shape) for k in (0, 1)]
 
@@ -242,32 +247,33 @@ def _power_step(z: np.ndarray, tau: float, v: np.ndarray, n: int,
             free.append(done)
         return out
 
-    with np.errstate(all="ignore"):  # the range check below reports it
-        q = np.exp(-0.5j * tau * v)
+    with np.errstate(all="ignore"):  # the kernel's range check reports it
         z *= q[:, None]
         z *= q[None, :]
-        res = None
+        res, sq = None, z  # sq is the current square z^(2^k)
         while True:
             if n & 1:
-                res = z if res is None else product(res, z, res)
+                res = sq if res is None else product(res, sq, res)
             n >>= 1
             if not n:
                 break
-            z = product(z, z.T if symmetric else z, None if z is res else z)
-        if res is not home:
-            home[...] = res
-        del res, z, free[:]  # only home stays alive through the range check
-        home /= q[:, None]
-        home *= q[None, :]
-    _check_range(home, steps, tau)
-    return home
+            sq = product(sq, sq.T if symmetric else sq, None if sq is res else sq)
+        if res is not z:
+            z[...] = res
+        z /= q[:, None]
+        z *= q[None, :]
+    return z
 
 
-def _check_range(res: np.ndarray, steps: int, tau: float) -> None:
-    """A ProplabError unless res is finite and not all zero."""
-    if not (np.isfinite(res).all() and res.any()):
-        raise ProplabError(f"the {steps}-step kernel at tau = {tau!r} "
-                           "leaves the float range")
+def _checked_kernel(m: np.ndarray, grid: GridSpec, n: int, tau: float) -> KernelMatrix:
+    """The n-step matrix m over the cell, in place, as a kernel: the one exit
+    of trotter_kernel and time_slice_free_kernel.  A kernel with an entry
+    that is not finite, or with every entry zero, is a ProplabError."""
+    with np.errstate(over="ignore"):  # the range check below reports it
+        m /= grid.cell
+    if not (np.isfinite(m).all() and m.any()):
+        raise ProplabError(f"the {n}-step kernel at tau = {tau!r} leaves the float range")
+    return KernelMatrix(grid, m)
 
 
 def _side_by_side(first, second) -> None:
@@ -298,11 +304,10 @@ def _side_by_side(first, second) -> None:
         raise raised[0]
 
 
-def _power_blocks(even: np.ndarray, odd: np.ndarray, tau: float, v: np.ndarray,
-                  n: int) -> np.ndarray:
+def _power_blocks(even: np.ndarray, odd: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     """The N x N unfolding of the n-th powers of the parity blocks even and
-    odd of a step that commutes with R, each conjugated by its half of q as
-    in _power_step; the blocks are overwritten.
+    odd of a step that commutes with R, each conjugated as in _power_step by
+    its slice of q, q[:N/2 + 1] and q[1:N/2]; the blocks are overwritten.
 
     The caller makes the blocks, and _unfold runs, on the calling thread;
     the two powers run side by side, the odd block's on a second thread.
@@ -313,23 +318,24 @@ def _power_blocks(even: np.ndarray, odd: np.ndarray, tau: float, v: np.ndarray,
     holds both blocks' spares at once, and afterwards takes the unfolded
     result, so no other N x N matrix is allocated.
     """
-    m = len(v) // 2
+    m = len(q) // 2
     size = 2 * m
     buf = np.empty(size * size + 4, dtype=complex)
     cut = 2 * (m + 1) ** 2
     _side_by_side(
-        lambda: _power_step(even, tau, v[:m + 1], n, symmetric=True, spare=buf[:cut]),
-        lambda: _power_step(odd, tau, v[1:m], n, symmetric=True, spare=buf[cut:]))
-    return _unfold(even, odd, out=buf[:size * size].reshape(size, size))
+        lambda: _power_step(even, q[:m + 1], n, symmetric=True, spare=buf[:cut]),
+        lambda: _power_step(odd, q[1:m], n, symmetric=True, spare=buf[cut:]))
+    with np.errstate(all="ignore"):  # the kernel's range check reports it
+        return _unfold(even, odd, out=buf[:size * size].reshape(size, size))
 
 
-def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarray:
-    """(T diag(q^2))^n, q = exp(-i tau v / 2), for a free-chirp step T: the
-    symmetric Toeplitz matrix with first row t = row.
+def _power_free(row: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """(T diag(q^2))^n for a free-chirp step T: the symmetric Toeplitz matrix
+    with first row t = row.
 
     T depends on i - j only, with equal entries on the diagonals +-(i - j),
     so it commutes with R except in row and column 0, as x_0 = -L has no
-    mirror.  With V even bit for bit, let S = diag(q) T diag(q), A be S with
+    mirror.  With q even bit for bit, let S = diag(q) T diag(q), A be S with
     the off-diagonal entries of row and column 0 set to zero, and r = S[0, :]
     with r_0 = 0.  Then S = A + e_0 r^T + r e_0^T, A commutes with R,
     A e_0 = S_00 e_0, and
@@ -345,15 +351,14 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
     sequences S^j e_0 (j <= n) and A^j r (j < n) take n products of S with
     two vectors, A x = S x - x_0 r - (r . x) e_0, each T x by
     _kernels.toeplitz_product, the FFT product that the fast propagator
-    path also applies.  n = 1, and any V with an odd part, power the full
+    path also applies.  n = 1, and any q with an odd part, power the full
     step.
     """
     size = len(row)
     step = _kernels.symmetric_toeplitz(row, size)
-    if n < 2 or not _is_even(v):
-        return _power_step(np.array(step), tau, v, n, symmetric=True)
-    with np.errstate(all="ignore"):  # the range checks report it
-        q = np.exp(-0.5j * tau * v)
+    if n < 2 or not _is_even(q):
+        return _power_step(np.array(step), q, n, symmetric=True)
+    with np.errstate(all="ignore"):  # the kernel's range check reports it
         r = row * (q[0] * q)
         r[0] = 0.0
         # seq[j] holds S^j e_0 and A^j r as its rows; A^n r goes unused
@@ -367,7 +372,7 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
             y[1, 0] -= r @ x[1]
         even, odd = _fold(step)
         even[0, 1:] = even[1:, 0] = 0.0
-        out = _power_blocks(even, odd, tau, v, n)
+        out = _power_blocks(even, odd, q, n)
         del even, odd  # unfolded into out, so not held through the edge terms
         # the edge terms, conjugated by diag(q) as the blocks are
         left = seq[:n, 0].T / q[:, None]
@@ -375,7 +380,6 @@ def _power_free(row: np.ndarray, tau: float, v: np.ndarray, n: int) -> np.ndarra
         for lo in range(0, size, ROW_CHUNK):
             out[lo:lo + ROW_CHUNK] += left[lo:lo + ROW_CHUNK] @ right
         out[:, 0] = seq[n, 0] * (q[0] / q)
-    _check_range(out, n, tau)
     return out
 
 
@@ -395,7 +399,7 @@ def _check_step_count(n) -> None:
 
 def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> KernelMatrix:
     """Kernel matrix of E_n(t), by binary powering of the symmetrized step;
-    the one place where the step is chosen, checked and built.
+    the one place where the step is chosen, checked and built and q formed.
 
     SPECTRAL steps with kinetic_step(sc.eigenpairs, t/n).  When the pairs
     split H_grid into its even and odd blocks (b = 0) and V is even bit for
@@ -427,19 +431,18 @@ def trotter_kernel(sc: TrotterScenario, n: int, method: str = SPECTRAL) -> Kerne
     elif not np.any(v):
         n = 1
     tau = sc.t / n
+    q = _half_step(tau, v)
     # b = 0, which CHIRP also requires, makes every step complex symmetric
     # (H_grid and its blocks real symmetric, the free chirp symmetric in x
     # and y); each step is a temporary, as the powering overwrites it
     if method == CHIRP:
         row = propagator_for(h, tau, sc.grid).kernel_row()
-        m = _power_free(np.multiply(row, sc.grid.cell, out=row), tau, v, n)
+        m = _power_free(np.multiply(row, sc.grid.cell, out=row), q, n)
     elif _reflection_invariant(sc):
-        m = _power_blocks(*(_block_step(w, u, tau) for w, u in sc.eigenpairs), tau, v, n)
+        m = _power_blocks(*(_block_step(w, u, tau) for w, u in sc.eigenpairs), q, n)
     else:
-        m = _power_step(kinetic_step(sc.eigenpairs, tau), tau, v, n,
-                        symmetric=h.b == 0.0)
-    m /= sc.grid.cell
-    return KernelMatrix(sc.grid, m)
+        m = _power_step(kinetic_step(sc.eigenpairs, tau), q, n, symmetric=h.b == 0.0)
+    return _checked_kernel(m, sc.grid, n, tau)
 
 
 @dataclass
@@ -610,13 +613,12 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
 
     The n-th power of the analytic one-step factor
     (2 pi i tau)^{-1/2} e^{i(x - y)^2 / (2 tau)} with the potential phase,
-    taken by the same _power_free as trotter_kernel(..., CHIRP), from the
-    step's first row.  What it checks apart from trotter_kernel(..., CHIRP)
+    taken from the step's first row by the same _power_free, q and exit
+    _checked_kernel as trotter_kernel(..., CHIRP).  What it checks apart from that
     is the step, this analytic chirp against the metaplectic chirp
-    quadrature; as both share the powering, its own references are
-    np.linalg.matrix_power and iterated products, in the tests.  Kept at
-    integer n <= 8: this is the desk-scale cross-check of the path sum, not
-    a production path.
+    quadrature; its own references are np.linalg.matrix_power and iterated
+    products, in the tests.  Kept at integer n <= 8: the desk-scale
+    cross-check of the path sum, not a production path.
     """
     _check_step_count(n)
     if n > 8:
@@ -626,10 +628,8 @@ def time_slice_free_kernel(v: SampledField, t: float, n: int,
     tau = t / n
     # the chirp depends on (x - y)^2 only, so it is symmetric Toeplitz bit
     # for bit and its first row determines it
-    total = _power_free(_kernels.free_chirp(grid.axis(), tau)[0] * grid.cell,
-                        tau, v.values, n)
-    total /= grid.cell
-    return KernelMatrix(grid, total)
+    row = _kernels.free_chirp(grid.axis(), tau)[0] * grid.cell
+    return _checked_kernel(_power_free(row, _half_step(tau, v.values), n), grid, n, tau)
 
 
 def exceptional_blowup_scan(h: QuadraticHamiltonian, t_star: float, offsets,

@@ -574,9 +574,17 @@ def test_nonfinite_grid_hamiltonian_exits_1_without_files(tmp_path, capsys):
 
 
 ATOM_10000J = "[potential]\npreset = measure-atoms\natoms = 1.0:10000j\n"
+# within the float range before the 1/cell scaling, past it after
+PAST_CELL = ("[grid]\nhalf_width = 8.0\npoints = 256\n[hamiltonian]\npreset = harmonic\n"
+             "[time]\nt = 1.0\nn_list = 4,8,16\n[potential]\npreset = measure-atoms\n")
 
 
 @pytest.mark.parametrize("command,body", [
+    pytest.param("converge", PAST_CELL + "atoms = 0:709.5j\n", id="converge-past-cell"),
+    pytest.param("modbound", PAST_CELL + "atoms = 0:709.5j\n", id="modbound-past-cell"),
+    pytest.param("perturb", PAST_CELL + "atoms = 0:709.5j\n", id="perturb-past-cell"),
+    pytest.param("freeslice", PAST_CELL.replace("4,8,16", "1") + "atoms = 0:711j\n",
+                 id="freeslice-past-cell"),
     pytest.param("converge", GRID + ATOM_10000J, id="converge"),
     pytest.param("modbound", GRID + ATOM_10000J, id="modbound"),
     pytest.param("perturb", GRID + ATOM_10000J, id="perturb"),
@@ -586,9 +594,10 @@ ATOM_10000J = "[potential]\npreset = measure-atoms\natoms = 1.0:10000j\n"
 ])
 @pytest.mark.filterwarnings("error")  # a numpy warning would add stderr lines
 def test_kernel_out_of_float_range_exits_1_without_files(tmp_path, capsys, command, body):
-    # an imaginary atom of mass 10000 makes |exp(-i tau V)| overflow, and at
-    # t = 1e100 the free step's |t|^{-1/2} underflows its powers to zero: one
-    # error line from the powering, no NaN table
+    # an imaginary atom of mass 10000 makes |exp(-i tau V)| overflow, at
+    # t = 1e100 the free step's |t|^{-1/2} underflows its powers to zero, and
+    # a mass near 710 overflows only in the kernel's 1/cell scaling: one
+    # error line from the kernel's exit, no NaN table
     rc, lines, out = run_text(tmp_path, capsys, command,
                               f"[experiment]\nkind = {command}\n" + body)
     assert rc == 1

@@ -9,9 +9,9 @@ import pytest
 from proplab import (CHIRP, SPECTRAL, GridSpec, NotFree, ProplabError,
                      QuadraticHamiltonian, SampledField, TrotterScenario,
                      convergence_report, exceptional_blowup_scan, factor_out_phase,
-                     flow, kernel_mod_norm, perturbation_split_report, phase_form,
-                     propagator_for, reference_kernel, time_slice_free_kernel,
-                     trotter_kernel)
+                     flow, kernel_mod_norm, measure_potential_field,
+                     perturbation_split_report, phase_form, propagator_for,
+                     reference_kernel, time_slice_free_kernel, trotter_kernel)
 from proplab.cli import Config
 from proplab.grid import _centered_fft, sup_norm_on_compact
 from proplab import _kernels, trotter
@@ -198,7 +198,7 @@ def test_kinetic_step_matches_complex_exponential(grid, h, tau):
 def test_kinetic_step_matches_chirp_on_packets(grid, packet):
     h = QuadraticHamiltonian.harmonic(1)
     spectral = kinetic_step(_eig(h, grid), 0.8) @ packet.values
-    chirp = propagator_for(h, 0.8, grid).apply(packet).values
+    chirp = propagator_for(h, 0.8, grid).apply_columns(packet.values[:, None])[:, 0]
     assert np.max(np.abs(spectral - chirp)) < 1e-9
 
 
@@ -676,23 +676,57 @@ def test_side_by_side_blocks_change_no_bit(grid, monkeypatch, kernel):
     assert np.array_equal(kernel(v).entries, side_by_side)
 
 
-def test_worker_block_out_of_range_raises_in_caller(grid):
+def test_worker_block_out_of_range_raises_in_caller(grid, monkeypatch):
+    # the odd block powers on the second thread; an error raised there, as
+    # a block's powering would raise one, reaches the caller after both
+    # threads have ended
+    odd = grid.points // 2 - 1
+    power = trotter._power_step
+
+    def failing(z, *args, **kwargs):
+        if z.shape == (odd, odd):
+            raise ProplabError("odd block failed")
+        return power(z, *args, **kwargs)
+
+    monkeypatch.setattr(trotter, "_power_step", failing)
+    sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), cosine_potential(grid),
+                         1.0, (1,), grid, 4)
+    before = threading.active_count()
+    with pytest.raises(ProplabError, match="odd block failed"):
+        trotter_kernel(sc, 1)
+    assert threading.active_count() == before
+
+
+def test_a_block_that_underflows_alone_leaves_the_kernel_in_range(grid):
     # Im V = -920 off the fixed points 0 and N/2 underflows every entry of
-    # the odd block, which powers on the second thread, while the even block
-    # keeps rows 0 and N/2 and stays in range on the calling thread
+    # the odd block and every column of the even block but 0 and N/2; the
+    # range rule holds for the kernel, which keeps those two columns
     n = grid.points
     values = np.full(n, -920.0j)
     values[[0, n // 2]] = 0.0
     sc = TrotterScenario(QuadraticHamiltonian.harmonic(1), SampledField(grid, values),
                          1.0, (1,), grid, 4)
-    (w, u), _ = _eig(sc.hamiltonian, grid)
-    # the even block alone powers without an error
-    trotter._power_step(trotter._block_step(w, u, 1.0), 1.0, values[:n // 2 + 1], 1,
-                        symmetric=True)
-    before = threading.active_count()
-    with pytest.raises(ProplabError, match="leaves the float range"):
-        trotter_kernel(sc, 1)
-    assert threading.active_count() == before
+    k = trotter_kernel(sc, 1).entries
+    assert np.isfinite(k).all()
+    assert np.count_nonzero(k) == 2 * n
+    assert np.count_nonzero(k[:, [0, n // 2]]) == 2 * n
+
+
+@pytest.mark.parametrize("kernel,mass", [
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), v, 1.0, (4,), v.grid, 16), 4), 709.5j,
+        id="spectral-n4"),
+    pytest.param(lambda v: trotter_kernel(TrotterScenario(
+        QuadraticHamiltonian.harmonic(1), v, 1.0, (8,), v.grid, 32), 8), 709.5j,
+        id="spectral-n8"),
+    pytest.param(lambda v: time_slice_free_kernel(v, 1.0, 1, v.grid), 711j,
+                 id="free-slice-n1"),
+])
+def test_kernel_past_the_float_range_only_after_the_cell_raises(grid, kernel, mass):
+    # |exp(-i t V)| near e^{710} keeps the powered step finite, and only the
+    # 1/cell scaling takes the kernel past the float range
+    with pytest.raises(ProplabError, match="-step kernel .* leaves the float range"):
+        kernel(measure_potential_field([(0.0, mass)], grid))
 
 
 FORK_KERNELS = [
@@ -727,6 +761,23 @@ def test_a_kernel_forks_only_to_power_its_blocks(grid, monkeypatch, kernel, fork
     monkeypatch.setattr(trotter, "_side_by_side", spy)
     kernel(cosine_potential(grid))
     assert len(calls) == forks
+
+
+@pytest.mark.parametrize("kernel", [p.values[0] for p in FORK_KERNELS],
+                         ids=[p.id for p in FORK_KERNELS])
+def test_a_kernel_leaves_through_its_exit_once(grid, monkeypatch, kernel):
+    # the 1/cell scaling and the range check run once, on the whole kernel,
+    # whether it was powered as a full step, two blocks, or blocks and edge
+    calls = []
+    exit_ = trotter._checked_kernel
+
+    def spy(*args):
+        calls.append(1)
+        return exit_(*args)
+
+    monkeypatch.setattr(trotter, "_checked_kernel", spy)
+    kernel(cosine_potential(grid))
+    assert len(calls) == 1
 
 
 STEP_KERNELS = [
